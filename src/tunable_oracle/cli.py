@@ -57,7 +57,8 @@ def _cmd_schedule(args) -> int:
                               omega_m=args.wmax, r=r)
         schedule, cert = solve_work(problem)
         print(f"work schedule: N={problem.size} N_plus={cert.n_plus} "
-              f"N_minus={cert.n_minus} multiplier={cert.lambda_star:.6g}")
+              f"N_minus={cert.n_minus} multiplier={cert.lambda_star:.6g} "
+              f"budget_residual={cert.budget_residual:.3g}")
     else:
         if args.delta_ref is None or args.m is None or args.M is None:
             raise ValueError("accuracy mode requires --delta-ref, --m and --M")
@@ -65,7 +66,8 @@ def _cmd_schedule(args) -> int:
         schedule, cert = solve_accuracy(problem)
         print(f"accuracy schedule: N={problem.size} N_plus={cert.n_plus} "
               f"N_minus={cert.n_minus} lambda_star={cert.lambda_star:.6g} "
-              f"budget={reference_budget(problem):.6g}")
+              f"budget={reference_budget(problem):.6g} "
+              f"budget_residual={cert.budget_residual:.3g}")
     export_schedule(schedule, args.out)
     print(f"wrote {args.out}")
     return 0
@@ -97,7 +99,8 @@ def _cmd_toy(args) -> int:
     schedule, cert = solve_accuracy(problem)
     print(f"toy instance: N={problem.size} N_plus={cert.n_plus} "
           f"N_minus={cert.n_minus} lambda_star={cert.lambda_star:.6g} "
-          f"budget={reference_budget(problem):.6g}")
+          f"budget={reference_budget(problem):.6g} "
+          f"budget_residual={cert.budget_residual:.3g}")
     if args.out:
         export_schedule(schedule, args.out)
         print(f"wrote {args.out}")

@@ -96,15 +96,18 @@ def h_eval(model: CostModel, delta):
     return out if out.ndim else float(out)
 
 
+def _hprime_raw(model: CostModel, d):
+    """h' without domain checks (also at the interval end points)."""
+    if model.kind == POWER:
+        return -model.r * d ** (-(model.r + 1.0))
+    if model.kind == LOGARITHMIC:
+        return -1.0 / d
+    return 2.0 * np.log(d) / d
+
+
 def h_derivative(model: CostModel, delta):
     """h'(delta) < 0 on the interior of the admissible interval."""
-    d = _check_delta(model, delta, interior=True)
-    if model.kind == POWER:
-        out = -model.r * d ** (-(model.r + 1.0))
-    elif model.kind == LOGARITHMIC:
-        out = -1.0 / d
-    else:
-        out = 2.0 * np.log(d) / d
+    out = _hprime_raw(model, _check_delta(model, delta, interior=True))
     return out if out.ndim else float(out)
 
 
@@ -153,12 +156,13 @@ def lambert_w0(x):
     """Principal branch of the Lambert W function, w*exp(w) = x for x >= -1/e.
 
     Halley iteration from a piecewise initial guess; relative residual
-    below 1e-12 on the whole branch. Accepts scalars and arrays.
+    below 1e-12 on the whole branch. Accepts scalars and arrays. The
+    iteration runs in place on five work arrays the size of ``x``.
     """
     xs = np.asarray(x, dtype=float)
     if np.any(xs < -_INV_E - 1e-15) or not np.all(np.isfinite(xs)):
         raise CostModelError("lambert_w0 requires finite x >= -1/e")
-    xv = np.atleast_1d(xs).astype(float)
+    xv = np.atleast_1d(xs)
 
     w = np.empty_like(xv)
     near_branch = xv < -0.25
@@ -171,16 +175,32 @@ def lambert_w0(x):
     lx = np.log(xv[large])
     w[large] = lx - np.log(lx)
     # Pade-free rational guess is plenty in the middle.
-    w[mid] = xv[mid] / (1.0 + xv[mid] * np.exp(-np.clip(xv[mid], -1.0, 3.0)))
+    xm = xv[mid]
+    w[mid] = xm / (1.0 + xm * np.exp(-np.clip(xm, -1.0, 3.0)))
+    del p, lx, xm, near_branch, large, mid
 
+    tol = np.abs(xv)
+    np.maximum(tol, 1.0, out=tol)
+    tol *= 1e-14
+    ew, f, wp1, corr = (np.empty_like(w) for _ in range(4))
     for _ in range(50):
-        ew = np.exp(w)
-        f = w * ew - xv
-        if np.all(np.abs(f) <= 1e-14 * np.maximum(1.0, np.abs(xv))):
+        np.exp(w, out=ew)
+        np.multiply(w, ew, out=f)
+        f -= xv
+        np.abs(f, out=corr)
+        if np.all(corr <= tol):
             break
-        wp1 = w + 1.0
-        denom = ew * wp1 - (w + 2.0) * f / (2.0 * np.where(wp1 != 0.0, wp1, 1.0))
-        step = np.where(denom != 0.0, f / np.where(denom != 0.0, denom, 1.0), 0.0)
-        w = w - step
-    w = np.maximum(w, -1.0)
+        # Halley step f / (ew*(w+1) - (w+2)*f / (2*(w+1))); at the branch
+        # point (w+1 = 0) the inner divisor is 2, a zero denominator gives no step.
+        np.add(w, 1.0, out=wp1)
+        np.add(w, 2.0, out=corr)
+        corr *= f
+        np.divide(corr, wp1, out=corr, where=wp1 != 0.0)
+        corr *= 0.5
+        np.multiply(ew, wp1, out=wp1)
+        wp1 -= corr                      # the denominator
+        corr.fill(0.0)
+        np.divide(f, wp1, out=corr, where=wp1 != 0.0)
+        w -= corr
+    np.maximum(w, -1.0, out=w)
     return w.reshape(xs.shape) if xs.ndim else float(w[0])

@@ -28,9 +28,10 @@ from .certificates import (
     next_certificate,
 )
 from .cost_models import LOGARITHMIC, POWER
-from .fgm import FgmConfig, fgm_run, project_simplex
+from .fgm import FgmConfig, FgmError, fgm_run, project_simplex
 from .problems import (
     InnerState,
+    OracleError,
     ScenarioData,
     estimate_fstar,
     generate_scenarios,
@@ -43,6 +44,7 @@ from .problems import (
 )
 from .schedule_solver import (
     Schedule,
+    SolverError,
     accuracy_problem,
     export_schedule,
     online_extend_accuracy,
@@ -468,7 +470,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                         rows, x_final, total = _run_one(
                             config, data, name, seed, N, delta_ref, L, r,
                             fixed_values, boot_for_ref, a_boot)
-                    except Exception as exc:  # a failed run must not stop the sweep
+                    except (OracleError, FgmError, SolverError) as exc:
+                        # a numerical failure must not stop the sweep; a
+                        # programming error still raises
                         failures.append((name, seed, N, delta_ref, str(exc)))
                         continue
                     records.extend(rows)

@@ -7,29 +7,36 @@ iteration inside [m*dref, M*dref] minimizing sum(a_k * delta_k) at the same
 modeled cost as the constant reference schedule. Its solution is a
 water-filling: iterations ranked by nu_k = b_k / a_k saturate the loose bound
 first, the tight bound last, and the transient middle is pinned by a scalar
-multiplier. The work-controlled variant allocates a total work budget with
+multiplier lam. The work-controlled variant allocates a total work budget with
 the same structure.
+
+Both solvers share one kernel, the breakpoint search of Palomar & Fonollosa
+(IEEE TSP 2005): one sort by nu, a binary search over the saturation
+breakpoints for the partition, then one solve of the transient set. It costs
+O(N log N), plus O(log N) Lambert W passes for the log-squared kind.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import cost_models
 from .cost_models import (
     LOGARITHMIC,
     LOG_SQUARED,
     POWER,
     CostModel,
-    h_derivative,
     h_eval,
-    _hprime_inverse_raw,
+    _hprime_raw,
 )
 
 _REL_TOL = 1e-12
+_NEWTON_STEP_TOL = 1e-14  # log(lam) step at which the log-squared Newton stops
 
 
 class SolverError(RuntimeError):
@@ -143,18 +150,27 @@ class KktCertificate:
     lambda_star: float
     rho: np.ndarray
     nu: np.ndarray
+    budget_residual: float  # |achieved - budget| / budget of the returned schedule
     degenerate: bool = False
+
+
+def _descending_order(nu) -> np.ndarray:
+    """Indices sorting nu in descending order; ties by lower index."""
+    v = np.asarray(nu, dtype=float)
+    if not np.all(np.isfinite(v)):
+        raise SolverError("comparison vector must be finite")
+    return np.argsort(-v, kind="stable")
+
+
+def _rank_of(order: np.ndarray) -> np.ndarray:
+    rho = np.empty(order.size, dtype=int)
+    rho[order] = np.arange(order.size)
+    return rho
 
 
 def descending_rank(nu) -> np.ndarray:
     """rho[k] = j iff nu_k is the (j+1)-th largest entry; ties by lower index."""
-    v = np.asarray(nu, dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise SolverError("comparison vector must be finite")
-    order = np.argsort(-v, kind="stable")
-    rho = np.empty(v.size, dtype=int)
-    rho[order] = np.arange(v.size)
-    return rho
+    return _rank_of(_descending_order(nu))
 
 
 def reference_budget(p: ScheduleProblem) -> float:
@@ -200,16 +216,106 @@ def closed_form_interior_work(p: WorkProblem) -> Schedule | None:
 
 
 # ---------------------------------------------------------------------------
-# general water-filling solvers
+# water-filling kernel
 # ---------------------------------------------------------------------------
 
-def _transient_accuracy(p: ScheduleProblem, idx_T: np.ndarray,
-                        budget_T: float) -> tuple[np.ndarray, float]:
+def _span(prefix: np.ndarray, i: int, j: int) -> float:
+    """Sum over ranks [i, j) from inclusive prefix sums."""
+    return float(prefix[j - 1] - (prefix[i - 1] if i else 0.0)) if j > i else 0.0
+
+
+def _saturation_counts(n: int, key, c_hi: float, c_lo: float,
+                       excess) -> tuple[int, int]:
+    """Bound partition (n_plus, n_minus) of a water-filling along its ranking.
+
+    Rank j is loose for multipliers lam <= key(j) * c_hi and tight for
+    lam >= key(j) * c_lo, with key non-increasing in j and
+    0 <= c_hi < c_lo <= inf. ``excess(lam, i, j)``, the clipped budget minus
+    its target with ranks [0, i) loose and [j, n) tight, grows with lam. So
+    rank j is loose at the solution iff the excess at its loose breakpoint is
+    >= 0, and tight iff it is <= 0 at its tight breakpoint: one binary search
+    per side. Each search first probes the end that would leave its set empty.
+    """
+    def probe(lam):
+        i = bisect.bisect_left(range(n), True, key=lambda j: key(j) * c_hi < lam)
+        j = bisect.bisect_left(range(n), True, key=lambda j: key(j) * c_lo <= lam)
+        return excess(lam, i, max(i, j))
+
+    n_plus = n_minus = 0
+    if c_hi > 0.0 and probe(key(0) * c_hi) >= 0.0:
+        n_plus = bisect.bisect_left(range(n), True, lo=1,
+                                    key=lambda j: probe(key(j) * c_hi) < 0.0)
+    if c_lo < math.inf and n_plus < n and probe(key(n - 1) * c_lo) <= 0.0:
+        n_minus = n - bisect.bisect_left(range(n), True, lo=n_plus, hi=n - 1,
+                                         key=lambda j: probe(key(j) * c_lo) <= 0.0)
+    return n_plus, n_minus
+
+
+def _degenerate(n_plus: int, n_minus: int, order: np.ndarray, nu: np.ndarray,
+                gap: float) -> KktCertificate:
+    """Certificate of a partition pinning every rank, at relative budget gap."""
+    if abs(gap) > 1e-10:
+        raise SolverError("bound saturation exhausted all indices off-budget")
+    return KktCertificate(n_plus, n_minus, math.nan, _rank_of(order), nu,
+                          abs(gap), degenerate=True)
+
+
+def _budget_residual(achieved: float, target: float) -> float:
+    residual = abs(achieved - target) / target
+    if residual > 1e-8:
+        raise SolverError(
+            f"budget equation violated: achieved {achieved!r} vs target {target!r}")
+    return residual
+
+
+def _logsq_w(p: ScheduleProblem, idx: np.ndarray, lam: float) -> np.ndarray:
+    """W(lam a_k / (2 b_k)) over idx, so log-squared delta_k(lam) = exp(-W);
+    called through the module so that wrappers of lambert_w0 see it."""
+    x = p.a[idx]
+    x /= p.b[idx]
+    x *= 0.5 * lam
+    return cost_models.lambert_w0(x)
+
+
+def _accuracy_excess(p: ScheduleProblem, order: np.ndarray, budget: float,
+                     h_hi: float, h_lo: float):
+    """``excess(lam, i, j)`` of the accuracy problem for the kernel.
+
+    Transient rank k costs b_k h((h')^{-1}(-lam/nu_k)): (b_k a_k^r)^{1/(r+1)}
+    (lam/r)^{r/(r+1)} for power, b_k log(lam) + b_k log(a_k/b_k) for log (both
+    O(1) from prefix sums) and b_k W(lam a_k/(2 b_k))^2 for log-squared.
+    """
+    cm, n = p.cost_model, p.size
+    sb = p.b[order]
+    if cm.kind == POWER:
+        g = np.cumsum((sb * p.a[order] ** cm.r) ** (1.0 / (cm.r + 1.0)))
+    elif cm.kind == LOGARITHMIC:
+        g = np.cumsum(sb * np.log(p.a[order] / sb))
+    np.cumsum(sb, out=sb)
+
+    def transient(lam, i, j):
+        if cm.kind == POWER:
+            return (lam / cm.r) ** (cm.r / (cm.r + 1.0)) * _span(g, i, j)
+        if cm.kind == LOGARITHMIC:
+            return math.log(lam) * _span(sb, i, j) + _span(g, i, j)
+        if j <= i:
+            return 0.0
+        w = _logsq_w(p, order[i:j], lam)
+        w *= w
+        return float(p.b[order[i:j]] @ w)
+
+    def excess(lam, i, j):
+        pinned = h_hi * _span(sb, 0, i) + (h_lo * _span(sb, j, n) if j < n else 0.0)
+        return pinned + transient(lam, i, j) - budget
+    return excess
+
+
+def _transient_accuracy(p: ScheduleProblem, idx_T: np.ndarray, budget_T: float,
+                        lam_cap: float) -> tuple[np.ndarray, float]:
     """Interior values on the transient set and the multiplier lambda_star < 0.
 
-    For power/logarithmic kinds the multiplier has a closed form; the
-    log-squared kind needs a scalar root-find (bracketing + bisection with a
-    Newton polish) on the strictly monotone budget equation.
+    Closed forms for the power/logarithmic kinds; log-squared takes Newton
+    steps down from ``lam_cap``, an upper bound of the multiplier magnitude.
     """
     cm = p.cost_model
     aT, bT = p.a[idx_T], p.b[idx_T]
@@ -232,234 +338,124 @@ def _transient_accuracy(p: ScheduleProblem, idx_T: np.ndarray,
         lambda_star = -math.exp(-log_lam_hat)
         return delta, lambda_star
 
-    # log_squared: residual(lam) = sum b_k h(delta_k(lam)) - budget_T with
-    # delta_k(lam) = (h')^{-1}(-a_k lam / b_k), strictly increasing in lam > 0.
-    ratio = aT / bT
-
-    def interior(lam: float) -> np.ndarray:
-        return _hprime_inverse_raw(cm, -lam * ratio)
-
-    def residual(lam: float) -> float:
-        return float(np.sum(bT * np.log(interior(lam)) ** 2)) - budget_T
-
-    lam_lo = lam_hi = max(-h_derivative(cm, p.delta_ref), 1e-300)
-    for _ in range(2000):
-        if residual(lam_lo) <= 0.0:
+    # log_squared: with W_k = W(lam a_k / (2 b_k)), the transient cost
+    # R(t) = sum b_k W_k^2 at t = log(lam) is increasing and convex
+    # (R' = sum 2 b_k W_k^2 / (1 + W_k)), so Newton steps from an upper bound
+    # descend monotonically onto the root. The mean cost H = budget_T / sum b_k
+    # gives a bound too: some delta_k >= h^{-1}(H) = exp(-sqrt(H)), so
+    # lam <= max nu_k * -h'(exp(-sqrt(H))) = max nu_k * 2 sqrt(H) exp(sqrt(H)).
+    root_h = math.sqrt(budget_T / float(np.sum(bT)))
+    with np.errstate(over="ignore"):
+        lam_cap = min(lam_cap, float(bT[0] / aT[0] * 2.0 * root_h * np.exp(root_h)))
+    if not lam_cap < math.inf:
+        raise SolverError("no finite bound on the log-squared multiplier")
+    del aT
+    t = math.log(lam_cap)
+    while True:
+        w = _logsq_w(p, idx_T, math.exp(t))
+        cost = w * w
+        gap = float(bT @ cost) - budget_T
+        if gap <= 0.0:
             break
-        lam_lo /= 4.0
-    else:
-        raise SolverError("failed to bracket the multiplier from below")
-    for _ in range(2000):
-        if residual(lam_hi) >= 0.0:
+        cost /= w + 1.0
+        step = gap / (2.0 * float(bT @ cost))
+        if step <= _NEWTON_STEP_TOL:
             break
-        lam_hi *= 4.0
-    else:
-        raise SolverError("failed to bracket the multiplier from above")
-    for _ in range(200):
-        mid = math.sqrt(lam_lo * lam_hi)
-        if residual(mid) > 0.0:
-            lam_hi = mid
-        else:
-            lam_lo = mid
-        if lam_hi - lam_lo <= 1e-13 * lam_hi:
-            break
-    lam = 0.5 * (lam_lo + lam_hi)
-    # Newton polish: d residual / d lam = -sum a_k h'(delta_k)/h''(delta_k).
-    for _ in range(3):
-        d = interior(lam)
-        hp = 2.0 * np.log(d) / d
-        hpp = 2.0 * (1.0 - np.log(d)) / d**2
-        grad = float(np.sum(-aT * hp / hpp))
-        res = float(np.sum(bT * np.log(d) ** 2)) - budget_T
-        if grad == 0.0:
-            break
-        step = res / grad
-        if not math.isfinite(step) or abs(step) > 0.5 * lam:
-            break
-        lam -= step
-    return interior(lam), -lam
-
-
-def _unclipped_accuracy(p: ScheduleProblem, lam: float) -> np.ndarray:
-    """Interior stationarity values delta_k = (h')^{-1}(-lam * a_k / b_k)."""
-    return _hprime_inverse_raw(p.cost_model, -lam * p.a / p.b)
-
-
-def _clipped_budget_accuracy(p: ScheduleProblem, lam: float,
-                             lo: float, hi: float) -> float:
-    d = _unclipped_accuracy(p, lam)
-    d = np.minimum(d, hi) if math.isfinite(hi) else d
-    if lo > 0.0:
-        d = np.maximum(d, lo)
-    return float(np.sum(p.b * h_eval(p.cost_model, d)))
-
-
-def _partition_counts(p: ScheduleProblem, lam: float,
-                      lo: float, hi: float) -> tuple[int, int]:
-    d = _unclipped_accuracy(p, lam)
-    n_plus = int(np.sum(d >= hi * (1.0 - _REL_TOL))) if math.isfinite(hi) else 0
-    n_minus = int(np.sum(d <= lo * (1.0 + _REL_TOL))) if lo > 0.0 else 0
-    return n_plus, n_minus
+        t -= step
+    np.negative(w, out=w)
+    return np.exp(w, out=w), -math.exp(t)
 
 
 def solve_accuracy(p: ScheduleProblem) -> tuple[Schedule, KktCertificate]:
-    """Water-filling solve of the accuracy-controlled problem.
-
-    The clipped budget Sum b_k h(clip(delta_k(lam))) is strictly monotone in
-    the multiplier magnitude lam, so a scalar bisection pins down the bound
-    partition; the transient set is then re-solved exactly (closed form for
-    the power/logarithmic kinds, a guarded root-find for log-squared).
-    """
-    n = p.size
-    cm = p.cost_model
+    """Water-filling solve of the accuracy-controlled problem: rank j is
+    loose for lam <= nu_j * -h'(hi) and tight for lam >= nu_j * -h'(lo)."""
+    n, cm = p.size, p.cost_model
     nu = p.b / p.a
-    rho = descending_rank(nu)
-    order = np.argsort(rho)
+    order = _descending_order(nu)
     lo, hi = p.m * p.delta_ref, p.M * p.delta_ref
+    finite_hi = math.isfinite(hi)
     budget = reference_budget(p)
-    h_hi = h_eval(cm, hi) if math.isfinite(hi) else 0.0
+    h_hi = h_eval(cm, hi) if finite_hi else 0.0
     # h blows up at 0 for every supported kind, so m = 0 forbids pinning below.
     allow_minus = p.m > 0.0
     h_lo = h_eval(cm, lo) if allow_minus else math.inf
+    c_hi = -float(_hprime_raw(cm, hi)) if finite_hi else 0.0
+    c_lo = -float(_hprime_raw(cm, lo)) if allow_minus else math.inf
 
-    # Bracket lam: the clipped budget grows with lam (smaller deltas cost more).
-    lam0 = max(-h_derivative(cm, p.delta_ref), 1e-300)
-    lam_lo = lam_hi = lam0
-    for _ in range(4000):
-        if _clipped_budget_accuracy(p, lam_lo, lo, hi) <= budget:
-            break
-        lam_lo /= 4.0
-    else:
-        raise SolverError("failed to bracket the multiplier from below")
-    for _ in range(4000):
-        if _clipped_budget_accuracy(p, lam_hi, lo, hi) >= budget:
-            break
-        lam_hi *= 4.0
-    else:
-        raise SolverError("failed to bracket the multiplier from above")
-    for _ in range(200):
-        mid = math.sqrt(lam_lo * lam_hi)
-        if _clipped_budget_accuracy(p, mid, lo, hi) > budget:
-            lam_hi = mid
-        else:
-            lam_lo = mid
-        if lam_hi - lam_lo <= 1e-14 * lam_hi:
-            break
-    lam = 0.5 * (lam_lo + lam_hi)
+    def key(j):
+        return nu[order[j]]
 
-    # Refine the partition by fixed-point iteration: exact multiplier on the
-    # transient set, then recount the pinned ranks at that multiplier.
-    n_plus, n_minus = _partition_counts(p, lam, lo, hi)
-    seen = set()
+    n_plus, n_minus = _saturation_counts(
+        n, key, c_hi, c_lo, _accuracy_excess(p, order, budget, h_hi, h_lo))
+    idx_plus, idx_minus = order[:n_plus], order[n - n_minus:]
+    idx_T = order[n_plus:n - n_minus]
     values = np.empty(n)
-    for _ in range(n + 2):
-        if (n_plus, n_minus) in seen:
-            raise SolverError("partition search cycled without converging")
-        seen.add((n_plus, n_minus))
-        idx_plus = order[:n_plus]
-        idx_minus = order[n - n_minus:]
-        idx_T = order[n_plus:n - n_minus]
-        if idx_T.size == 0:
-            pinned = h_hi * np.sum(p.b[idx_plus]) + (
-                h_lo * np.sum(p.b[idx_minus]) if n_minus else 0.0)
-            if abs(pinned - budget) <= 1e-10 * budget:
-                values[idx_plus] = hi
-                values[idx_minus] = lo
-                cert = KktCertificate(n_plus, n_minus, math.nan, rho, nu,
-                                      degenerate=True)
-                return Schedule(values, "accuracy"), cert
-            raise SolverError("bound saturation exhausted all indices off-budget")
-        budget_T = budget - h_hi * np.sum(p.b[idx_plus])
-        if n_minus:
-            budget_T -= h_lo * np.sum(p.b[idx_minus])
-        delta_T, lambda_star = _transient_accuracy(p, idx_T, budget_T)
-        top = int(np.sum(delta_T > hi * (1.0 + _REL_TOL))) if math.isfinite(hi) else 0
-        bottom = int(np.sum(delta_T < lo * (1.0 - _REL_TOL))) if allow_minus else 0
-        if top == 0 and bottom == 0:
-            values[idx_plus] = hi
-            values[idx_minus] = lo
-            values[idx_T] = np.clip(delta_T, lo, hi if math.isfinite(hi) else None)
-            cert = KktCertificate(n_plus, n_minus, float(lambda_star), rho, nu)
-            sched = Schedule(values, "accuracy")
-            _check_budget_accuracy(p, sched, budget)
-            return sched, cert
-        n_plus, n_minus = _partition_counts(p, -lambda_star, lo, hi)
-    raise SolverError("water-filling failed to terminate")
+    values[idx_plus] = hi
+    values[idx_minus] = lo
+    budget_T = budget - h_hi * np.sum(p.b[idx_plus])
+    if n_minus:
+        budget_T -= h_lo * np.sum(p.b[idx_minus])
+    if idx_T.size == 0:
+        cert = _degenerate(n_plus, n_minus, order, nu, budget_T / budget)
+        return Schedule(values, "accuracy"), cert
 
-
-def _check_budget_accuracy(p: ScheduleProblem, s: Schedule, budget: float):
-    achieved = float(np.sum(p.b * h_eval(p.cost_model, s.values)))
-    if abs(achieved - budget) > 1e-8 * budget:
-        raise SolverError(
-            f"budget equation violated: achieved {achieved!r} vs target {budget!r}"
-        )
+    # below the loose breakpoint of the last loose rank and the tight
+    # breakpoint of the last transient rank
+    lam_cap = min(key(n_plus - 1) * c_hi if n_plus else math.inf,
+                  key(n - n_minus - 1) * c_lo)
+    delta_T, lambda_star = _transient_accuracy(p, idx_T, budget_T, lam_cap)
+    if ((finite_hi and np.any(delta_T > hi * (1.0 + _REL_TOL)))
+            or (allow_minus and np.any(delta_T < lo * (1.0 - _REL_TOL)))):
+        raise SolverError("transient values leave the box: partition search failed")
+    values[idx_T] = np.clip(delta_T, lo, hi if finite_hi else None)
+    del delta_T
+    residual = _budget_residual(float(p.b @ h_eval(cm, values)), budget)
+    cert = KktCertificate(n_plus, n_minus, float(lambda_star), _rank_of(order),
+                          nu, residual)
+    return Schedule(values, "accuracy"), cert
 
 
 def solve_work(p: WorkProblem) -> tuple[Schedule, KktCertificate]:
-    """Water-filling solve of the work-controlled problem."""
+    """Water-filling solve of the work-controlled problem.
+
+    The kernel of ``solve_accuracy`` after a change of variables: the
+    interior split is omega_k = lam * w_k, w_k = (b_k a_k^r)^{1/(r+1)}, so
+    rank j is loose (omega_M) for lam <= omega_M / w_j, tight (omega_m) for
+    lam >= omega_m / w_j, and the transient ranks take lam * sum w_k.
+    """
     n = p.size
     weights = (p.b * p.a**p.r) ** (1.0 / (p.r + 1.0))
     nu = 1.0 / (p.a**p.r * p.b)
-    rho = descending_rank(nu)
-    order = np.argsort(rho)
-    tol = _REL_TOL * p.omega_bar
-
-    # Sum(clip(lam * w_k)) is piecewise linear and non-decreasing in lam, so
-    # bisection locates the partition; the transient set is then re-solved
-    # exactly from the residual budget.
-    def clipped_total(lam: float) -> float:
-        return float(np.sum(np.clip(lam * weights, p.omega_M, p.omega_m)))
-
-    lam_lo = p.omega_M / float(np.max(weights)) if p.omega_M > 0.0 else 0.0
-    lam_hi = p.omega_m / float(np.min(weights))
-    for _ in range(300):
-        mid = 0.5 * (lam_lo + lam_hi)
-        if clipped_total(mid) > p.omega_bar:
-            lam_hi = mid
-        else:
-            lam_lo = mid
-        if lam_hi - lam_lo <= 1e-15 * max(lam_hi, 1e-300):
-            break
-    lam = 0.5 * (lam_lo + lam_hi)
-
+    order = _descending_order(nu)
+    sw = np.cumsum(weights[order])
+    n_plus, n_minus = _saturation_counts(
+        n, lambda j: 1.0 / weights[order[j]], p.omega_M, p.omega_m,
+        lambda lam, i, j: (i * p.omega_M + (n - j) * p.omega_m
+                           + lam * _span(sw, i, j) - p.omega_bar))
+    del sw
+    idx_plus, idx_minus = order[:n_plus], order[n - n_minus:]
+    idx_T = order[n_plus:n - n_minus]
     values = np.empty(n)
-    seen = set()
-    n_plus = int(np.sum(lam * weights <= p.omega_M * (1.0 + _REL_TOL)))
-    n_minus = int(np.sum(lam * weights >= p.omega_m * (1.0 - _REL_TOL)))
-    for _ in range(n + 2):
-        if (n_plus, n_minus) in seen:
-            raise SolverError("partition search cycled without converging")
-        seen.add((n_plus, n_minus))
-        idx_plus = order[:n_plus]
-        idx_minus = order[n - n_minus:]
-        idx_T = order[n_plus:n - n_minus]
-        residual = p.omega_bar - n_plus * p.omega_M - n_minus * p.omega_m
-        if idx_T.size == 0:
-            if abs(residual) <= 1e-10 * p.omega_bar:
-                values[idx_plus] = p.omega_M
-                values[idx_minus] = p.omega_m
-                cert = KktCertificate(n_plus, n_minus, math.nan, rho, nu, degenerate=True)
-                return Schedule(values, "work"), cert
-            raise SolverError("bound saturation exhausted all indices off-budget")
-        if residual <= 0.0:
-            raise SolverError("non-positive residual work budget")
-        wT = weights[idx_T]
-        lam_hat = residual / float(np.sum(wT))
-        omega_T = lam_hat * wT
-        top = int(np.sum(omega_T < p.omega_M - tol))
-        bottom = int(np.sum(omega_T > p.omega_m + tol))
-        if top == 0 and bottom == 0:
-            values[idx_plus] = p.omega_M
-            values[idx_minus] = p.omega_m
-            values[idx_T] = np.clip(omega_T, p.omega_M, p.omega_m)
-            total = float(np.sum(values))
-            if abs(total - p.omega_bar) > 1e-8 * p.omega_bar:
-                raise SolverError("work budget equation violated")
-            cert = KktCertificate(n_plus, n_minus, float(lam_hat), rho, nu)
-            return Schedule(values, "work"), cert
-        n_plus = int(np.sum(lam_hat * weights <= p.omega_M * (1.0 + _REL_TOL)))
-        n_minus = int(np.sum(lam_hat * weights >= p.omega_m * (1.0 - _REL_TOL)))
-    raise SolverError("water-filling failed to terminate")
+    values[idx_plus] = p.omega_M
+    values[idx_minus] = p.omega_m
+    residual = p.omega_bar - n_plus * p.omega_M - n_minus * p.omega_m
+    if idx_T.size == 0:
+        cert = _degenerate(n_plus, n_minus, order, nu, residual / p.omega_bar)
+        return Schedule(values, "work"), cert
+    if residual <= 0.0:
+        raise SolverError("non-positive residual work budget")
+    omega_T = weights[idx_T]
+    lam_hat = residual / float(np.sum(omega_T))
+    omega_T *= lam_hat
+    tol = _REL_TOL * p.omega_bar
+    if np.any(omega_T < p.omega_M - tol) or np.any(omega_T > p.omega_m + tol):
+        raise SolverError("transient values leave the box: partition search failed")
+    values[idx_T] = np.clip(omega_T, p.omega_M, p.omega_m)
+    del omega_T
+    budget_residual = _budget_residual(float(np.sum(values)), p.omega_bar)
+    cert = KktCertificate(n_plus, n_minus, float(lam_hat), _rank_of(order), nu,
+                          budget_residual)
+    return Schedule(values, "work"), cert
 
 
 # ---------------------------------------------------------------------------

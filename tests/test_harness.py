@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from tunable_oracle import harness
 from tunable_oracle.cli import main as cli_main
 from tunable_oracle.harness import (
     ExperimentConfig,
@@ -16,6 +17,7 @@ from tunable_oracle.harness import (
     run_experiment,
     toy_instance,
 )
+from tunable_oracle.problems import OracleError
 from tunable_oracle.schedule_solver import (
     accuracy_problem,
     export_coefficients,
@@ -247,6 +249,21 @@ class TestRunExperiment:
         result = run_experiment(cfg)  # may or may not fail; must not raise
         assert isinstance(result.failures, list)
 
+    def test_domain_error_in_oracle_is_recorded(self, monkeypatch):
+        def failing(*_args):
+            raise OracleError("inner solver gave up")
+        monkeypatch.setattr(harness, "hull_oracle", failing)
+        result = run_experiment(TINY_EXP2)
+        assert [f[0] for f in result.failures] == ["tunable", "constant"]
+        assert all(f[-1] == "inner solver gave up" for f in result.failures)
+
+    def test_programming_error_in_oracle_propagates(self, monkeypatch):
+        def broken(*_args):
+            raise TypeError("oracle called with a bad argument")
+        monkeypatch.setattr(harness, "hull_oracle", broken)
+        with pytest.raises(TypeError, match="bad argument"):
+            run_experiment(TINY_EXP2)
+
 
 class TestEmitOutputs:
     def test_column_counts_and_headers(self, tmp_path):
@@ -308,6 +325,12 @@ class TestCli:
         out = capsys.readouterr().out
         assert "budget=84.83" in out
         assert out.splitlines()[1] == "k,delta"
+
+    def test_certificate_line_reports_budget_residual(self, capsys):
+        assert cli_main(["toy"]) == 0
+        line = capsys.readouterr().out.splitlines()[0]
+        residual = float(line.rsplit("budget_residual=", 1)[1])
+        assert 0.0 <= residual <= 1e-10
 
     def test_toy_file(self, tmp_path, capsys):
         path = tmp_path / "toy.csv"

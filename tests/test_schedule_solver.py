@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +9,6 @@ from tunable_oracle.cost_models import (
     LOG_SQUARED,
     LOGARITHMIC,
     POWER,
-    CostModel,
     h_derivative,
     h_eval,
 )
@@ -50,6 +51,36 @@ def random_problem(rng, kind, n=None, r=None, allow_inf_M=True):
             M = min(M, 0.9 / delta_ref)
     r = r if r is not None else float(rng.uniform(0.2, 3.0))
     return accuracy_problem(a, b, delta_ref, m, M, kind, r)
+
+
+def assert_kkt(p, s, cert):
+    """Stationarity on the transient set and multiplier signs on the pinned sets."""
+    lam_tilde = -1.0 / cert.lambda_star
+    in_T = (cert.rho >= cert.n_plus) & (cert.rho < p.size - cert.n_minus)
+    hp = h_derivative(p.cost_model, s.values[in_T])
+    resid = p.a[in_T] + lam_tilde * p.b[in_T] * hp
+    assert np.all(np.abs(resid) <= 1e-8 * p.a[in_T])
+    plus = cert.rho < cert.n_plus
+    if np.any(plus):
+        hp_plus = h_derivative(p.cost_model,
+                               np.minimum(s.values[plus], p.cost_model.hi * (1 - 1e-9)))
+        station = p.a[plus] + lam_tilde * p.b[plus] * hp_plus
+        assert np.all(station <= 1e-7 * p.a[plus])
+    minus = cert.rho >= p.size - cert.n_minus
+    if np.any(minus):
+        hp_minus = h_derivative(p.cost_model,
+                                np.maximum(s.values[minus], p.cost_model.lo * (1 + 1e-9)))
+        station = p.a[minus] + lam_tilde * p.b[minus] * hp_minus
+        assert np.all(station >= -1e-7 * p.a[minus])
+
+
+def assert_budget_and_box(p, s, cert):
+    target = reference_budget(p)
+    achieved = float(np.sum(p.b * h_eval(p.cost_model, s.values)))
+    assert abs(achieved - target) <= 1e-10 * target
+    assert cert.budget_residual <= 1e-10
+    assert np.all(s.values >= p.m * p.delta_ref)
+    assert np.all(s.values <= p.M * p.delta_ref)
 
 
 class TestDescendingRank:
@@ -176,27 +207,7 @@ class TestSolveAccuracy:
                 s, cert = solve_accuracy(p)
                 if cert.degenerate:
                     continue
-                lam_tilde = -1.0 / cert.lambda_star
-                in_T = (cert.rho >= cert.n_plus) & (
-                    cert.rho < p.size - cert.n_minus)
-                hp = h_derivative(p.cost_model, s.values[in_T])
-                resid = p.a[in_T] + lam_tilde * p.b[in_T] * hp
-                assert np.all(np.abs(resid) <= 1e-8 * p.a[in_T])
-                # multiplier sign conditions on the pinned sets
-                plus = cert.rho < cert.n_plus
-                if np.any(plus):
-                    hp_plus = h_derivative(p.cost_model,
-                                           np.minimum(s.values[plus],
-                                                      p.cost_model.hi * (1 - 1e-9)))
-                    station = p.a[plus] + lam_tilde * p.b[plus] * hp_plus
-                    assert np.all(station <= 1e-7 * p.a[plus])
-                minus = cert.rho >= p.size - cert.n_minus
-                if np.any(minus):
-                    hp_minus = h_derivative(p.cost_model,
-                                            np.maximum(s.values[minus],
-                                                       p.cost_model.lo * (1 + 1e-9)))
-                    station = p.a[minus] + lam_tilde * p.b[minus] * hp_minus
-                    assert np.all(station >= -1e-7 * p.a[minus])
+                assert_kkt(p, s, cert)
 
     def test_closed_form_agreement(self):
         rng = np.random.default_rng(16)
@@ -301,6 +312,130 @@ class TestWork:
             hits += 1
             s, _ = solve_work(p)
             np.testing.assert_allclose(s.values, interior.values, rtol=1e-10)
+
+
+FIXTURE = Path(__file__).with_name("solver_fixture.json")
+FIXTURE_DELTA_REF = 1e-3
+
+
+def fixture_problem(case):
+    """The seeded instance of one fixture record."""
+    rng = np.random.default_rng([case["seed"], case["N"]])
+    a = np.exp(rng.uniform(-3.0, 3.0, case["N"]))
+    b = np.exp(rng.uniform(-3.0, 3.0, case["N"]))
+    if case["kind"] == "work":
+        return WorkProblem(a, b, float(case["N"]), case["omega_M"], 3.0, case["r"])
+    return accuracy_problem(a, b, FIXTURE_DELTA_REF, case["m"], float(case["M"]),
+                            case["kind"], case.get("r", 1.0))
+
+
+class TestRecordedFixture:
+    """Differential test against the previous solver's recorded outputs.
+
+    ``solver_fixture.json`` holds (n_plus, n_minus, objective) of the
+    bracketing/bisection/fixed-point solver that preceded the breakpoint
+    kernel, on a seeded grid: every accuracy kind with m = 0 and m = 0.3,
+    M = 4 (and M = inf for power), the work split with r in {0, 1.5} and
+    omega_M in {0, 0.3}, each at N in {1, 2, 3, 80, 1000}.
+    """
+
+    CASES = json.loads(FIXTURE.read_text())
+
+    def test_grid_covered(self):
+        kinds = {c["kind"] for c in self.CASES}
+        assert kinds == {POWER, LOGARITHMIC, LOG_SQUARED, "work"}
+        assert {c["N"] for c in self.CASES} == {1, 2, 3, 80, 1000}
+        assert any(c["n_plus"] for c in self.CASES)
+        assert any(c["n_minus"] for c in self.CASES)
+
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: f"{c['kind']}-s{c['seed']}-N{c['N']}")
+    def test_matches_recorded_solver(self, case):
+        p = fixture_problem(case)
+        solve = solve_work if case["kind"] == "work" else solve_accuracy
+        s, cert = solve(p)
+        assert (cert.n_plus, cert.n_minus) == (case["n_plus"], case["n_minus"])
+        assert float(p.a @ s.values) == pytest.approx(case["objective"], rel=1e-9)
+        assert cert.budget_residual <= 1e-10
+
+
+class TestBruteForceWitness:
+    def test_random_small_instances(self):
+        rng = np.random.default_rng(21)
+        for kind in ALL_KINDS:
+            for n in (1, 2, 3, 4):
+                p = random_problem(rng, kind, n=n, allow_inf_M=False)
+                grid = {1: 2000, 2: 400, 3: 80, 4: 30}[n]
+                s, _ = solve_accuracy(p)
+                _, obj = brute_force_oracle(p, grid_points=grid)
+                slack = brute_force_error_bound(p, grid)
+                assert abs(schedule_objective(p.a, s) - obj) <= slack * (1 + 1e-9)
+
+
+class TestTiesAndDegenerate:
+    def test_constant_coefficients(self):
+        # every breakpoint coincides; the reference schedule is optimal
+        for kind in ALL_KINDS:
+            for n in (1, 2, 7, 1000):
+                for m in (0.0, 0.5):
+                    p = accuracy_problem(np.full(n, 3.0), np.full(n, 0.2), 1e-3,
+                                         m, 4.0, kind, 2.0)
+                    s, cert = solve_accuracy(p)
+                    np.testing.assert_allclose(s.values, 1e-3, rtol=1e-12)
+                    assert (cert.n_plus, cert.n_minus) == (0, 0)
+                    assert_budget_and_box(p, s, cert)
+
+    def test_repeated_blocks_match_the_collapsed_instance(self):
+        # k copies of three nu levels: whole blocks saturate together, and
+        # the solution equals that of one index per block with a, b scaled
+        # by k (the same problem after aggregation)
+        base_a = np.array([1.0, 10.0, 100.0])
+        for kind in ALL_KINDS:
+            for m in (0.0, 0.7):
+                collapsed = accuracy_problem(50 * base_a, np.full(3, 50.0), 1e-3,
+                                             m, 1.5, kind, 1.0)
+                s3, cert3 = solve_accuracy(collapsed)
+                p = accuracy_problem(np.repeat(base_a, 50), np.ones(150), 1e-3,
+                                     m, 1.5, kind, 1.0)
+                s, cert = solve_accuracy(p)
+                assert (cert.n_plus, cert.n_minus) == (50 * cert3.n_plus,
+                                                       50 * cert3.n_minus)
+                np.testing.assert_allclose(s.values, np.repeat(s3.values, 50),
+                                           rtol=1e-10)
+                assert_budget_and_box(p, s, cert)
+                if not cert.degenerate:
+                    assert_kkt(p, s, cert)
+        assert cert.n_plus and cert.n_minus  # the last case pins both bounds
+
+    def test_all_pinned_degenerate(self):
+        # budget 3 * h(1) = 3 equals 2 * h(2) + 1 * h(0.5): index 0 sits on
+        # the loose bound and index 1 on the tight one, with no transient set
+        p = accuracy_problem([1.0, 100.0], [2.0, 1.0], 1.0, 0.5, 2.0, POWER, 1.0)
+        s, cert = solve_accuracy(p)
+        assert cert.degenerate and math.isnan(cert.lambda_star)
+        assert (cert.n_plus, cert.n_minus) == (1, 1)
+        np.testing.assert_array_equal(s.values, [2.0, 0.5])
+        assert cert.budget_residual == 0.0
+
+    def test_all_pinned_degenerate_work(self):
+        p = WorkProblem(np.array([1.0, 4.0]), np.ones(2), 3.0, 1.0, 2.0, 1.0)
+        s, cert = solve_work(p)
+        assert cert.degenerate
+        np.testing.assert_array_equal(s.values, [1.0, 2.0])
+
+
+class TestExtremeRange:
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_log_uniform_e20(self, kind):
+        rng = np.random.default_rng(22)
+        n = 100_000
+        a = np.exp(rng.uniform(-20.0, 20.0, n))
+        b = np.exp(rng.uniform(-20.0, 20.0, n))
+        p = accuracy_problem(a, b, 1e-3, 0.1, 100.0, kind, 1.0)
+        s, cert = solve_accuracy(p)
+        assert 0 < cert.n_plus and 0 < cert.n_minus
+        assert cert.n_plus + cert.n_minus < n
+        assert_budget_and_box(p, s, cert)
+        assert_kkt(p, s, cert)
 
 
 class TestOnlineRules:
