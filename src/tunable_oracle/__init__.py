@@ -52,7 +52,6 @@ from .problems import (
     ScenarioData,
     estimate_fstar,
     fista_inner,
-    fw_gap,
     generate_scenarios,
     hull_oracle,
     inner_q_value_grad,
@@ -66,7 +65,6 @@ from .harness import (
     default_config,
     emit_outputs,
     load_config,
-    match_budget,
     run_experiment,
     toy_instance,
 )

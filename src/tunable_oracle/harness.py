@@ -40,7 +40,6 @@ from .problems import (
     kappa_hat,
     noisy_oracle,
     softmax_value_grad,
-    spectral_norm_sq,
 )
 from .schedule_solver import (
     Schedule,
@@ -115,6 +114,8 @@ class ExperimentConfig:
                 raise HarnessError("online_tunable runs under experiment 3 only")
             if name == "tunable" and self.experiment == 3:
                 raise HarnessError("experiment 3 uses online_tunable, not tunable")
+            if name == "linear" and self.mu == 0.0:
+                raise HarnessError("the linear baseline degenerates when mu = 0")
         if self.sample_every < 1 or self.sample_precision <= 0.0:
             raise HarnessError("invalid sampling settings")
         if self.oracle_floor <= 0.0 or self.fstar_precision <= 0.0:
@@ -206,16 +207,6 @@ def load_config(path: str, experiment: int | None = None,
 # schedule construction
 # ---------------------------------------------------------------------------
 
-def match_budget(schedule_family: str, p) -> Schedule:
-    """Schedule of the requested family at the modeled cost of constant δ̄."""
-    if schedule_family == "constant":
-        return Schedule(np.full(p.size, p.delta_ref), "accuracy")
-    if schedule_family == "tunable":
-        schedule, _ = solve_accuracy(p)
-        return schedule
-    raise HarnessError(f"no budget-matched construction for {schedule_family!r}")
-
-
 def baseline_schedule(name: str, delta_ref: float, mu: float, L: float,
                       N: int, exponent_sign: int = -1) -> Schedule:
     """Literature baselines: constant, cubic decay, linear(-rate) schedule.
@@ -294,7 +285,7 @@ def _resolve_r(config: ExperimentConfig, data: ScenarioData) -> float:
 
 def _fixed_L(config: ExperimentConfig, data: ScenarioData) -> float:
     if config.experiment == 1:
-        return config.upsilon * spectral_norm_sq(data) + config.mu
+        return config.upsilon * data.lam_max + config.mu
     if config.experiment == 2:
         return 2.0 / config.sigma + config.mu
     return 1.0 / config.sigma + config.mu  # experiment 3 validity ceiling
@@ -340,10 +331,11 @@ def _reference_fstar_exp1(config: ExperimentConfig, data: ScenarioData,
 
 def _tunable_values(config: ExperimentConfig, a: np.ndarray, delta_ref: float,
                     r: float) -> Schedule:
+    """The schedule at the modeled cost of constant δ̄ (budget-matched)."""
     kind = POWER if r > 0.0 else LOGARITHMIC
     problem = accuracy_problem(a, np.ones_like(a), delta_ref,
                                config.m, config.M, kind, r)
-    return match_budget("tunable", problem)
+    return solve_accuracy(problem)[0]
 
 
 def _schedule_values(config: ExperimentConfig, name: str, delta_ref: float,
@@ -361,10 +353,23 @@ def _schedule_values(config: ExperimentConfig, name: str, delta_ref: float,
     return sched
 
 
+def _online_schedule(config: ExperimentConfig, bootstrap: Schedule,
+                     a_last: float, delta_ref: float, r: float):
+    """Bootstrap values for k < N_r, then the online extension rule."""
+    lo = max(config.m * delta_ref, config.oracle_floor)
+    hi = config.M * delta_ref
+    d_last = float(bootstrap.values[-1])
+
+    def schedule_cb(k, A_next):
+        if k < config.N_r:
+            return bootstrap.values[k]
+        return online_extend_accuracy((a_last, 1.0, d_last),
+                                      (A_next, 1.0), r, (lo, hi))
+    return schedule_cb
+
+
 def _run_one(config: ExperimentConfig, data: ScenarioData, name: str,
-             seed: int, N: int, delta_ref: float, L: float, r: float,
-             fixed_values: Schedule | None, bootstrap: Schedule | None,
-             a_boot: np.ndarray | None):
+             seed: int, N: int, L: float, r: float, schedule_cb):
     """One (schedule, seed) run; returns (records, terminal x, total work)."""
     x0_rng, noise_rng = _seed_streams(config, seed)
     x0 = x0_rng.dirichlet(np.ones(config.d))
@@ -373,33 +378,11 @@ def _run_one(config: ExperimentConfig, data: ScenarioData, name: str,
         def oracle(x, delta):
             return noisy_oracle(data, x, delta, config.alpha, noise_rng,
                                 r=max(r, 0.0))
-        mode, L_init, L_cap = "fixed_step", L, math.inf
     else:
         state = InnerState()
 
         def oracle(x, delta):
             return hull_oracle(data, x, max(delta, config.oracle_floor), state)
-        if config.experiment == 2:
-            mode, L_init, L_cap = "fixed_step", L, math.inf
-        else:
-            mode, L_init, L_cap = "adaptive", L, L
-
-    if fixed_values is not None:
-        values = fixed_values.values
-
-        def schedule_cb(k, _A_next):
-            return values[k]
-    else:
-        lo = max(config.m * delta_ref, config.oracle_floor)
-        hi = config.M * delta_ref
-        a_last = float(a_boot[-1])
-        d_last = float(bootstrap.values[-1])
-
-        def schedule_cb(k, A_next):
-            if k < config.N_r:
-                return bootstrap.values[k]
-            return online_extend_accuracy((a_last, 1.0, d_last),
-                                          (A_next, 1.0), r, (lo, hi))
 
     samples: dict[int, float] = {}
 
@@ -411,7 +394,10 @@ def _run_one(config: ExperimentConfig, data: ScenarioData, name: str,
                 samples[k] = hull_value(data, x, config.sample_precision,
                                         state=state)
 
-    fgm_cfg = FgmConfig(mode=mode, L_init=L_init, mu=config.mu, L_cap=L_cap)
+    if config.experiment == 3:
+        fgm_cfg = FgmConfig(mode="adaptive", L_init=L, mu=config.mu, L_cap=L)
+    else:
+        fgm_cfg = FgmConfig(mode="fixed_step", L_init=L, mu=config.mu)
     x_final, traj, _ = fgm_run(fgm_cfg, oracle, schedule_cb, N, x0,
                                observer=observer)
 
@@ -438,54 +424,55 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     schedules: dict[str, Schedule] = {}
     failures: list[tuple] = []
 
-    bootstrap = a_boot = None
-    if config.experiment == 3:
+    if config.experiment == 1:
+        # the noise-free reference depends on max(N) only, so it runs once
+        fstar = _reference_fstar_exp1(config, data, L,
+                                      config.ref_iterations or 4 * max(config.N))
+    elif config.experiment == 3:
         certs = fixed_step_certificates(config.N_r, L, config.mu)
         a_boot, _ = impact_coefficients_fgm(certs)
 
     for delta_ref in config.delta_ref:
-        boot_for_ref = None
         if config.experiment == 3:
-            boot_for_ref = _tunable_values(config, a_boot, delta_ref, r)
+            online_cb = _online_schedule(
+                config, _tunable_values(config, a_boot, delta_ref, r),
+                float(a_boot[-1]), delta_ref, r)
         for N in sorted(config.N):
             a = None
             if config.experiment in (1, 2):
                 certs = fixed_step_certificates(N, L, config.mu)
                 a, _ = impact_coefficients_fgm(certs)
 
-            fstar = None
-            if config.experiment == 1:
-                n_ref = config.ref_iterations or 4 * max(config.N)
-                fstar = _reference_fstar_exp1(config, data, L, n_ref)
-
+            # (name, seed) -> (terminal x, terminal objective value, total work)
             terminals: dict[tuple, tuple] = {}
             for name in config.schedules:
-                fixed_values = None
-                if name != "online_tunable":
-                    fixed_values = _schedule_values(config, name, delta_ref,
-                                                    N, L, a, r)
-                    schedules[f"{name}_N{N}_dref{delta_ref:g}"] = fixed_values
+                if name == "online_tunable":
+                    schedule_cb = online_cb
+                else:
+                    sched = _schedule_values(config, name, delta_ref, N, L, a, r)
+                    schedules[f"{name}_N{N}_dref{delta_ref:g}"] = sched
+                    schedule_cb = lambda k, _A_next, values=sched.values: values[k]
                 for seed in sorted(config.seeds):
                     try:
                         rows, x_final, total = _run_one(
-                            config, data, name, seed, N, delta_ref, L, r,
-                            fixed_values, boot_for_ref, a_boot)
+                            config, data, name, seed, N, L, r, schedule_cb)
+                        if config.experiment == 1:
+                            value = softmax_value_grad(data, x_final)[0]
+                        else:
+                            value = hull_value(data, x_final, config.fstar_precision)
                     except (OracleError, FgmError, SolverError) as exc:
                         # a numerical failure must not stop the sweep; a
                         # programming error still raises
                         failures.append((name, seed, N, delta_ref, str(exc)))
                         continue
                     records.extend(rows)
-                    terminals[(name, seed)] = (x_final, total)
+                    terminals[(name, seed)] = (x_final, value, total)
 
             # terminal primal gaps against a shared lower bound on F*
-            if config.experiment in (2, 3):
-                values = {key: hull_value(data, x, config.fstar_precision)
-                          for key, (x, _) in terminals.items()}
-                if values:
-                    best_key = min(values, key=values.get)
-                    fstar = estimate_fstar(data, terminals[best_key][0],
-                                           config.fstar_precision)
+            if config.experiment != 1 and terminals:
+                best = min(terminals, key=lambda key: terminals[key][1])
+                fstar = estimate_fstar(data, terminals[best][0],
+                                       config.fstar_precision)
 
             for name in config.schedules:
                 gaps, work = [], 0.0
@@ -493,12 +480,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                     entry = terminals.get((name, seed))
                     if entry is None:
                         continue
-                    x_final, total = entry
-                    if config.experiment == 1:
-                        gap = softmax_value_grad(data, x_final)[0] - fstar
-                    else:
-                        gap = values[(name, seed)] - fstar
-                    gaps.append(gap)
+                    _, value, total = entry
+                    gaps.append(value - fstar)
                     work += total
                 median_gap = statistics.median(sorted(gaps)) if gaps else math.nan
                 mean_gap = statistics.fmean(gaps) if gaps else math.nan

@@ -84,11 +84,6 @@ def kappa_hat(data: ScenarioData) -> float:
     return data.lam_min / data.lam_max
 
 
-def spectral_norm_sq(data: ScenarioData) -> float:
-    """||O||^2 = largest eigenvalue of O O^T."""
-    return data.lam_max
-
-
 @dataclass(frozen=True)
 class OracleReply:
     value: float
@@ -154,12 +149,6 @@ def inner_q_value_grad(data: ScenarioData, w: np.ndarray,
     return value, grad
 
 
-def _linearization_bound(data: ScenarioData, w: np.ndarray, x: np.ndarray) -> float:
-    """Upper bound on max q over the simplex from the linearization at w."""
-    value, grad = inner_q_value_grad(data, w, x)
-    return value + float(np.max(grad)) - float(grad @ w)
-
-
 @dataclass
 class InnerState:
     """Warm-start snapshot for the inner solver (owned by one outer run)."""
@@ -170,6 +159,7 @@ class InnerState:
 @dataclass(frozen=True)
 class InnerResult:
     w: np.ndarray
+    value: float                # q(w; x) at the returned w
     gap: float
     gap_history: list[float]
     work: int
@@ -198,12 +188,13 @@ def fista_inner(data: ScenarioData, x: np.ndarray, delta_target: float,
     kap = kappa_hat(data)
     beta_const = (1.0 - math.sqrt(kap)) / (1.0 + math.sqrt(kap)) if kap > 0.0 else None
 
-    upper = _linearization_bound(data, w, x)
-    q_w, _ = inner_q_value_grad(data, w, x)
+    q_w, grad_w = inner_q_value_grad(data, w, x)
+    upper = q_w + float(np.max(grad_w)) - float(grad_w @ w)
     gap = upper - q_w
     gap_history = [gap]
     if gap <= delta_target:
-        return InnerResult(w=w, gap=gap, gap_history=gap_history, work=0, converged=True)
+        return InnerResult(w=w, value=q_w, gap=gap, gap_history=gap_history,
+                           work=0, converged=True)
 
     v = w.copy()
     w_prev = w.copy()
@@ -226,25 +217,10 @@ def fista_inner(data: ScenarioData, x: np.ndarray, delta_target: float,
         gap = upper - q_w
         gap_history.append(gap)
         if gap <= delta_target:
-            return InnerResult(w=w, gap=gap, gap_history=gap_history,
+            return InnerResult(w=w, value=q_w, gap=gap, gap_history=gap_history,
                                work=it, converged=True)
-    return InnerResult(w=w, gap=gap, gap_history=gap_history,
+    return InnerResult(w=w, value=q_w, gap=gap, gap_history=gap_history,
                        work=max_inner, converged=False)
-
-
-def fw_gap(data: ScenarioData, x: np.ndarray, history: list[np.ndarray],
-           current: np.ndarray) -> float:
-    """Certified suboptimality bound of ``current`` from linearizations.
-
-    Each history point yields an upper bound on the inner optimum (the
-    linear maximization over the simplex is the largest gradient coordinate);
-    the tightest one minus the current value bounds the suboptimality.
-    """
-    if not history:
-        raise OracleError("history must be nonempty")
-    upper = min(_linearization_bound(data, w, x) for w in history)
-    q_cur, _ = inner_q_value_grad(data, current, x)
-    return upper - q_cur
 
 
 def hull_oracle(data: ScenarioData, x: np.ndarray, delta: float,
@@ -256,8 +232,7 @@ def hull_oracle(data: ScenarioData, x: np.ndarray, delta: float,
     if not result.converged:
         raise InnerSolverExhausted(result.gap, delta, result.work)
     state.w = result.w
-    q_val, _ = inner_q_value_grad(data, result.w, x)
-    value = 0.5 * data.mu * float(x @ x) + q_val
+    value = 0.5 * data.mu * float(x @ x) + result.value
     grad = data.mu * x + data.O.T @ result.w
     return OracleReply(value=value, gradient=grad, delta=delta,
                        inner_work=result.work)
@@ -265,10 +240,15 @@ def hull_oracle(data: ScenarioData, x: np.ndarray, delta: float,
 
 def hull_value(data: ScenarioData, x: np.ndarray, precision: float = 1e-10,
                state: InnerState | None = None) -> float:
-    """High-precision objective value, for gap reporting only."""
+    """High-precision objective value, for gap reporting only.
+
+    ``state`` is read as a warm start but never written back, so sampling
+    the objective leaves the run's inner iteration counts unchanged.
+    """
     result = fista_inner(data, x, precision, warm_start=state)
-    q_val, _ = inner_q_value_grad(data, result.w, x)
-    return 0.5 * data.mu * float(x @ x) + q_val
+    if not result.converged:
+        raise InnerSolverExhausted(result.gap, precision, result.work)
+    return 0.5 * data.mu * float(x @ x) + result.value
 
 
 def estimate_fstar(data: ScenarioData, x_hat: np.ndarray,

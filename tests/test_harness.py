@@ -1,4 +1,7 @@
+import json
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,12 +15,11 @@ from tunable_oracle.harness import (
     default_config,
     emit_outputs,
     load_config,
-    match_budget,
     parse_config_text,
     run_experiment,
     toy_instance,
 )
-from tunable_oracle.problems import OracleError
+from tunable_oracle.problems import InnerSolverExhausted, OracleError
 from tunable_oracle.schedule_solver import (
     accuracy_problem,
     export_coefficients,
@@ -123,39 +125,40 @@ class TestConfigValidation:
         with pytest.raises(HarnessError):
             ExperimentConfig(experiment=1, d=4, n=4, p=1.0, alpha=1.0, M=0.5)
 
+    def test_linear_without_strong_convexity_rejected_before_any_run(self):
+        # the linear baseline needs mu > 0; reject the config up front rather
+        # than throwing away the runs of the other families
+        with pytest.raises(HarnessError, match="linear"):
+            replace(TINY_EXP2, mu=0.0,
+                    schedules=("tunable", "constant", "linear"))
+
 
 class TestMatchBudget:
+    """The tunable schedule spends the modeled budget of constant δ̄."""
+
     def test_power_budget_identity(self):
         # under h(d) = 1/d and unit weights the budget equals N / delta_ref
         a = np.linspace(1.0, 5.0, 40)
         p = accuracy_problem(a, np.ones(40), 1e-3, 0.0, 50.0, "power", 1.0)
-        sched = match_budget("tunable", p)
+        sched, _ = solve_accuracy(p)
         assert float(np.sum(1.0 / sched.values)) == pytest.approx(
             40 / 1e-3, rel=1e-8)
 
     def test_log_budget_identity(self):
         a = np.linspace(1.0, 5.0, 40)
         p = accuracy_problem(a, np.ones(40), 1e-3, 0.0, 50.0, "logarithmic")
-        sched = match_budget("tunable", p)
+        sched, _ = solve_accuracy(p)
         assert float(np.sum(-np.log(sched.values))) == pytest.approx(
             -40 * math.log(1e-3), rel=1e-8)
 
     def test_constant_family(self):
-        a = np.ones(7)
-        p = accuracy_problem(a, a, 1e-2, 0.0, 10.0, "power", 1.0)
-        sched = match_budget("constant", p)
+        sched = baseline_schedule("constant", 1e-2, 0.0, 1.0, 7)
         np.testing.assert_array_equal(sched.values, np.full(7, 1e-2))
 
     def test_log_domain_rejects_large_upper_bound(self):
         a = np.ones(5)
         with pytest.raises(Exception):
             accuracy_problem(a, a, 1e-1, 0.0, 20.0, "logarithmic")  # M*dref >= 1
-
-    def test_unknown_family(self):
-        p = accuracy_problem(np.ones(3), np.ones(3), 1e-2, 0.0, 10.0,
-                             "power", 1.0)
-        with pytest.raises(HarnessError):
-            match_budget("poly3", p)
 
 
 class TestBaselines:
@@ -239,15 +242,18 @@ class TestRunExperiment:
                                "seeds": (1, 0)}))
         assert base.summaries == flipped.summaries
 
-    def test_failures_reported_not_raised(self):
-        # an impossible linear baseline (mu = 0) fails at schedule build time
-        cfg = ExperimentConfig(
-            experiment=3, d=8, n=5, p=1.0, sigma=1e-2, mu=0.1, r=0.0,
-            delta_ref=(1e-4,), N=(5,), m=1e-5, N_r=2, seeds=(0,),
-            schedules=("online_tunable",), oracle_floor=1e-300,
-            sample_precision=1e-9)
-        result = run_experiment(cfg)  # may or may not fail; must not raise
-        assert isinstance(result.failures, list)
+    def test_terminal_value_exhaustion_is_recorded(self, monkeypatch):
+        sample_value = harness.hull_value
+
+        def terminal_exhausts(data, x, precision=1e-10, state=None):
+            if precision == TINY_EXP2.fstar_precision:
+                raise InnerSolverExhausted(1.0, precision, 1)
+            return sample_value(data, x, precision, state=state)
+        monkeypatch.setattr(harness, "hull_value", terminal_exhausts)
+        result = run_experiment(TINY_EXP2)
+        assert [f[0] for f in result.failures] == ["tunable", "constant"]
+        assert result.records == []
+        assert all(math.isnan(s.median_gap) for s in result.summaries)
 
     def test_domain_error_in_oracle_is_recorded(self, monkeypatch):
         def failing(*_args):
@@ -263,6 +269,37 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "hull_oracle", broken)
         with pytest.raises(TypeError, match="bad argument"):
             run_experiment(TINY_EXP2)
+
+
+EXPERIMENT_FIXTURE = Path(__file__).with_name("experiment_fixture.json")
+
+
+class TestRecordedExperiments:
+    """Differential test against recorded runs of the tiny configs.
+
+    ``experiment_fixture.json`` holds, per config, the trajectory row count
+    and every summary row (exact total inner work, median and mean gap) of
+    the harness as it was before the terminal values and the experiment-1
+    reference were computed once per run and once per experiment.
+    """
+
+    CASES = json.loads(EXPERIMENT_FIXTURE.read_text())
+    CONFIGS = {"TINY_EXP1": TINY_EXP1, "TINY_EXP2": TINY_EXP2,
+               "TINY_EXP3": TINY_EXP3}
+
+    @pytest.mark.parametrize("label", sorted(CONFIGS))
+    def test_matches_recorded_run(self, label):
+        case = self.CASES[label]
+        result = run_experiment(self.CONFIGS[label])
+        assert not result.failures
+        assert len(result.records) == case["trajectory_rows"]
+        assert len(result.summaries) == len(case["summaries"])
+        for row, ref in zip(result.summaries, case["summaries"]):
+            assert (row.schedule, row.N, row.delta_ref) == \
+                (ref["schedule"], ref["N"], ref["delta_ref"])
+            assert row.total_inner_work == ref["total_inner_work"]
+            assert row.median_gap == pytest.approx(ref["median_gap"], rel=1e-12)
+            assert row.mean_gap == pytest.approx(ref["mean_gap"], rel=1e-12)
 
 
 class TestEmitOutputs:

@@ -1,8 +1,9 @@
-"""Static guard: every name a package module imports is used in it.
+"""Static guards: every name a package module imports is used in it, and
+every module-level ``_private`` name is referenced somewhere in the package.
 
-No lint tool is part of the toolchain, so this test walks each module's
-syntax tree with the standard-library ``ast`` module. ``__init__.py`` is
-skipped: its imports are the package's public re-exports.
+No lint tool is part of the toolchain, so these tests walk each module's
+syntax tree with the standard-library ``ast`` module. The import guard skips
+``__init__.py``: its imports are the package's public re-exports.
 """
 
 import ast
@@ -30,6 +31,35 @@ def unused_imports(source: str) -> list[str]:
                   if name not in used)
 
 
+def orphaned_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level ``_private`` functions, classes and constants that no
+    module in ``sources`` (module name -> source) references by name."""
+    defined = []
+    referenced = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                names = []
+            defined += [(module, name, node.lineno) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    return sorted(f"{module}.{name} (line {line})"
+                  for module, name, line in defined if name not in referenced)
+
+
 def test_modules_found():
     assert len(MODULES) >= 7
 
@@ -49,3 +79,21 @@ def test_attribute_and_annotation_uses_count():
               "from typing import Callable\n"
               "def f(x: Callable) -> None:\n    return np.zeros(1)\n")
     assert unused_imports(source) == []
+
+
+def test_no_orphaned_private_names():
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert orphaned_private_names(sources) == []
+
+
+def test_detects_an_orphaned_private_name():
+    sources = {
+        "a": ("_LIMIT = 3\n_SHARED: int = 4\n"
+              "def _orphan():\n    return _LIMIT\n"
+              "def _imported():\n    return 1\n"
+              "class _Hidden:\n    pass\n"
+              "def __getattr__(name):\n    raise AttributeError(name)\n"),
+        "b": "from .a import _imported\nimport a\nprint(a._SHARED)\n",
+    }
+    assert orphaned_private_names(sources) == ["a._Hidden (line 7)",
+                                               "a._orphan (line 3)"]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from tunable_oracle import problems
 from tunable_oracle.problems import (
     InnerSolverExhausted,
     InnerState,
@@ -11,7 +12,6 @@ from tunable_oracle.problems import (
     ScenarioData,
     estimate_fstar,
     fista_inner,
-    fw_gap,
     generate_scenarios,
     hull_oracle,
     hull_value,
@@ -19,7 +19,6 @@ from tunable_oracle.problems import (
     kappa_hat,
     noisy_oracle,
     softmax_value_grad,
-    spectral_norm_sq,
 )
 
 
@@ -61,7 +60,7 @@ class TestSpectral:
     def test_kappa_orthogonal_rows(self):
         data = make_data(3.0 * np.eye(4))
         assert kappa_hat(data) == pytest.approx(1.0)
-        assert spectral_norm_sq(data) == pytest.approx(9.0)
+        assert data.lam_max == pytest.approx(9.0)
 
     def test_kappa_zero_when_overcomplete(self):
         data = generate_scenarios(30, 10, 1.0, seed=0)  # n > d: rank deficient
@@ -73,7 +72,7 @@ class TestSpectral:
 
     def test_spectral_norm_matches_numpy(self):
         data = generate_scenarios(6, 9, 1.0, seed=5)
-        assert spectral_norm_sq(data) == pytest.approx(
+        assert data.lam_max == pytest.approx(
             np.linalg.norm(data.O, 2) ** 2)
 
 
@@ -245,39 +244,20 @@ class TestFistaInner:
         with pytest.raises(OracleError):
             fista_inner(data, np.array([0.5, 0.5]), 0.0)
 
-
-class TestFwGap:
-    def test_zero_at_interior_optimum(self):
-        data = make_data([[1.0, 0.0], [0.0, 1.0]], sigma=5.0)
-        x = np.array([0.6, 0.4])
-        w_opt, _ = analytic_two_scenario_opt(data, x)
-        assert 0.0 < w_opt[0] < 1.0  # interior for this sigma
-        assert fw_gap(data, x, [w_opt], w_opt) == pytest.approx(0.0, abs=1e-12)
-
-    def test_upper_bounds_true_suboptimality(self):
-        data = make_data([[1.0, 0.0, 2.0], [-1.0, 1.0, 0.0]], sigma=0.5)
-        x = np.array([0.5, 0.25, 0.25])
-        _, q_opt = analytic_two_scenario_opt(data, x)
-        rng = np.random.default_rng(0)
-        history = [rng.dirichlet(np.ones(2)) for _ in range(5)]
-        current = history[-1]
-        q_cur, _ = inner_q_value_grad(data, current, x)
-        assert fw_gap(data, x, history, current) >= q_opt - q_cur - 1e-12
-
-    def test_monotone_in_history(self):
-        data = generate_scenarios(6, 12, 1.0, seed=8, sigma=1e-2)
-        x = np.full(12, 1.0 / 12.0)
-        rng = np.random.default_rng(1)
-        history = [rng.dirichlet(np.ones(6)) for _ in range(8)]
-        current = history[0]
-        gaps = [fw_gap(data, x, history[:m], current)
-                for m in range(1, len(history) + 1)]
-        assert all(g2 <= g1 + 1e-15 for g1, g2 in zip(gaps, gaps[1:]))
-
-    def test_empty_history_rejected(self):
-        data = generate_scenarios(2, 2, 1.0, seed=0)
-        with pytest.raises(OracleError):
-            fw_gap(data, np.array([0.5, 0.5]), [], np.array([0.5, 0.5]))
+    def test_value_is_q_at_w_on_every_exit(self):
+        data = generate_scenarios(10, 20, 1.0, seed=3, sigma=1e-2)
+        x = np.full(20, 0.05)
+        tight = fista_inner(data, x, 1e-12)
+        exits = {
+            "start": fista_inner(data, x, 1e-6, warm_start=InnerState(w=tight.w)),
+            "loop": tight,
+            "exhausted": fista_inner(data, x, 1e-12, max_inner=2),
+        }
+        assert exits["start"].work == 0 and exits["start"].converged
+        assert exits["loop"].work > 0 and exits["loop"].converged
+        assert not exits["exhausted"].converged
+        for result in exits.values():
+            assert result.value == inner_q_value_grad(data, result.w, x)[0]
 
 
 class TestHullOracle:
@@ -320,6 +300,29 @@ class TestHullOracle:
         data = generate_scenarios(2, 2, 1.0, seed=0)
         with pytest.raises(OracleError):
             hull_oracle(data, np.array([0.5, 0.5]), 0.0, InnerState())
+
+
+class TestHullValue:
+    def test_leaves_warm_start_untouched(self):
+        data = generate_scenarios(12, 24, 0.5, seed=11, sigma=1e-2)
+        x = np.full(24, 1.0 / 24.0)
+        state = InnerState()
+        hull_oracle(data, x, 1e-2, state)
+        w_before = state.w.copy()
+        hull_value(data, x, precision=1e-12, state=state)
+        np.testing.assert_array_equal(state.w, w_before)
+
+    def test_exhaustion_raises(self, monkeypatch):
+        capped = problems.fista_inner
+
+        def one_step(*args, **kwargs):
+            return capped(*args, **{**kwargs, "max_inner": 1})
+        monkeypatch.setattr(problems, "fista_inner", one_step)
+        data = generate_scenarios(12, 24, 0.5, seed=11, sigma=1e-2)
+        x = np.full(24, 1.0 / 24.0)
+        with pytest.raises(InnerSolverExhausted) as info:
+            hull_value(data, x, precision=1e-12)
+        assert info.value.work == 1 and info.value.target == 1e-12
 
 
 class TestEstimateFstar:
