@@ -39,9 +39,7 @@ from .certificates import (
     next_certificate,
 )
 from .fgm import (
-    BoundTracker,
     FgmConfig,
-    bound_value,
     fgm_run,
     line_search_validate,
     project_simplex,

@@ -4,8 +4,8 @@ information, in fixed-step and adaptive (line-search) variants.
 The update is the method of similar triangles: the extrapolation point mixes
 the primal iterate with an aggregation point, the oracle is queried at the
 extrapolation point, and the aggregation point takes a projected step. The
-running worst-case bound (R^2 + 2 sum A_{k+1} delta_k) / A_N is tracked from
-the oracle-certified inexactness values.
+worst-case bound (R^2 + 2 sum A_{k+1} delta_k) / A_N is kept as a running
+sum over the oracle-certified inexactness values.
 """
 
 from __future__ import annotations
@@ -23,41 +23,23 @@ class FgmError(RuntimeError):
     pass
 
 
+# adaptive line search: the next iteration first tries L / _INCREASE, and a
+# failed validation retries with L * _DECREASE
+_INCREASE = 1.5
+_DECREASE = 2.0
+
+
 @dataclass(frozen=True)
 class FgmConfig:
     mode: str = "fixed_step"  # "fixed_step" | "adaptive"
-    L_init: float = 1.0
+    L_init: float = 1.0       # adaptive mode: first estimate and ceiling
     mu: float = 0.0
-    increase_factor: float = 1.5  # stepsize growth after a validated iteration
-    decrease_factor: float = 2.0  # stepsize shrink after a failed validation
-    L_cap: float = math.inf      # validity ceiling; candidates never exceed it
 
     def __post_init__(self):
         if self.mode not in ("fixed_step", "adaptive"):
             raise FgmError(f"unknown mode {self.mode!r}")
-        if self.L_init <= 0.0 or self.mu < 0.0:
-            raise FgmError("need L_init > 0 and mu >= 0")
-        if self.increase_factor <= 1.0 or self.decrease_factor <= 1.0:
-            raise FgmError("line-search factors must exceed 1")
-        if self.L_init > self.L_cap:
-            raise FgmError("L_init must not exceed L_cap")
-
-
-@dataclass
-class BoundTracker:
-    """Accumulates the bound numerator R^2 + 2 sum A_{k+1} delta_k."""
-
-    R2_estimate: float = 0.0
-    weighted_inexactness: float = 0.0
-
-    def add(self, A_next: float, delta: float):
-        self.weighted_inexactness += A_next * delta
-
-
-def bound_value(tracker: BoundTracker, A_N: float) -> float:
-    if A_N <= 0.0:
-        raise FgmError("bound requires A_N > 0")
-    return (tracker.R2_estimate + 2.0 * tracker.weighted_inexactness) / A_N
+        if not 0.0 < self.L_init < math.inf or self.mu < 0.0:
+            raise FgmError("need a finite L_init > 0 and mu >= 0")
 
 
 @dataclass(frozen=True)
@@ -100,7 +82,6 @@ def fgm_run(config: FgmConfig,
             N: int,
             x0: np.ndarray,
             r2_estimate: float = 0.0,
-            max_retries: int = 200,
             observer: Callable[[int, np.ndarray], None] | None = None,
             ) -> tuple[np.ndarray, list[IterationRecord], CertificateSequence]:
     """Run N accelerated steps from the simplex point x0.
@@ -110,24 +91,27 @@ def fgm_run(config: FgmConfig,
     ``schedule(k, A_next_candidate)`` returns the inexactness to request; the
     candidate certificate lets online rules react to the accepted stepsizes.
     ``observer(k, x_new)``, when given, is called after each accepted step.
+
+    In adaptive mode ``config.L_init`` is also the ceiling: a failed
+    validation doubles the estimate up to it, and the ceiling is accepted
+    without a test, so each search stops after finitely many retries.
     """
     x = np.asarray(x0, dtype=float).copy()
     if abs(x.sum() - 1.0) > 1e-9 or np.any(x < -1e-12):
         raise FgmError("x0 must lie in the unit simplex")
     z = x.copy()
     mu = config.mu
+    L_max = config.L_init
     A = 0.0
-    A_hist = [0.0]
-    L_hist: list[float] = []
+    weighted_delta = 0.0  # sum of A_{k+1} delta_k
     trajectory: list[IterationRecord] = []
-    tracker = BoundTracker(R2_estimate=r2_estimate)
-    L_next = config.L_init
+    L_next = L_max
 
     for k in range(N):
         if config.mode == "adaptive":
-            L_try = min(max(L_next / config.increase_factor, 1e-300), config.L_cap)
+            L_try = min(max(L_next / _INCREASE, 1e-300), L_max)
         else:
-            L_try = config.L_init
+            L_try = L_max
         omega_k = 0.0
         retries = 0
         while True:
@@ -146,25 +130,20 @@ def fgm_run(config: FgmConfig,
             omega_k += reply_x.inner_work
             ok = line_search_validate(reply_y.value, reply_y.gradient,
                                       reply_x.value, x_new, y, L_try, delta_k)
-            if ok or L_try >= config.L_cap:
+            if ok or L_try >= L_max:
                 break
             retries += 1
-            if retries > max_retries:
-                raise FgmError(f"line search failed to validate at iteration {k}")
-            L_try = min(L_try * config.decrease_factor, config.L_cap)
+            L_try = min(L_try * _DECREASE, L_max)
         if not np.all(np.isfinite(x_new)):
             raise FgmError(f"non-finite iterate at iteration {k}")
         x, z, A = x_new, z_new, A_next
         if observer is not None:
             observer(k, x)
-        A_hist.append(A)
-        L_hist.append(L_try)
         L_next = L_try
-        tracker.add(A_next, reply_y.delta)
-        trajectory.append(IterationRecord(k=k, delta=delta_k, omega=omega_k,
-                                          L=L_try, A=A,
-                                          bound=bound_value(tracker, A),
-                                          retries=retries))
-    certs = CertificateSequence(np.asarray(A_hist), np.asarray(L_hist), mu) \
-        if N > 0 else CertificateSequence(np.zeros(1), np.zeros(0), mu)
+        weighted_delta += A_next * reply_y.delta
+        trajectory.append(IterationRecord(
+            k=k, delta=delta_k, omega=omega_k, L=L_try, A=A,
+            bound=(r2_estimate + 2.0 * weighted_delta) / A, retries=retries))
+    certs = CertificateSequence([0.0] + [rec.A for rec in trajectory],
+                                [rec.L for rec in trajectory], mu)
     return x, trajectory, certs

@@ -82,7 +82,6 @@ class ExperimentConfig:
     fstar_precision: float = 1e-10
     ref_iterations: int = 0     # 0 = 4 * max(N)
     oracle_floor: float = 1e-12  # smallest certifiable inner target
-    linear_sign: int = -1       # exponent sign of the linear baseline
 
     def __post_init__(self):
         if self.experiment not in (1, 2, 3):
@@ -120,8 +119,6 @@ class ExperimentConfig:
             raise HarnessError("invalid sampling settings")
         if self.oracle_floor <= 0.0 or self.fstar_precision <= 0.0:
             raise HarnessError("precisions must be > 0")
-        if self.linear_sign not in (-1, 1):
-            raise HarnessError("linear_sign must be -1 or +1")
 
 
 def default_config(experiment: int) -> ExperimentConfig:
@@ -151,7 +148,7 @@ def default_config(experiment: int) -> ExperimentConfig:
 
 _LIST_FIELDS = {"delta_ref": float, "N": int, "seeds": int, "schedules": str}
 _INT_FIELDS = {"experiment", "d", "n", "N_r", "data_seed", "sample_every",
-               "ref_iterations", "linear_sign"}
+               "ref_iterations"}
 
 
 def _parse_value(key: str, raw: str):
@@ -208,11 +205,10 @@ def load_config(path: str, experiment: int | None = None,
 # ---------------------------------------------------------------------------
 
 def baseline_schedule(name: str, delta_ref: float, mu: float, L: float,
-                      N: int, exponent_sign: int = -1) -> Schedule:
+                      N: int) -> Schedule:
     """Literature baselines: constant, cubic decay, linear(-rate) schedule.
 
-    The linear schedule is delta_ref * (1 - sqrt(mu/L))^(s*k); the printed
-    form uses s = -1 (growing), s = +1 gives the decreasing interpretation.
+    The linear schedule grows as delta_ref * (1 - sqrt(mu/L))^(-k).
     """
     k = np.arange(N, dtype=float)
     if name == "constant":
@@ -222,12 +218,10 @@ def baseline_schedule(name: str, delta_ref: float, mu: float, L: float,
     elif name == "linear":
         if mu <= 0.0:
             raise HarnessError("the linear baseline degenerates when mu = 0")
-        if exponent_sign not in (-1, 1):
-            raise HarnessError("exponent sign must be -1 or +1")
         base = 1.0 - math.sqrt(mu / L)
         if not (0.0 < base < 1.0):
             raise HarnessError("linear baseline requires 0 < 1 - sqrt(mu/L) < 1")
-        values = delta_ref * base ** (exponent_sign * k)
+        values = delta_ref * base ** -k
     else:
         raise HarnessError(f"unknown baseline {name!r}")
     return Schedule(values, "accuracy")
@@ -311,8 +305,9 @@ def _softmax_fstar(data: ScenarioData, x_hat: np.ndarray) -> float:
 def _reference_fstar_exp1(config: ExperimentConfig, data: ScenarioData,
                           L: float, n_ref: int) -> float:
     """Noise-free long run, then the strongly-convex lower model."""
+    rng = np.random.default_rng(0)  # delta = 0: the stream is never drawn from
+
     def oracle(x, _delta):
-        rng = np.random.default_rng(0)  # delta = 0: the stream is never used
         return noisy_oracle(data, x, 0.0, config.alpha, rng)
 
     # once A_k exceeds ~1e18 the bound R^2/A_k is below double resolution of
@@ -342,8 +337,7 @@ def _schedule_values(config: ExperimentConfig, name: str, delta_ref: float,
                      N: int, L: float, a: np.ndarray, r: float) -> Schedule:
     if name == "tunable":
         return _tunable_values(config, a, delta_ref, r)
-    sched = baseline_schedule(name, delta_ref, config.mu, L, N,
-                              exponent_sign=config.linear_sign)
+    sched = baseline_schedule(name, delta_ref, config.mu, L, N)
     if config.experiment in (2, 3):
         # The FISTA oracle cannot certify gaps near float resolution, and the
         # cost model is only defined up to M * delta_ref (log costs need
@@ -394,12 +388,9 @@ def _run_one(config: ExperimentConfig, data: ScenarioData, name: str,
                 samples[k] = hull_value(data, x, config.sample_precision,
                                         state=state)
 
-    if config.experiment == 3:
-        fgm_cfg = FgmConfig(mode="adaptive", L_init=L, mu=config.mu, L_cap=L)
-    else:
-        fgm_cfg = FgmConfig(mode="fixed_step", L_init=L, mu=config.mu)
-    x_final, traj, _ = fgm_run(fgm_cfg, oracle, schedule_cb, N, x0,
-                               observer=observer)
+    mode = "adaptive" if config.experiment == 3 else "fixed_step"
+    x_final, traj, _ = fgm_run(FgmConfig(mode=mode, L_init=L, mu=config.mu),
+                               oracle, schedule_cb, N, x0, observer=observer)
 
     records = []
     cum_work = 0.0

@@ -75,13 +75,10 @@ class ScheduleProblem:
         if not (self.delta_ref > 0.0 and math.isfinite(self.delta_ref)):
             raise SolverError("delta_ref must be finite and > 0")
         cm = self.cost_model
-        lo, hi = self.m * self.delta_ref, self.M * self.delta_ref
-        if abs(cm.lo - lo) > _REL_TOL * max(1.0, lo) or (
-            math.isfinite(hi) and abs(cm.hi - hi) > _REL_TOL * hi
-        ):
+        if cm.kind != POWER and not self.M * self.delta_ref < 1.0:
+            raise SolverError(f"the {cm.kind} kind needs M*delta_ref < 1")
+        if (cm.lo, cm.hi) != (self.m * self.delta_ref, self.M * self.delta_ref):
             raise SolverError("cost model domain must equal [m*delta_ref, M*delta_ref]")
-        if cm.kind != POWER and not math.isfinite(self.M):
-            raise SolverError("M = inf is supported for the power kind only")
 
     @property
     def size(self) -> int:
@@ -149,7 +146,6 @@ class KktCertificate:
     n_minus: int
     lambda_star: float
     rho: np.ndarray
-    nu: np.ndarray
     budget_residual: float  # |achieved - budget| / budget of the returned schedule
     degenerate: bool = False
 
@@ -251,13 +247,13 @@ def _saturation_counts(n: int, key, c_hi: float, c_lo: float,
     return n_plus, n_minus
 
 
-def _degenerate(n_plus: int, n_minus: int, order: np.ndarray, nu: np.ndarray,
+def _degenerate(n_plus: int, n_minus: int, order: np.ndarray,
                 gap: float) -> KktCertificate:
     """Certificate of a partition pinning every rank, at relative budget gap."""
     if abs(gap) > 1e-10:
         raise SolverError("bound saturation exhausted all indices off-budget")
-    return KktCertificate(n_plus, n_minus, math.nan, _rank_of(order), nu,
-                          abs(gap), degenerate=True)
+    return KktCertificate(n_plus, n_minus, math.nan, _rank_of(order), abs(gap),
+                          degenerate=True)
 
 
 def _budget_residual(achieved: float, target: float) -> float:
@@ -396,7 +392,7 @@ def solve_accuracy(p: ScheduleProblem) -> tuple[Schedule, KktCertificate]:
     if n_minus:
         budget_T -= h_lo * np.sum(p.b[idx_minus])
     if idx_T.size == 0:
-        cert = _degenerate(n_plus, n_minus, order, nu, budget_T / budget)
+        cert = _degenerate(n_plus, n_minus, order, budget_T / budget)
         return Schedule(values, "accuracy"), cert
 
     # below the loose breakpoint of the last loose rank and the tight
@@ -411,7 +407,7 @@ def solve_accuracy(p: ScheduleProblem) -> tuple[Schedule, KktCertificate]:
     del delta_T
     residual = _budget_residual(float(p.b @ h_eval(cm, values)), budget)
     cert = KktCertificate(n_plus, n_minus, float(lambda_star), _rank_of(order),
-                          nu, residual)
+                          residual)
     return Schedule(values, "accuracy"), cert
 
 
@@ -440,7 +436,7 @@ def solve_work(p: WorkProblem) -> tuple[Schedule, KktCertificate]:
     values[idx_minus] = p.omega_m
     residual = p.omega_bar - n_plus * p.omega_M - n_minus * p.omega_m
     if idx_T.size == 0:
-        cert = _degenerate(n_plus, n_minus, order, nu, residual / p.omega_bar)
+        cert = _degenerate(n_plus, n_minus, order, residual / p.omega_bar)
         return Schedule(values, "work"), cert
     if residual <= 0.0:
         raise SolverError("non-positive residual work budget")
@@ -453,7 +449,7 @@ def solve_work(p: WorkProblem) -> tuple[Schedule, KktCertificate]:
     values[idx_T] = np.clip(omega_T, p.omega_M, p.omega_m)
     del omega_T
     budget_residual = _budget_residual(float(np.sum(values)), p.omega_bar)
-    cert = KktCertificate(n_plus, n_minus, float(lam_hat), _rank_of(order), nu,
+    cert = KktCertificate(n_plus, n_minus, float(lam_hat), _rank_of(order),
                           budget_residual)
     return Schedule(values, "work"), cert
 

@@ -7,10 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tunable_oracle.fgm import (
-    BoundTracker,
     FgmConfig,
     FgmError,
-    bound_value,
     fgm_run,
     line_search_validate,
     project_simplex,
@@ -94,18 +92,6 @@ class TestLineSearchValidate:
                                     slack / 2.0)
 
 
-class TestBoundValue:
-    def test_formula(self):
-        tracker = BoundTracker(R2_estimate=2.0)
-        tracker.add(1.0, 1.0)
-        tracker.add(4.0, 0.5)
-        assert bound_value(tracker, 4.0) == pytest.approx((2.0 + 2.0 * 3.0) / 4.0)
-
-    def test_rejects_zero_certificate(self):
-        with pytest.raises(FgmError):
-            bound_value(BoundTracker(), 0.0)
-
-
 class TestFgmRun:
     def test_zero_iterations_returns_start(self):
         cfg = FgmConfig(mode="fixed_step", L_init=1.0)
@@ -184,8 +170,9 @@ class TestAdaptive:
         assert np.all(certs.L >= 3.0 / 1.5 / 2.0)
 
     def test_cap_terminates_search(self):
-        # curvature 10 but cap at 2: validation fails, the cap must accept
-        cfg = FgmConfig(mode="adaptive", L_init=2.0, L_cap=2.0)
+        # curvature 10 but ceiling L_init = 2: validation fails, the ceiling
+        # must accept
+        cfg = FgmConfig(mode="adaptive", L_init=2.0)
         _, traj, _ = fgm_run(cfg, quadratic_oracle([0.0, 0.0], scale=10.0),
                              constant_schedule(0.0), 10, np.array([1.0, 0.0]))
         assert all(rec.L == 2.0 for rec in traj)
@@ -211,7 +198,6 @@ class TestAdaptive:
             FgmConfig(mode="magic")
         with pytest.raises(FgmError):
             FgmConfig(L_init=0.0)
-        with pytest.raises(FgmError):
-            FgmConfig(L_init=4.0, L_cap=2.0)
-        with pytest.raises(FgmError):
-            FgmConfig(increase_factor=1.0)
+        for L_init in (math.inf, math.nan):
+            with pytest.raises(FgmError):
+                FgmConfig(mode="adaptive", L_init=L_init)

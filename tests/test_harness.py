@@ -7,6 +7,10 @@ import numpy as np
 import pytest
 
 from tunable_oracle import harness
+from tunable_oracle.certificates import (
+    fixed_step_certificates,
+    impact_coefficients_fgm,
+)
 from tunable_oracle.cli import main as cli_main
 from tunable_oracle.harness import (
     ExperimentConfig,
@@ -21,9 +25,11 @@ from tunable_oracle.harness import (
 )
 from tunable_oracle.problems import InnerSolverExhausted, OracleError
 from tunable_oracle.schedule_solver import (
+    SolverError,
     accuracy_problem,
     export_coefficients,
     import_schedule,
+    online_extend_accuracy,
     solve_accuracy,
 )
 
@@ -157,8 +163,17 @@ class TestMatchBudget:
 
     def test_log_domain_rejects_large_upper_bound(self):
         a = np.ones(5)
-        with pytest.raises(Exception):
+        with pytest.raises(SolverError):
             accuracy_problem(a, a, 1e-1, 0.0, 20.0, "logarithmic")  # M*dref >= 1
+
+    @pytest.mark.parametrize("kind", ["logarithmic", "log_squared"])
+    def test_log_domain_rejects_upper_bound_one(self, kind):
+        # M*dref == 1 exactly: the cost model caps hi just below 1, and the
+        # problem must not accept that silently narrowed domain
+        a = np.ones(5)
+        assert 100.0 * 1e-2 == 1.0
+        with pytest.raises(SolverError, match="M\\*delta_ref < 1"):
+            accuracy_problem(a, a, 1e-2, 0.0, 100.0, kind)
 
 
 class TestBaselines:
@@ -171,10 +186,6 @@ class TestBaselines:
         sched = baseline_schedule("linear", 1e-3, 0.25, 1.0, 3)
         # base = 1 - sqrt(0.25) = 0.5 with the growing sign: delta_1 = 2e-3
         assert sched.values[1] == pytest.approx(2e-3)
-
-    def test_linear_decreasing_sign(self):
-        sched = baseline_schedule("linear", 1e-3, 0.25, 1.0, 3, exponent_sign=1)
-        assert sched.values[1] == pytest.approx(0.5e-3)
 
     def test_linear_needs_strong_convexity(self):
         with pytest.raises(HarnessError):
@@ -225,13 +236,22 @@ class TestRunExperiment:
         online = sorted((r for r in result.records
                          if r.schedule == "online_tunable"),
                         key=lambda r: r.k)
-        boot_label = f"tunable_bootstrap_N{TINY_EXP3.N_r}" \
-            if any("bootstrap" in k for k in result.schedules) else None
-        # requested deltas obey the box around delta_ref at least
-        lo = max(TINY_EXP3.m * 1e-4, TINY_EXP3.oracle_floor)
-        hi = TINY_EXP3.M * 1e-4
-        for rec in online:
-            assert lo - 1e-18 <= rec.delta <= hi * (1 + 1e-12)
+        cfg, (delta_ref,) = TINY_EXP3, TINY_EXP3.delta_ref
+        # bootstrap: the log-cost solve over the first N_r fixed-step
+        # certificates at the validity ceiling 1/sigma + mu
+        certs = fixed_step_certificates(cfg.N_r, 1.0 / cfg.sigma + cfg.mu, cfg.mu)
+        a_boot, _ = impact_coefficients_fgm(certs)
+        boot = solve_accuracy(accuracy_problem(
+            a_boot, np.ones_like(a_boot), delta_ref, cfg.m, cfg.M,
+            "logarithmic"))[0].values
+        box = (max(cfg.m * delta_ref, cfg.oracle_floor), cfg.M * delta_ref)
+        assert [rec.k for rec in online] == list(range(cfg.N[0]))
+        for rec in online[:cfg.N_r]:
+            assert rec.delta == boot[rec.k]
+        for rec in online[cfg.N_r:]:
+            assert rec.delta == online_extend_accuracy(
+                (float(a_boot[-1]), 1.0, float(boot[-1])), (rec.A, 1.0),
+                0.0, box)
         assert {s.schedule for s in result.summaries} == set(TINY_EXP3.schedules)
 
     def test_seed_order_does_not_matter(self):

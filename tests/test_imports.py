@@ -1,5 +1,6 @@
-"""Static guards: every name a package module imports is used in it, and
-every module-level ``_private`` name is referenced somewhere in the package.
+"""Static guards: every name a package module imports is used in it, every
+module-level ``_private`` name is referenced somewhere in the package, and
+every dataclass field the package declares is read somewhere in the repo.
 
 No lint tool is part of the toolchain, so these tests walk each module's
 syntax tree with the standard-library ``ast`` module. The import guard skips
@@ -11,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tunable_oracle"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "tunable_oracle"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -60,6 +62,35 @@ def orphaned_private_names(sources: dict[str, str]) -> list[str]:
                   for module, name, line in defined if name not in referenced)
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    """``@dataclass``, ``@dataclass(...)`` or ``@dataclasses.dataclass``."""
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(target, "attr", getattr(target, "id", None)) == "dataclass":
+            return True
+    return False
+
+
+def unread_dataclass_fields(defining: dict[str, str], readers: list[str]) -> list[str]:
+    """Fields of the dataclasses declared in ``defining`` (module name ->
+    source) that no source in ``readers`` loads as an attribute."""
+    read = set()
+    for source in readers:
+        read.update(node.attr for node in ast.walk(ast.parse(source))
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+    unread = []
+    for module, source in defining.items():
+        for cls in ast.walk(ast.parse(source)):
+            if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)):
+                continue
+            unread += [f"{module}.{cls.name}.{stmt.target.id} (line {stmt.lineno})"
+                       for stmt in cls.body
+                       if isinstance(stmt, ast.AnnAssign)
+                       and isinstance(stmt.target, ast.Name)
+                       and stmt.target.id not in read]
+    return sorted(unread)
+
+
 def test_modules_found():
     assert len(MODULES) >= 7
 
@@ -97,3 +128,20 @@ def test_detects_an_orphaned_private_name():
     }
     assert orphaned_private_names(sources) == ["a._Hidden (line 7)",
                                                "a._orphan (line 3)"]
+
+
+def test_every_dataclass_field_is_read():
+    defining = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    readers = [p.read_text() for top in ("src", "tests", "bench")
+               for p in (ROOT / top).rglob("*.py")]
+    assert unread_dataclass_fields(defining, readers) == []
+
+
+def test_detects_an_unread_dataclass_field():
+    defining = {"a": ("from dataclasses import dataclass\nimport dataclasses\n"
+                      "@dataclass(frozen=True)\nclass P:\n    x: int\n    y: int = 0\n"
+                      "@dataclasses.dataclass\nclass Q:\n    z: float\n"
+                      "class Plain:\n    w: int\n")}
+    readers = ["def f(p, q):\n    q.z = 1\n    return p.x\n"]
+    assert unread_dataclass_fields(defining, readers) == ["a.P.y (line 6)",
+                                                          "a.Q.z (line 9)"]
