@@ -10,6 +10,7 @@ sum over the oracle-certified inexactness values.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -53,18 +54,40 @@ class IterationRecord:
     retries: int = 0
 
 
+@functools.lru_cache(maxsize=8)
+def _ranks(n: int) -> np.ndarray:
+    """The read-only ranks 1..n; a run projects at two sizes only (d and n)."""
+    ranks = np.arange(1.0, n + 1.0)
+    ranks.flags.writeable = False
+    return ranks
+
+
 def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto {x >= 0, sum x = 1}."""
+    """Euclidean projection onto {x >= 0, sum x = 1}.
+
+    The inner solver's hot path: ndarray methods and in-place shifts cut the
+    interpreter overhead. Keep the arithmetic and its order as they are;
+    recorded runs pin exact inner iteration counts.
+    """
     v = np.asarray(v, dtype=float)
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise FgmError("cannot project a non-finite vector")
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    ks = np.arange(1, v.size + 1)
-    cond = u - css / ks > 0.0
-    rho = int(np.nonzero(cond)[0][-1])
+    u = v.copy()
+    u.sort()
+    u = u[::-1]
+    css = u.cumsum()
+    css -= 1.0
+    cond = u - css / _ranks(v.size) > 0.0
+    nonzero = cond.nonzero()[0]
+    if nonzero.size == 0:
+        # u[0] - (u[0] - 1) rounds to 0 once |u[0]| outgrows double resolution
+        raise FgmError("no rank qualifies: the entries are too large for the "
+                       "unit sum to register in double precision")
+    rho = int(nonzero[-1])
     tau = css[rho] / (rho + 1.0)
-    return np.maximum(v - tau, 0.0)
+    out = v - tau
+    np.maximum(out, 0.0, out=out)
+    return out
 
 
 def line_search_validate(f_y: float, grad_y: np.ndarray, f_x_next: float,
@@ -134,7 +157,7 @@ def fgm_run(config: FgmConfig,
                 break
             retries += 1
             L_try = min(L_try * _DECREASE, L_max)
-        if not np.all(np.isfinite(x_new)):
+        if not np.isfinite(x_new).all():
             raise FgmError(f"non-finite iterate at iteration {k}")
         x, z, A = x_new, z_new, A_next
         if observer is not None:

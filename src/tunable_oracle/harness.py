@@ -408,6 +408,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                               sigma=config.sigma, upsilon=config.upsilon,
                               mu=config.mu)
     r = _resolve_r(config, data)
+    solved = {"tunable", "online_tunable"}.intersection(config.schedules)
+    if r <= 0.0 and solved and config.M * max(config.delta_ref) >= 1.0:
+        # the log cost is defined for delta < 1 only: fail before any run
+        # rather than abort the sweep in the middle
+        raise HarnessError(f"the logarithmic cost of {sorted(solved)} needs "
+                           f"M*delta_ref < 1, got M = {config.M:g} and "
+                           f"delta_ref = {max(config.delta_ref):g}")
     L = _fixed_L(config, data)
 
     records: list[RunRecord] = []
@@ -419,12 +426,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         # the noise-free reference depends on max(N) only, so it runs once
         fstar = _reference_fstar_exp1(config, data, L,
                                       config.ref_iterations or 4 * max(config.N))
-    elif config.experiment == 3:
+    elif "online_tunable" in config.schedules:
         certs = fixed_step_certificates(config.N_r, L, config.mu)
         a_boot, _ = impact_coefficients_fgm(certs)
 
     for delta_ref in config.delta_ref:
-        if config.experiment == 3:
+        if "online_tunable" in config.schedules:
             online_cb = _online_schedule(
                 config, _tunable_values(config, a_boot, delta_ref, r),
                 float(a_boot[-1]), delta_ref, r)

@@ -103,9 +103,9 @@ class OracleReply:
 def softmax_value_grad(data: ScenarioData, x: np.ndarray) -> tuple[float, np.ndarray]:
     """Smoothed robust objective and its gradient, overflow safe."""
     s = data.upsilon * (data.O @ x)
-    mx = float(np.max(s))
+    mx = float(s.max())
     e = np.exp(s - mx)
-    denom = float(np.sum(e))
+    denom = float(e.sum())
     value = (mx + math.log(denom / data.n)) / data.upsilon \
         + 0.5 * data.mu * float(x @ x)
     weights = e / denom
@@ -189,20 +189,19 @@ def fista_inner(data: ScenarioData, x: np.ndarray, delta_target: float,
     beta_const = (1.0 - math.sqrt(kap)) / (1.0 + math.sqrt(kap)) if kap > 0.0 else None
 
     q_w, grad_w = inner_q_value_grad(data, w, x)
-    upper = q_w + float(np.max(grad_w)) - float(grad_w @ w)
+    upper = q_w + float(grad_w.max()) - float(grad_w @ w)
     gap = upper - q_w
     gap_history = [gap]
     if gap <= delta_target:
         return InnerResult(w=w, value=q_w, gap=gap, gap_history=gap_history,
                            work=0, converged=True)
 
-    v = w.copy()
-    w_prev = w.copy()
+    v = w_prev = w  # never written in place
     t = 1.0
     for it in range(1, max_inner + 1):
         q_v, grad_v = inner_q_value_grad(data, v, x)
         # linearizations are global upper bounds by concavity, even off-simplex
-        upper = min(upper, q_v + float(np.max(grad_v)) - float(grad_v @ v))
+        upper = min(upper, q_v + float(grad_v.max()) - float(grad_v @ v))
         w = project_simplex(v + step * grad_v)
         if beta_const is not None:
             beta = beta_const
@@ -213,7 +212,7 @@ def fista_inner(data: ScenarioData, x: np.ndarray, delta_target: float,
         v = w + beta * (w - w_prev)
         w_prev = w
         q_w, grad_w = inner_q_value_grad(data, w, x)
-        upper = min(upper, q_w + float(np.max(grad_w)) - float(grad_w @ w))
+        upper = min(upper, q_w + float(grad_w.max()) - float(grad_w @ w))
         gap = upper - q_w
         gap_history.append(gap)
         if gap <= delta_target:

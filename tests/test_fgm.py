@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tunable_oracle.fgm import (
@@ -32,6 +32,29 @@ def constant_schedule(delta):
     return lambda k, A_next: delta
 
 
+def reference_project_simplex(v):
+    """The sort-based projection as first written; the differential tests
+    hold the optimised ``project_simplex`` to its exact bits."""
+    v = np.asarray(v, dtype=float)
+    if not np.all(np.isfinite(v)):
+        raise FgmError("cannot project a non-finite vector")
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u) - 1.0
+    ks = np.arange(1, v.size + 1)
+    cond = u - css / ks > 0.0
+    rho = int(np.nonzero(cond)[0][-1])
+    tau = css[rho] / (rho + 1.0)
+    return np.maximum(v - tau, 0.0)
+
+
+# mixed signs and magnitudes, with repeated values drawn from a short list
+# so that ties in the sort are common
+_PROJECTION_INPUTS = st.lists(
+    st.one_of(st.floats(min_value=-1e3, max_value=1e3),
+              st.sampled_from([-1.0, -0.0, 0.0, 0.25, 0.5, 1.0, 3.0])),
+    min_size=1, max_size=60)
+
+
 class TestProjectSimplex:
     def test_uniform_shift(self):
         out = project_simplex(np.array([0.4, 0.2, 0.1]))
@@ -48,6 +71,30 @@ class TestProjectSimplex:
     def test_rejects_nonfinite(self):
         with pytest.raises(FgmError):
             project_simplex(np.array([1.0, math.nan]))
+
+    def test_entries_beyond_double_resolution_raise(self):
+        # 1e17 - (1e17 - 1) rounds to 0, so no rank passes the threshold test
+        with pytest.raises(FgmError, match="no rank qualifies"):
+            project_simplex(np.array([1e17, 0.0]))
+
+    def test_input_not_modified(self):
+        v = np.array([0.9, -0.3, 0.6])
+        project_simplex(v)
+        np.testing.assert_array_equal(v, [0.9, -0.3, 0.6])
+
+    @settings(max_examples=300, deadline=None)
+    @given(_PROJECTION_INPUTS)
+    @example([5.0])
+    @example([-2.0])
+    @example([1.0, 1.0])
+    @example([0.5, -0.0, 0.5, 0.0, 0.5])
+    @example([-3.0, -3.0, 7.0])
+    def test_bit_identical_to_reference(self, values):
+        v = np.array(values)
+        out = project_simplex(v)
+        ref = reference_project_simplex(v)
+        assert np.array_equal(out, ref)
+        assert out.tobytes() == ref.tobytes()  # also tells -0.0 from 0.0
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(min_value=-50.0, max_value=50.0),

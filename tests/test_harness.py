@@ -138,6 +138,27 @@ class TestConfigValidation:
             replace(TINY_EXP2, mu=0.0,
                     schedules=("tunable", "constant", "linear"))
 
+    def test_log_cost_out_of_domain_rejected_before_any_run(self, monkeypatch):
+        # d = 20 > n = 10 resolves r to 0 (the log cost), which needs
+        # M * delta_ref < 1; the default M = 100 gives 1
+        cfg = replace(default_config(2), delta_ref=(1e-2,), d=20, n=10,
+                      N=(20,))
+
+        def no_run(*_args):
+            raise AssertionError("a run started")
+        monkeypatch.setattr(harness, "_run_one", no_run)
+        with pytest.raises(HarnessError, match=r"M\*delta_ref < 1"):
+            run_experiment(cfg)
+
+    def test_bootstrap_solved_only_for_the_online_family(self):
+        # M * delta_ref = 1 is outside the log cost's domain, but no family
+        # here solves a schedule, so the sweep runs
+        cfg = replace(TINY_EXP3, delta_ref=(1e-2,), M=100.0,
+                      schedules=("constant", "poly3"))
+        result = run_experiment(cfg)
+        assert not result.failures
+        assert {s.schedule for s in result.summaries} == {"constant", "poly3"}
+
 
 class TestMatchBudget:
     """The tunable schedule spends the modeled budget of constant δ̄."""

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from test_fgm import reference_project_simplex
 from tunable_oracle import problems
 from tunable_oracle.problems import (
+    InnerResult,
     InnerSolverExhausted,
     InnerState,
     OracleError,
@@ -258,6 +260,97 @@ class TestFistaInner:
         assert not exits["exhausted"].converged
         for result in exits.values():
             assert result.value == inner_q_value_grad(data, result.w, x)[0]
+
+
+def reference_fista_inner(data, x, delta_target, warm_start=None,
+                          max_inner=10**6):
+    """The FISTA loop as first written, over the reference projection; the
+    differential test holds ``fista_inner`` to its exact bits."""
+    if delta_target <= 0.0:
+        raise OracleError("delta_target must be > 0")
+    n = data.n
+    w = warm_start.w.copy() if warm_start is not None and warm_start.w is not None \
+        else np.full(n, 1.0 / n)
+    L_w = data.sigma * data.lam_max
+    if L_w <= 0.0:
+        raise OracleError("degenerate inner problem: sigma * lam_max == 0")
+    step = 1.0 / L_w
+    kap = kappa_hat(data)
+    beta_const = (1.0 - math.sqrt(kap)) / (1.0 + math.sqrt(kap)) if kap > 0.0 else None
+
+    q_w, grad_w = inner_q_value_grad(data, w, x)
+    upper = q_w + float(np.max(grad_w)) - float(grad_w @ w)
+    gap = upper - q_w
+    gap_history = [gap]
+    if gap <= delta_target:
+        return InnerResult(w=w, value=q_w, gap=gap, gap_history=gap_history,
+                           work=0, converged=True)
+
+    v = w.copy()
+    w_prev = w.copy()
+    t = 1.0
+    for it in range(1, max_inner + 1):
+        q_v, grad_v = inner_q_value_grad(data, v, x)
+        # linearizations are global upper bounds by concavity, even off-simplex
+        upper = min(upper, q_v + float(np.max(grad_v)) - float(grad_v @ v))
+        w = reference_project_simplex(v + step * grad_v)
+        if beta_const is not None:
+            beta = beta_const
+        else:
+            t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+            beta = (t - 1.0) / t_new
+            t = t_new
+        v = w + beta * (w - w_prev)
+        w_prev = w
+        q_w, grad_w = inner_q_value_grad(data, w, x)
+        upper = min(upper, q_w + float(np.max(grad_w)) - float(grad_w @ w))
+        gap = upper - q_w
+        gap_history.append(gap)
+        if gap <= delta_target:
+            return InnerResult(w=w, value=q_w, gap=gap, gap_history=gap_history,
+                               work=it, converged=True)
+    return InnerResult(w=w, value=q_w, gap=gap, gap_history=gap_history,
+                       work=max_inner, converged=False)
+
+
+class TestFistaInnerBitIdentity:
+    """``fista_inner`` against the reference loop: same iterates, same bits."""
+
+    @staticmethod
+    def assert_identical(result, ref):
+        assert result.work == ref.work
+        assert result.converged == ref.converged
+        assert result.gap_history == ref.gap_history
+        assert result.value == ref.value
+        assert result.w.tobytes() == ref.w.tobytes()
+
+    # (n, d): n <= d gives kappa_hat > 0 and the constant momentum, n > d a
+    # rank-deficient Gram matrix and the accelerating sequence; every case
+    # takes from a few to a few hundred iterations over the three targets
+    @pytest.mark.parametrize("n, d, sigma, seed", [
+        (10, 20, 3e-3, 5), (50, 100, 3e-3, 1234), (30, 10, 1.0, 6),
+        (40, 25, 1e-2, 6)])
+    def test_cold_and_warm_starts(self, n, d, sigma, seed):
+        data = generate_scenarios(n, d, 0.2, seed=seed, sigma=sigma)
+        assert (kappa_hat(data) > 0.0) == (n <= d)
+        rng = np.random.default_rng(seed)
+        x_prev, x = rng.dirichlet(np.ones(d), size=2)
+        prev = reference_fista_inner(data, x_prev, 1e-4)
+        works = []
+        for target in (1e-2, 1e-5, 1e-9):
+            for start in (None, InnerState(w=prev.w)):
+                result = fista_inner(data, x, target, warm_start=start)
+                self.assert_identical(
+                    result,
+                    reference_fista_inner(data, x, target, warm_start=start))
+                works.append(result.work)
+        assert min(works) >= 1 and max(works) >= 30
+
+    def test_exhausted_exit(self):
+        data = generate_scenarios(30, 10, 0.2, seed=6, sigma=1.0)
+        x = np.full(10, 0.1)
+        self.assert_identical(fista_inner(data, x, 1e-12, max_inner=7),
+                              reference_fista_inner(data, x, 1e-12, max_inner=7))
 
 
 class TestHullOracle:
