@@ -6,10 +6,7 @@ validating them.
 from .cost_models import (
     CostModel,
     CostModelError,
-    h_derivative,
-    h_derivative_inverse,
     h_eval,
-    h_inverse,
     lambert_w0,
 )
 from .schedule_solver import (
@@ -19,14 +16,8 @@ from .schedule_solver import (
     SolverError,
     WorkProblem,
     accuracy_problem,
-    brute_force_oracle,
-    closed_form_interior_accuracy,
-    closed_form_interior_work,
-    descending_rank,
     online_extend_accuracy,
-    online_extend_work,
     reference_budget,
-    schedule_objective,
     solve_accuracy,
     solve_work,
 )
@@ -34,8 +25,6 @@ from .certificates import (
     CertificateSequence,
     fixed_step_certificates,
     impact_coefficients_fgm,
-    impact_coefficients_iafb,
-    impact_coefficients_ipl,
     next_certificate,
 )
 from .fgm import (

@@ -1,5 +1,5 @@
-"""Convergence certificates A_k of the accelerated method and the impact
-coefficients (a, b) derived from them for the three supported method families.
+"""Convergence certificates A_k of the accelerated method and the fast
+gradient method's impact coefficients (a, b) derived from them.
 
 The certificates obey A_{k+1} (1 + mu A_k) = L_{k+1} (A_{k+1} - A_k)^2 with
 A_0 = 0; the recursion is solved for its larger root (the smaller one falls
@@ -29,6 +29,8 @@ class CertificateSequence:
         object.__setattr__(self, "L", L)
         if A.size != L.size + 1:
             raise ValueError("need one stepsize per certificate increment")
+        if not (np.isfinite(A).all() and np.isfinite(L).all()):
+            raise ValueError("certificates and stepsizes must be finite")
         if A[0] != 0.0 or np.any(np.diff(A) <= 0.0):
             raise ValueError("certificates must start at 0 and grow strictly")
 
@@ -39,9 +41,6 @@ class CertificateSequence:
         lhs = self.L * (An - Ak) ** 2
         rhs = An * (1.0 + self.mu * Ak)
         return np.abs(lhs - rhs) / rhs
-
-    def __len__(self) -> int:
-        return self.L.size
 
 
 def next_certificate(A_k: float, L_next: float, mu: float = 0.0) -> float:
@@ -70,22 +69,3 @@ def impact_coefficients_fgm(certs: CertificateSequence) -> tuple[np.ndarray, np.
     a = certs.A[1:].copy()
     return a, np.ones_like(a)
 
-
-def impact_coefficients_iafb(certs: CertificateSequence, lambdas,
-                             mu: float) -> tuple[np.ndarray, np.ndarray]:
-    """Accelerated forward-backward row: a_k = A_{k+1} (1+mu lam_k)^2 / lam_k."""
-    lam = np.asarray(lambdas, dtype=float)
-    if lam.size != len(certs):
-        raise ValueError("stepsize/certificate length mismatch")
-    if np.any(lam <= 0.0):
-        raise ValueError("stepsizes must be > 0")
-    a = certs.A[1:] * (1.0 + mu * lam) ** 2 / lam
-    return a, np.ones_like(a)
-
-
-def impact_coefficients_ipl(stepsizes) -> tuple[np.ndarray, np.ndarray]:
-    """Prox-linear row: a_k = 1/t_k, b_k = t_k^{2/3}."""
-    t = np.asarray(stepsizes, dtype=float)
-    if np.any(t <= 0.0):
-        raise ValueError("stepsizes must be > 0")
-    return 1.0 / t, t ** (2.0 / 3.0)

@@ -1,4 +1,4 @@
-"""Oracle cost shapes h(delta), their derivatives and inverses.
+"""Oracle cost shapes h(delta) and their derivatives.
 
 Three shapes are supported, matching the inner-solver complexities that
 motivate them:
@@ -7,8 +7,11 @@ motivate them:
 * ``logarithmic`` h(d) = -log(d),      linearly converging inner solvers
 * ``log_squared`` h(d) = log^2(1/d),   poly-logarithmic fluctuation
 
-All shapes are positive, strictly decreasing and convex on the interior of
-their admissible interval, with h' strictly negative and strictly increasing.
+All shapes are positive, strictly decreasing and convex for 0 < delta < 1
+(power: for every delta > 0), with h' strictly negative and strictly
+increasing there. The admissible interval [m*delta_ref, M*delta_ref] is not
+part of a cost model: ``ScheduleProblem`` owns it, and it alone requires
+M*delta_ref < 1 for the logarithmic shapes.
 """
 
 from __future__ import annotations
@@ -24,67 +27,35 @@ LOG_SQUARED = "log_squared"
 
 _KINDS = (POWER, LOGARITHMIC, LOG_SQUARED)
 
-# h'(1) = 0 for the log-squared shape, which breaks invertibility of h';
-# the admissible interval is therefore capped strictly below 1.
-_LOG_DOMAIN_CAP = 1.0 - 1e-12
-
 
 class CostModelError(ValueError):
-    """Invalid cost-model input (bad domain, argument outside range, ...)."""
+    """Invalid cost-model input (unknown kind, argument outside range, ...)."""
 
 
 @dataclass(frozen=True)
 class CostModel:
-    """A cost shape together with its admissible inexactness interval [lo, hi]."""
+    """A cost shape; the admissible interval of delta belongs to the problem."""
 
     kind: str
-    lo: float = 0.0
-    hi: float = math.inf
     r: float = 0.0  # exponent, meaningful for kind == "power" only
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise CostModelError(f"unknown cost kind {self.kind!r}")
-        if not (0.0 <= self.lo < self.hi):
-            raise CostModelError(f"invalid domain [{self.lo}, {self.hi}]")
-        if self.kind == POWER:
-            if not (self.r > 0.0 and math.isfinite(self.r)):
-                raise CostModelError("power kind requires a finite exponent r > 0")
-        else:
-            if not self.hi <= _LOG_DOMAIN_CAP:
-                raise CostModelError(
-                    f"{self.kind} kind requires hi < 1 (got hi={self.hi}) so that h stays positive"
-                )
-
-    @staticmethod
-    def power(r: float, lo: float = 0.0, hi: float = math.inf) -> "CostModel":
-        return CostModel(POWER, lo=lo, hi=hi, r=r)
-
-    @staticmethod
-    def logarithmic(lo: float = 0.0, hi: float = _LOG_DOMAIN_CAP) -> "CostModel":
-        return CostModel(LOGARITHMIC, lo=lo, hi=min(hi, _LOG_DOMAIN_CAP))
-
-    @staticmethod
-    def log_squared(lo: float = 0.0, hi: float = _LOG_DOMAIN_CAP) -> "CostModel":
-        return CostModel(LOG_SQUARED, lo=lo, hi=min(hi, _LOG_DOMAIN_CAP))
+        if self.kind == POWER and not (self.r > 0.0 and math.isfinite(self.r)):
+            raise CostModelError("power kind requires a finite exponent r > 0")
 
 
-def _check_delta(model: CostModel, delta, interior: bool) -> np.ndarray:
+def _check_delta(delta) -> np.ndarray:
     d = np.asarray(delta, dtype=float)
     if np.any(d <= 0.0) or not np.all(np.isfinite(d)):
         raise CostModelError("delta must be finite and > 0")
-    if interior:
-        ok = (d > model.lo) & (d < model.hi)
-    else:
-        ok = (d >= model.lo) & (d <= model.hi)
-    if not np.all(ok):
-        raise CostModelError(f"delta outside admissible interval [{model.lo}, {model.hi}]")
     return d
 
 
 def h_eval(model: CostModel, delta):
-    """Cost h(delta); delta may be a scalar or an array inside [lo, hi], > 0."""
-    d = _check_delta(model, delta, interior=False)
+    """Cost h(delta); delta may be a scalar or an array, finite and > 0."""
+    d = _check_delta(delta)
     if model.kind == POWER:
         # tiny delta with large r overflows to inf, which is the right answer
         with np.errstate(over="ignore"):
@@ -97,7 +68,7 @@ def h_eval(model: CostModel, delta):
 
 
 def _hprime_raw(model: CostModel, d):
-    """h' without domain checks (also at the interval end points)."""
+    """h' without argument checks."""
     if model.kind == POWER:
         return -model.r * d ** (-(model.r + 1.0))
     if model.kind == LOGARITHMIC:
@@ -106,47 +77,9 @@ def _hprime_raw(model: CostModel, d):
 
 
 def h_derivative(model: CostModel, delta):
-    """h'(delta) < 0 on the interior of the admissible interval."""
-    out = _hprime_raw(model, _check_delta(model, delta, interior=True))
+    """h'(delta) for finite delta > 0."""
+    out = _hprime_raw(model, _check_delta(delta))
     return out if out.ndim else float(out)
-
-
-def _hprime_inverse_raw(model: CostModel, slope) -> np.ndarray:
-    """(h')^{-1} without domain clipping; slope must be < 0."""
-    s = np.asarray(slope, dtype=float)
-    omega = -s
-    if model.kind == POWER:
-        return (omega / model.r) ** (-1.0 / (model.r + 1.0))
-    if model.kind == LOGARITHMIC:
-        return 1.0 / omega
-    return 2.0 * lambert_w0(omega / 2.0) / omega
-
-
-def h_derivative_inverse(model: CostModel, slope):
-    """Inverse of h': the delta at which the marginal cost equals ``slope``."""
-    s = np.asarray(slope, dtype=float)
-    if np.any(s >= 0.0) or not np.all(np.isfinite(s)):
-        raise CostModelError("slope must be finite and < 0")
-    d = _hprime_inverse_raw(model, s)
-    if np.any(d <= model.lo) or np.any(d >= model.hi):
-        raise CostModelError("slope outside the image of h' over the domain interior")
-    return d if d.ndim else float(d)
-
-
-def h_inverse(model: CostModel, cost):
-    """Inverse of h: the delta whose cost equals ``cost``."""
-    c = np.asarray(cost, dtype=float)
-    if np.any(c <= 0.0) or not np.all(np.isfinite(c)):
-        raise CostModelError("cost must be finite and > 0")
-    if model.kind == POWER:
-        d = c ** (-1.0 / model.r)
-    elif model.kind == LOGARITHMIC:
-        d = np.exp(-c)
-    else:
-        d = np.exp(-np.sqrt(c))
-    if np.any(d < model.lo) or np.any(d > model.hi):
-        raise CostModelError("cost outside the image of h over the domain")
-    return d if d.ndim else float(d)
 
 
 _INV_E = math.exp(-1.0)

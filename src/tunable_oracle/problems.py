@@ -223,11 +223,11 @@ def fista_inner(data: ScenarioData, x: np.ndarray, delta_target: float,
 
 
 def hull_oracle(data: ScenarioData, x: np.ndarray, delta: float,
-                state: InnerState, max_inner: int = 10**6) -> OracleReply:
+                state: InnerState) -> OracleReply:
     """Inexact value/gradient of the hull objective via the inner solver."""
     if delta <= 0.0:
         raise OracleError("delta must be > 0")
-    result = fista_inner(data, x, delta, warm_start=state, max_inner=max_inner)
+    result = fista_inner(data, x, delta, warm_start=state)
     if not result.converged:
         raise InnerSolverExhausted(result.gap, delta, result.work)
     state.w = result.w

@@ -28,7 +28,6 @@ import numpy as np
 from . import cost_models
 from .cost_models import (
     LOGARITHMIC,
-    LOG_SQUARED,
     POWER,
     CostModel,
     h_eval,
@@ -75,10 +74,10 @@ class ScheduleProblem:
         if not (self.delta_ref > 0.0 and math.isfinite(self.delta_ref)):
             raise SolverError("delta_ref must be finite and > 0")
         cm = self.cost_model
+        # h' of log-squared vanishes at 1 and both log costs turn
+        # non-positive there, so their box must end below 1
         if cm.kind != POWER and not self.M * self.delta_ref < 1.0:
             raise SolverError(f"the {cm.kind} kind needs M*delta_ref < 1")
-        if (cm.lo, cm.hi) != (self.m * self.delta_ref, self.M * self.delta_ref):
-            raise SolverError("cost model domain must equal [m*delta_ref, M*delta_ref]")
 
     @property
     def size(self) -> int:
@@ -87,16 +86,8 @@ class ScheduleProblem:
 
 def accuracy_problem(a, b, delta_ref: float, m: float, M: float,
                      kind: str, r: float = 1.0) -> ScheduleProblem:
-    """Convenience builder wiring the cost-model domain to the box bounds."""
-    lo, hi = m * delta_ref, M * delta_ref
-    if kind == POWER:
-        model = CostModel.power(r, lo=lo, hi=hi)
-    elif kind == LOGARITHMIC:
-        model = CostModel.logarithmic(lo=lo, hi=hi)
-    elif kind == LOG_SQUARED:
-        model = CostModel.log_squared(lo=lo, hi=hi)
-    else:
-        raise SolverError(f"unknown cost kind {kind!r}")
+    """Convenience builder; ``r`` is read for the power kind only."""
+    model = CostModel(kind, r if kind == POWER else 0.0)
     return ScheduleProblem(np.asarray(a, float), np.asarray(b, float),
                            delta_ref, m, M, model)
 
@@ -164,21 +155,9 @@ def _rank_of(order: np.ndarray) -> np.ndarray:
     return rho
 
 
-def descending_rank(nu) -> np.ndarray:
-    """rho[k] = j iff nu_k is the (j+1)-th largest entry; ties by lower index."""
-    return _rank_of(_descending_order(nu))
-
-
 def reference_budget(p: ScheduleProblem) -> float:
     """Total modeled cost of the constant reference schedule."""
     return float(np.sum(p.b) * h_eval(p.cost_model, p.delta_ref))
-
-
-def schedule_objective(a, s: Schedule) -> float:
-    arr = np.asarray(a, dtype=float)
-    if arr.shape != s.values.shape:
-        raise SolverError("coefficient/schedule length mismatch")
-    return float(arr @ s.values)
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +434,7 @@ def solve_work(p: WorkProblem) -> tuple[Schedule, KktCertificate]:
 
 
 # ---------------------------------------------------------------------------
-# online extension rules
+# online extension rule
 # ---------------------------------------------------------------------------
 
 def online_extend_accuracy(known: tuple[float, float, float],
@@ -467,17 +446,6 @@ def online_extend_accuracy(known: tuple[float, float, float],
     factor = ((b_q * a_k) / (a_q * b_k)) ** (1.0 / (r + 1.0))
     lo, hi = bounds
     return float(min(hi, max(lo, factor * delta_k)))
-
-
-def online_extend_work(known: tuple[float, float, float],
-                       query: tuple[float, float],
-                       r: float, bounds: tuple[float, float]) -> float:
-    """Extend a solved work schedule to an unseen iteration by ratio."""
-    a_k, b_k, omega_k = known
-    a_q, b_q = query
-    factor = ((b_q * a_q**r) / (b_k * a_k**r)) ** (1.0 / (r + 1.0))
-    lo, hi = bounds
-    return float(min(hi, max(lo, factor * omega_k)))
 
 
 # ---------------------------------------------------------------------------

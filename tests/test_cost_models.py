@@ -9,16 +9,15 @@ from tunable_oracle.cost_models import (
     CostModel,
     CostModelError,
     h_derivative,
-    h_derivative_inverse,
     h_eval,
-    h_inverse,
     lambert_w0,
 )
+from tunable_oracle.schedule_solver import ScheduleProblem, SolverError
 
 
-POWER1 = CostModel.power(1.0, lo=0.0, hi=math.inf)
-LOG = CostModel.logarithmic(lo=0.0, hi=0.9)
-LOGSQ = CostModel.log_squared(lo=0.0, hi=0.9)
+POWER1 = CostModel("power", 1.0)
+LOG = CostModel("logarithmic")
+LOGSQ = CostModel("log_squared")
 
 
 class TestEval:
@@ -37,11 +36,11 @@ class TestEval:
 
     def test_rejects_out_of_domain(self):
         with pytest.raises(CostModelError):
-            h_eval(LOG, 0.95)
-        with pytest.raises(CostModelError):
             h_eval(POWER1, -1.0)
         with pytest.raises(CostModelError):
             h_eval(POWER1, 0.0)
+        with pytest.raises(CostModelError):
+            h_eval(LOG, math.inf)
 
 
 class TestDerivative:
@@ -59,46 +58,6 @@ class TestDerivative:
         for model in (POWER1, LOG, LOGSQ):
             for d in (1e-6, 1e-3, 0.3, 0.85):
                 assert h_derivative(model, d) < 0.0
-
-
-class TestDerivativeInverse:
-    def test_power(self):
-        assert h_derivative_inverse(POWER1, -4.0) == pytest.approx(0.5)
-
-    def test_log(self):
-        assert h_derivative_inverse(LOG, -100.0) == pytest.approx(0.01)
-
-    def test_logsq_round_trip(self):
-        slope = h_derivative(LOGSQ, math.exp(-1.0))
-        assert h_derivative_inverse(LOGSQ, slope) == pytest.approx(
-            math.exp(-1.0), rel=1e-10)
-
-    def test_rejects_nonnegative_slope(self):
-        with pytest.raises(CostModelError):
-            h_derivative_inverse(POWER1, 0.0)
-        with pytest.raises(CostModelError):
-            h_derivative_inverse(LOG, 1.0)
-
-    def test_rejects_slope_outside_image(self):
-        # h'(0.9) is the largest (least negative) slope on LOG's domain
-        with pytest.raises(CostModelError):
-            h_derivative_inverse(LOG, -1e-9)
-
-
-class TestInverse:
-    def test_power(self):
-        assert h_inverse(POWER1, 100.0) == pytest.approx(0.01)
-
-    def test_log(self):
-        assert h_inverse(LOG, math.log(1e4)) == pytest.approx(1e-4)
-
-    def test_power_half(self):
-        model = CostModel.power(0.5)
-        assert h_inverse(model, 10.0) == pytest.approx(0.01)
-
-    def test_rejects_cost_outside_image(self):
-        with pytest.raises(CostModelError):
-            h_inverse(LOG, 0.01)  # would need delta > 0.9
 
 
 class TestLambertW:
@@ -132,43 +91,33 @@ class TestLambertW:
 
 class TestDomainValidation:
     def test_log_kind_requires_hi_below_one(self):
-        with pytest.raises(CostModelError):
-            CostModel(kind="logarithmic", lo=0.0, hi=2.0)
-        with pytest.raises(CostModelError):
-            CostModel(kind="log_squared", lo=0.0, hi=1.0)
+        # the box belongs to the problem, which alone rejects M*delta_ref >= 1
+        for model in (LOG, LOGSQ):
+            for M in (2.0, 1.0):
+                with pytest.raises(SolverError, match="M\\*delta_ref < 1"):
+                    ScheduleProblem(np.ones(2), np.ones(2), 0.5, 0.0, 2.0 * M,
+                                    model)
 
     def test_power_requires_positive_r(self):
         with pytest.raises(CostModelError):
-            CostModel.power(0.0)
+            CostModel("power", 0.0)
         with pytest.raises(CostModelError):
-            CostModel.power(-1.0)
+            CostModel("power", -1.0)
+        with pytest.raises(CostModelError):
+            CostModel("power", math.inf)
 
     def test_unknown_kind(self):
         with pytest.raises(CostModelError):
-            CostModel(kind="exp", lo=0.0, hi=1.0)
+            CostModel(kind="exp")
 
 
-@pytest.mark.parametrize("model", [
-    CostModel.power(0.5, hi=10.0), CostModel.power(1.0, hi=10.0),
-    CostModel.power(3.0, hi=10.0), LOG, LOGSQ,
-])
-def test_round_trips(model):
-    rng = np.random.default_rng(7)
-    hi = min(model.hi, 10.0)
-    deltas = np.exp(rng.uniform(math.log(1e-8), math.log(hi * 0.999), 1000))
-    h = h_eval(model, deltas)
-    np.testing.assert_allclose(h_inverse(model, h), deltas, rtol=1e-10)
-    hp = h_derivative(model, deltas)
-    np.testing.assert_allclose(h_derivative_inverse(model, hp), deltas, rtol=1e-10)
-
-
-@pytest.mark.parametrize("model", [CostModel.power(2.0, hi=10.0), LOG, LOGSQ])
+@pytest.mark.parametrize("model", [CostModel("power", 2.0), LOG, LOGSQ])
 @settings(max_examples=50, deadline=None)
 @given(st.floats(min_value=1e-6, max_value=0.89),
        st.floats(min_value=1.0001, max_value=1.5))
 def test_monotonicity(model, d1, factor):
     d2 = d1 * factor
-    if d2 >= min(model.hi, 10.0):
+    if d2 >= (10.0 if model.kind == "power" else 0.9):
         return
     assert h_eval(model, d1) > h_eval(model, d2)
     assert h_derivative(model, d1) < h_derivative(model, d2) < 0.0

@@ -147,7 +147,7 @@ class TestFgmRun:
                                  constant_schedule(0.0), 0, x0)
         np.testing.assert_array_equal(x, x0)
         assert traj == []
-        assert len(certs) == 0
+        assert certs.L.size == 0
 
     def test_rejects_infeasible_start(self):
         cfg = FgmConfig(mode="fixed_step", L_init=1.0)

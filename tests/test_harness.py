@@ -189,8 +189,8 @@ class TestMatchBudget:
 
     @pytest.mark.parametrize("kind", ["logarithmic", "log_squared"])
     def test_log_domain_rejects_upper_bound_one(self, kind):
-        # M*dref == 1 exactly: the cost model caps hi just below 1, and the
-        # problem must not accept that silently narrowed domain
+        # M*dref == 1 exactly: h' of log-squared vanishes and both log costs
+        # reach 0 at the upper bound, so the problem must reject it
         a = np.ones(5)
         assert 100.0 * 1e-2 == 1.0
         with pytest.raises(SolverError, match="M\\*delta_ref < 1"):

@@ -1,6 +1,7 @@
 """Static guards: every name a package module imports is used in it, every
-module-level ``_private`` name is referenced somewhere in the package, and
-every dataclass field the package declares is read somewhere in the repo.
+module-level ``_private`` name is referenced somewhere in the package, every
+dataclass field the package declares is read somewhere in the repo, and every
+name ``__init__`` re-exports is reached from the package or the benchmark.
 
 No lint tool is part of the toolchain, so these tests walk each module's
 syntax tree with the standard-library ``ast`` module. The import guard skips
@@ -33,6 +34,20 @@ def unused_imports(source: str) -> list[str]:
                   if name not in used)
 
 
+def referenced_names(tree: ast.AST) -> set[str]:
+    """Names loaded, accessed as an attribute or imported in ``tree``; a
+    ``def``, ``class`` or assignment alone is not a reference."""
+    referenced = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            referenced.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            referenced.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            referenced.update(alias.name for alias in node.names)
+    return referenced
+
+
 def orphaned_private_names(sources: dict[str, str]) -> list[str]:
     """Module-level ``_private`` functions, classes and constants that no
     module in ``sources`` (module name -> source) references by name."""
@@ -51,15 +66,22 @@ def orphaned_private_names(sources: dict[str, str]) -> list[str]:
                 names = []
             defined += [(module, name, node.lineno) for name in names
                         if name.startswith("_") and not name.startswith("__")]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                referenced.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                referenced.update(alias.name for alias in node.names)
+        referenced |= referenced_names(tree)
     return sorted(f"{module}.{name} (line {line})"
                   for module, name, line in defined if name not in referenced)
+
+
+def unreached_exports(init_source: str, sources: list[str]) -> list[str]:
+    """Names ``init_source`` re-exports that no source in ``sources``
+    references (see ``referenced_names``)."""
+    exported = {alias.asname or alias.name: alias.lineno
+                for node in ast.parse(init_source).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    referenced = set()
+    for source in sources:
+        referenced |= referenced_names(ast.parse(source))
+    return sorted(f"{name} (line {line})" for name, line in exported.items()
+                  if name not in referenced)
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -145,3 +167,19 @@ def test_detects_an_unread_dataclass_field():
     readers = ["def f(p, q):\n    q.z = 1\n    return p.x\n"]
     assert unread_dataclass_fields(defining, readers) == ["a.P.y (line 6)",
                                                           "a.Q.z (line 9)"]
+
+
+def test_every_export_is_reached():
+    sources = [p.read_text() for p in MODULES]
+    sources += [p.read_text() for p in (ROOT / "bench").rglob("*.py")]
+    assert unreached_exports((PACKAGE / "__init__.py").read_text(), sources) == []
+
+
+def test_detects_an_unreached_export():
+    init = ("from .a import called, orphan, imported\n"
+            "from .b import (\n    Attr,\n    Defined,\n)\n__version__ = '1'\n")
+    sources = ["def called():\n    return 1\ndef orphan():\n    return called()\n",
+               "class Defined:\n    pass\nimport b\nb.Attr\n",
+               "from a import imported\n"]
+    assert unreached_exports(init, sources) == ["Defined (line 4)",
+                                                "orphan (line 1)"]

@@ -383,11 +383,16 @@ class TestHullOracle:
                    for x in xs)
         assert warm < cold
 
-    def test_exhaustion_raises(self):
+    def test_exhaustion_raises(self, monkeypatch):
+        capped = problems.fista_inner
+
+        def two_steps(*args, **kwargs):
+            return capped(*args, **{**kwargs, "max_inner": 2})
+        monkeypatch.setattr(problems, "fista_inner", two_steps)
         data = generate_scenarios(12, 24, 0.5, seed=11, sigma=1e-2)
         x = np.full(24, 1.0 / 24.0)
         with pytest.raises(InnerSolverExhausted):
-            hull_oracle(data, x, 1e-10, InnerState(), max_inner=2)
+            hull_oracle(data, x, 1e-10, InnerState())
 
     def test_rejects_nonpositive_delta(self):
         data = generate_scenarios(2, 2, 1.0, seed=0)
@@ -429,10 +434,18 @@ class TestEstimateFstar:
 
     def test_tight_on_small_problem(self):
         data = generate_scenarios(3, 2, 1.0, seed=14, sigma=0.5, mu=0.5)
-        ts = np.linspace(0.0, 1.0, 2001)
-        values = [hull_value(data, np.array([t, 1.0 - t]), precision=1e-12)
-                  for t in ts]
-        best = int(np.argmin(values))
+        ts = np.linspace(0.0, 1.0, 2001)  # spacing 5e-4
+
+        def value(j):
+            return hull_value(data, np.array([ts[j], 1.0 - ts[j]]), precision=1e-12)
+        # The hull objective is convex along the segment, so the minimum over
+        # the fine grid lies between the neighbours of the best point of its
+        # every-20th subgrid.
+        coarse = range(0, ts.size, 20)
+        c = min(coarse, key=value)
+        fine = range(max(c - 20, 0), min(c + 20, ts.size - 1) + 1)
+        values = {j: value(j) for j in fine}
+        best = min(values, key=values.get)
         x_hat = np.array([ts[best], 1.0 - ts[best]])
         fstar = estimate_fstar(data, x_hat)
         assert fstar <= values[best] + 1e-12

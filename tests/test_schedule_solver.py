@@ -21,15 +21,12 @@ from tunable_oracle.schedule_solver import (
     brute_force_oracle,
     closed_form_interior_accuracy,
     closed_form_interior_work,
-    descending_rank,
     export_coefficients,
     export_schedule,
     import_coefficients,
     import_schedule,
     online_extend_accuracy,
-    online_extend_work,
     reference_budget,
-    schedule_objective,
     solve_accuracy,
     solve_work,
 )
@@ -62,14 +59,12 @@ def assert_kkt(p, s, cert):
     assert np.all(np.abs(resid) <= 1e-8 * p.a[in_T])
     plus = cert.rho < cert.n_plus
     if np.any(plus):
-        hp_plus = h_derivative(p.cost_model,
-                               np.minimum(s.values[plus], p.cost_model.hi * (1 - 1e-9)))
+        hp_plus = h_derivative(p.cost_model, s.values[plus])
         station = p.a[plus] + lam_tilde * p.b[plus] * hp_plus
         assert np.all(station <= 1e-7 * p.a[plus])
     minus = cert.rho >= p.size - cert.n_minus
     if np.any(minus):
-        hp_minus = h_derivative(p.cost_model,
-                                np.maximum(s.values[minus], p.cost_model.lo * (1 + 1e-9)))
+        hp_minus = h_derivative(p.cost_model, s.values[minus])
         station = p.a[minus] + lam_tilde * p.b[minus] * hp_minus
         assert np.all(station >= -1e-7 * p.a[minus])
 
@@ -83,21 +78,27 @@ def assert_budget_and_box(p, s, cert):
     assert np.all(s.values <= p.M * p.delta_ref)
 
 
+def solved_rank(nu):
+    """KktCertificate.rho of a solve whose comparison vector b/a is nu."""
+    p = accuracy_problem(np.ones(len(nu)), nu, 1e-2, 0.5, 2.0, POWER, 1.0)
+    return solve_accuracy(p)[1].rho
+
+
 class TestDescendingRank:
     def test_simple(self):
-        np.testing.assert_array_equal(descending_rank([3, 1, 2]), [0, 2, 1])
+        np.testing.assert_array_equal(solved_rank([3, 1, 2]), [0, 2, 1])
 
     def test_tie_by_index(self):
-        np.testing.assert_array_equal(descending_rank([5, 5, 1]), [0, 1, 2])
+        np.testing.assert_array_equal(solved_rank([5, 5, 1]), [0, 1, 2])
 
     def test_reverse(self):
-        np.testing.assert_array_equal(descending_rank([1, 2, 3, 4]), [3, 2, 1, 0])
+        np.testing.assert_array_equal(solved_rank([1, 2, 3, 4]), [3, 2, 1, 0])
 
     def test_is_permutation(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
-            nu = rng.normal(size=rng.integers(1, 50))
-            rho = descending_rank(nu)
+            nu = np.exp(rng.normal(size=rng.integers(1, 50)))
+            rho = solved_rank(nu)
             assert sorted(rho) == list(range(nu.size))
 
 
@@ -368,7 +369,7 @@ class TestBruteForceWitness:
                 s, _ = solve_accuracy(p)
                 _, obj = brute_force_oracle(p, grid_points=grid)
                 slack = brute_force_error_bound(p, grid)
-                assert abs(schedule_objective(p.a, s) - obj) <= slack * (1 + 1e-9)
+                assert abs(p.a @ s.values - obj) <= slack * (1 + 1e-9)
 
 
 class TestTiesAndDegenerate:
@@ -455,20 +456,6 @@ class TestOnlineRules:
                                      (8e-4, 1.0))
         assert out == pytest.approx(8e-4)
 
-    def test_work_identity(self):
-        assert online_extend_work((2.0, 1.0, 10.0), (2.0, 1.0), 1.0,
-                                  (0.0, 100.0)) == pytest.approx(10.0)
-
-    def test_work_scaling(self):
-        out = online_extend_work((1.0, 1.0, 10.0), (4.0, 1.0), 1.0,
-                                 (0.0, 100.0))
-        assert out == pytest.approx(20.0)
-
-    def test_work_clipping(self):
-        out = online_extend_work((1.0, 1.0, 10.0), (4.0, 1.0), 1.0,
-                                 (0.0, 15.0))
-        assert out == pytest.approx(15.0)
-
     def test_online_offline_consistency(self):
         # constant coefficients: the online rule reproduces the constant
         # offline schedule exactly
@@ -486,9 +473,8 @@ class TestBruteForce:
         p = accuracy_problem(np.ones(2), np.ones(2), 0.01, 0.5, 2.0, POWER, 1.0)
         s, obj = brute_force_oracle(p, grid_points=201)
         solver_s, _ = solve_accuracy(p)
-        assert obj <= schedule_objective(p.a, solver_s) + 1e-15
-        assert obj >= schedule_objective(p.a, solver_s) - \
-            brute_force_error_bound(p, 201)
+        assert obj <= p.a @ solver_s.values + 1e-15
+        assert obj >= p.a @ solver_s.values - brute_force_error_bound(p, 201)
         np.testing.assert_allclose(s.values, 0.01, atol=5e-4)
 
     def test_four_term_objective(self):
@@ -497,7 +483,7 @@ class TestBruteForce:
         p = accuracy_problem([1, 2, 3, 4], np.ones(4), 0.01, 0.5, 2.0,
                              POWER, 1.0)
         solver_s, _ = solve_accuracy(p)
-        target = schedule_objective(p.a, solver_s)
+        target = p.a @ solver_s.values
         assert target == pytest.approx(0.0944414, rel=1e-5)
         _, obj = brute_force_oracle(p, grid_points=40)
         assert abs(obj - target) <= brute_force_error_bound(p, 40) + 1e-12
@@ -508,30 +494,12 @@ class TestBruteForce:
         solver_s, _ = solve_accuracy(p)
         _, obj = brute_force_oracle(p, grid_points=400)
         bound = brute_force_error_bound(p, 400)
-        assert schedule_objective(p.a, solver_s) <= obj + bound
+        assert p.a @ solver_s.values <= obj + bound
 
     def test_rejects_large_n(self):
         p = accuracy_problem(np.ones(5), np.ones(5), 0.01, 0.5, 2.0, POWER, 1.0)
         with pytest.raises(SolverError):
             brute_force_oracle(p)
-
-
-class TestScheduleObjective:
-    def test_simple(self):
-        assert schedule_objective([1.0, 1.0],
-                                  Schedule([0.5, 0.5], "accuracy")) == 1.0
-
-    def test_toy_plus_contribution(self):
-        a = np.arange(1, 11, dtype=float)
-        assert schedule_objective(a, Schedule(np.full(10, 2e-4), "accuracy")) \
-            == pytest.approx(0.011)
-
-    def test_single(self):
-        assert schedule_objective([2.0], Schedule([3.0], "accuracy")) == 6.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(SolverError):
-            schedule_objective([1.0], Schedule([1.0, 2.0], "accuracy"))
 
 
 class TestCsvRoundTrip:
