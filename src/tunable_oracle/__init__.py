@@ -37,7 +37,6 @@ from .problems import (
     InnerState,
     OracleReply,
     ScenarioData,
-    estimate_fstar,
     fista_inner,
     generate_scenarios,
     hull_oracle,
@@ -51,6 +50,7 @@ from .harness import (
     baseline_schedule,
     default_config,
     emit_outputs,
+    estimate_fstar,
     load_config,
     run_experiment,
     toy_instance,

@@ -33,7 +33,6 @@ from .problems import (
     InnerState,
     OracleError,
     ScenarioData,
-    estimate_fstar,
     generate_scenarios,
     hull_oracle,
     hull_value,
@@ -56,6 +55,10 @@ class HarnessError(RuntimeError):
 
 
 ALL_SCHEDULES = ("tunable", "constant", "poly3", "linear", "online_tunable")
+DATA_SEED = 1234           # seed of the scenario matrix
+SAMPLE_PRECISION = 1e-8    # inner precision of the sampled objective values
+FSTAR_PRECISION = 1e-10    # inner precision of terminal values and f*
+ORACLE_FLOOR = 1e-12       # smallest certifiable inner target
 
 
 @dataclass(frozen=True)
@@ -65,7 +68,6 @@ class ExperimentConfig:
     n: int
     p: float
     sigma: float = 1e-3
-    upsilon: float = 1.0
     mu: float = 0.0
     alpha: float = 0.0          # gradient-noise scale, experiment 1 only
     r: float = -1.0             # cost exponent; negative = pick via kappa_hat
@@ -76,12 +78,8 @@ class ExperimentConfig:
     N_r: int = 0                # online bootstrap length, experiment 3 only
     seeds: tuple = (0, 1, 2)
     schedules: tuple = ("tunable", "constant")
-    data_seed: int = 1234
     sample_every: int = 10
-    sample_precision: float = 1e-8
-    fstar_precision: float = 1e-10
     ref_iterations: int = 0     # 0 = 4 * max(N)
-    oracle_floor: float = 1e-12  # smallest certifiable inner target
 
     def __post_init__(self):
         if self.experiment not in (1, 2, 3):
@@ -100,6 +98,10 @@ class ExperimentConfig:
             raise HarnessError("N_r is admissible for experiment 3 only")
         if not self.delta_ref or any(v <= 0.0 for v in self.delta_ref):
             raise HarnessError("delta_ref values must be > 0")
+        if self.experiment != 1 and min(self.delta_ref) <= ORACLE_FLOOR:
+            # the solved box starts at the floor, which needs m = floor/dref < 1
+            raise HarnessError(f"delta_ref values must exceed the oracle floor "
+                               f"{ORACLE_FLOOR:g} in experiments 2 and 3")
         if not self.N or any(v < 1 for v in self.N):
             raise HarnessError("N values must be >= 1")
         if not (0.0 <= self.m < 1.0 < self.M):
@@ -115,17 +117,16 @@ class ExperimentConfig:
                 raise HarnessError("experiment 3 uses online_tunable, not tunable")
             if name == "linear" and self.mu == 0.0:
                 raise HarnessError("the linear baseline degenerates when mu = 0")
-        if self.sample_every < 1 or self.sample_precision <= 0.0:
-            raise HarnessError("invalid sampling settings")
-        if self.oracle_floor <= 0.0 or self.fstar_precision <= 0.0:
-            raise HarnessError("precisions must be > 0")
+        if self.sample_every < 1:
+            raise HarnessError("sample_every must be >= 1")
 
 
 def default_config(experiment: int) -> ExperimentConfig:
-    """Desk-scale defaults; every field can be overridden from a config file."""
+    """Desk-scale defaults; a config file can override every field but the
+    experiment id."""
     if experiment == 1:
         return ExperimentConfig(
-            experiment=1, d=30, n=100, p=10.0, upsilon=1.0, mu=0.0,
+            experiment=1, d=30, n=100, p=10.0, mu=0.0,
             alpha=100.0, r=1.0, delta_ref=(1e-3,), N=(500,),
             seeds=(0, 1, 2, 3, 4), schedules=("tunable", "constant"))
     if experiment == 2:
@@ -147,8 +148,7 @@ def default_config(experiment: int) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 _LIST_FIELDS = {"delta_ref": float, "N": int, "seeds": int, "schedules": str}
-_INT_FIELDS = {"experiment", "d", "n", "N_r", "data_seed", "sample_every",
-               "ref_iterations"}
+_INT_FIELDS = {"d", "n", "N_r", "sample_every", "ref_iterations"}
 
 
 def _parse_value(key: str, raw: str):
@@ -164,7 +164,8 @@ def _parse_value(key: str, raw: str):
 
 def parse_config_text(text: str) -> dict:
     """Parse ``key = value`` lines; blank lines and #-comments are skipped."""
-    known = {f.name for f in fields(ExperimentConfig)}
+    # the experiment id comes from the caller, not from the file
+    known = {f.name for f in fields(ExperimentConfig)} - {"experiment"}
     out = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -185,19 +186,13 @@ def parse_config_text(text: str) -> dict:
     return out
 
 
-def load_config(path: str, experiment: int | None = None,
+def load_config(path: str, experiment: int,
                 seeds: tuple | None = None) -> ExperimentConfig:
     with open(path) as fh:
         overrides = parse_config_text(fh.read())
-    exp = experiment if experiment is not None else overrides.get("experiment")
-    if exp is None:
-        raise HarnessError("experiment id missing from both CLI and config")
-    if "experiment" in overrides and overrides["experiment"] != exp:
-        raise HarnessError("config experiment id conflicts with the requested one")
-    overrides.pop("experiment", None)
     if seeds is not None:
         overrides["seeds"] = tuple(seeds)
-    return replace(default_config(exp), **overrides)
+    return replace(default_config(experiment), **overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +274,7 @@ def _resolve_r(config: ExperimentConfig, data: ScenarioData) -> float:
 
 def _fixed_L(config: ExperimentConfig, data: ScenarioData) -> float:
     if config.experiment == 1:
-        return config.upsilon * data.lam_max + config.mu
+        return data.lam_max + config.mu
     if config.experiment == 2:
         return 2.0 / config.sigma + config.mu
     return 1.0 / config.sigma + config.mu  # experiment 3 validity ceiling
@@ -287,19 +282,26 @@ def _fixed_L(config: ExperimentConfig, data: ScenarioData) -> float:
 
 def _seed_streams(config: ExperimentConfig, seed: int):
     """Per-seed RNG streams shared by every schedule family (paired runs)."""
-    root = np.random.SeedSequence([config.experiment, config.data_seed, seed])
+    root = np.random.SeedSequence([config.experiment, DATA_SEED, seed])
     x0_ss, noise_ss = root.spawn(2)
     return np.random.default_rng(x0_ss), np.random.default_rng(noise_ss)
 
 
-def _softmax_fstar(data: ScenarioData, x_hat: np.ndarray) -> float:
-    """Lower bound on the softmax optimum from the convex model at x_hat."""
-    f, g = softmax_value_grad(data, x_hat)
-    if data.mu > 0.0:
-        x_m = project_simplex(x_hat - g / data.mu)
+def _lower_model(f: float, g: np.ndarray, x_hat: np.ndarray, mu: float) -> float:
+    """Lower bound on the optimum over the simplex of a mu-strongly convex
+    objective with value f and gradient g at x_hat: the minimum of its
+    quadratic (mu > 0) or linear (mu = 0) lower model."""
+    if mu > 0.0:
+        x_m = project_simplex(x_hat - g / mu)
         diff = x_m - x_hat
-        return f + float(g @ diff) + 0.5 * data.mu * float(diff @ diff)
+        return f + float(g @ diff) + 0.5 * mu * float(diff @ diff)
     return f + float(np.min(g)) - float(g @ x_hat)
+
+
+def estimate_fstar(data: ScenarioData, x_hat: np.ndarray) -> float:
+    """Lower bound on the hull optimum from the lower model at x_hat."""
+    reply = hull_oracle(data, x_hat, FSTAR_PRECISION, InnerState())
+    return _lower_model(reply.value, reply.gradient, x_hat, data.mu)
 
 
 def _reference_fstar_exp1(config: ExperimentConfig, data: ScenarioData,
@@ -321,15 +323,22 @@ def _reference_fstar_exp1(config: ExperimentConfig, data: ScenarioData,
     x0 = np.full(config.d, 1.0 / config.d)
     x_hat, _, _ = fgm_run(FgmConfig(mode="fixed_step", L_init=L, mu=config.mu),
                           oracle, lambda k, A: 0.0, n_ref, x0)
-    return _softmax_fstar(data, x_hat)
+    f, g = softmax_value_grad(data, x_hat)
+    return _lower_model(f, g, x_hat, data.mu)
 
 
 def _tunable_values(config: ExperimentConfig, a: np.ndarray, delta_ref: float,
                     r: float) -> Schedule:
-    """The schedule at the modeled cost of constant δ̄ (budget-matched)."""
+    """The schedule at the modeled cost of constant δ̄ (budget-matched).
+
+    The FISTA oracle of experiments 2 and 3 cannot certify targets below
+    ORACLE_FLOOR, so there the solved box starts at the floor.
+    """
     kind = POWER if r > 0.0 else LOGARITHMIC
-    problem = accuracy_problem(a, np.ones_like(a), delta_ref,
-                               config.m, config.M, kind, r)
+    m = config.m
+    if config.experiment != 1:
+        m = max(m, ORACLE_FLOOR / delta_ref)
+    problem = accuracy_problem(a, np.ones_like(a), delta_ref, m, config.M, kind, r)
     return solve_accuracy(problem)[0]
 
 
@@ -342,7 +351,7 @@ def _schedule_values(config: ExperimentConfig, name: str, delta_ref: float,
         # The FISTA oracle cannot certify gaps near float resolution, and the
         # cost model is only defined up to M * delta_ref (log costs need
         # delta < 1); clip baseline requests into the modeled domain.
-        sched = Schedule(np.clip(sched.values, config.oracle_floor,
+        sched = Schedule(np.clip(sched.values, ORACLE_FLOOR,
                                  config.M * delta_ref), sched.kind)
     return sched
 
@@ -350,7 +359,7 @@ def _schedule_values(config: ExperimentConfig, name: str, delta_ref: float,
 def _online_schedule(config: ExperimentConfig, bootstrap: Schedule,
                      a_last: float, delta_ref: float, r: float):
     """Bootstrap values for k < N_r, then the online extension rule."""
-    lo = max(config.m * delta_ref, config.oracle_floor)
+    lo = max(config.m * delta_ref, ORACLE_FLOOR)
     hi = config.M * delta_ref
     d_last = float(bootstrap.values[-1])
 
@@ -376,7 +385,7 @@ def _run_one(config: ExperimentConfig, data: ScenarioData, name: str,
         state = InnerState()
 
         def oracle(x, delta):
-            return hull_oracle(data, x, max(delta, config.oracle_floor), state)
+            return hull_oracle(data, x, delta, state)
 
     samples: dict[int, float] = {}
 
@@ -385,8 +394,7 @@ def _run_one(config: ExperimentConfig, data: ScenarioData, name: str,
             if config.experiment == 1:
                 samples[k] = softmax_value_grad(data, x)[0]
             else:
-                samples[k] = hull_value(data, x, config.sample_precision,
-                                        state=state)
+                samples[k] = hull_value(data, x, SAMPLE_PRECISION, state=state)
 
     mode = "adaptive" if config.experiment == 3 else "fixed_step"
     x_final, traj, _ = fgm_run(FgmConfig(mode=mode, L_init=L, mu=config.mu),
@@ -404,9 +412,8 @@ def _run_one(config: ExperimentConfig, data: ScenarioData, name: str,
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    data = generate_scenarios(config.n, config.d, config.p, config.data_seed,
-                              sigma=config.sigma, upsilon=config.upsilon,
-                              mu=config.mu)
+    data = generate_scenarios(config.n, config.d, config.p, DATA_SEED,
+                              sigma=config.sigma, mu=config.mu)
     r = _resolve_r(config, data)
     solved = {"tunable", "online_tunable"}.intersection(config.schedules)
     if r <= 0.0 and solved and config.M * max(config.delta_ref) >= 1.0:
@@ -457,7 +464,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                         if config.experiment == 1:
                             value = softmax_value_grad(data, x_final)[0]
                         else:
-                            value = hull_value(data, x_final, config.fstar_precision)
+                            value = hull_value(data, x_final, FSTAR_PRECISION)
                     except (OracleError, FgmError, SolverError) as exc:
                         # a numerical failure must not stop the sweep; a
                         # programming error still raises
@@ -469,8 +476,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             # terminal primal gaps against a shared lower bound on F*
             if config.experiment != 1 and terminals:
                 best = min(terminals, key=lambda key: terminals[key][1])
-                fstar = estimate_fstar(data, terminals[best][0],
-                                       config.fstar_precision)
+                fstar = estimate_fstar(data, terminals[best][0])
 
             for name in config.schedules:
                 gaps, work = [], 0.0
@@ -495,12 +501,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 # output emission
 # ---------------------------------------------------------------------------
 
-TRAJECTORY_HEADER = ["experiment", "schedule", "seed", "k", "delta", "omega",
-                     "L", "A", "objective", "cum_work"]
-SUMMARY_HEADER = ["experiment", "schedule", "mu", "r", "N", "delta_ref",
-                  "median_gap", "mean_gap", "total_inner_work"]
-
-
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -509,32 +509,28 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _write_records(path: str, cls, rows):
+    """One CSV column per field of the record dataclass ``cls``, in order."""
+    names = [f.name for f in fields(cls)]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(names)
+        for row in rows:
+            writer.writerow([_fmt(getattr(row, name)) for name in names])
+
+
 def emit_outputs(result: ExperimentResult, out_dir: str) -> list[str]:
     """Write trajectory.csv, summary.csv and one schedule.csv per schedule."""
     os.makedirs(out_dir, exist_ok=True)
     written = []
 
     path = os.path.join(out_dir, "trajectory.csv")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRAJECTORY_HEADER)
-        for rec in result.records:
-            writer.writerow([rec.experiment, rec.schedule, rec.seed, rec.k,
-                             _fmt(rec.delta), _fmt(rec.omega), _fmt(rec.L),
-                             _fmt(rec.A), _fmt(rec.objective),
-                             _fmt(rec.cum_work)])
+    _write_records(path, RunRecord, result.records)
     written.append(path)
 
     path = os.path.join(out_dir, "summary.csv")
-    rows = sorted(result.summaries,
-                  key=lambda s: (s.N, s.delta_ref, s.schedule))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_HEADER)
-        for s in rows:
-            writer.writerow([s.experiment, s.schedule, _fmt(s.mu), _fmt(s.r),
-                             s.N, _fmt(s.delta_ref), _fmt(s.median_gap),
-                             _fmt(s.mean_gap), _fmt(s.total_inner_work)])
+    _write_records(path, SummaryRow, sorted(
+        result.summaries, key=lambda s: (s.N, s.delta_ref, s.schedule)))
     written.append(path)
 
     for label in sorted(result.schedules):

@@ -23,9 +23,6 @@ class InnerSolverExhausted(OracleError):
         super().__init__(
             f"inner solver exhausted: gap {achieved_gap:.3e} vs target {target:.3e} after {work} steps"
         )
-        self.achieved_gap = achieved_gap
-        self.target = target
-        self.work = work
 
 
 @dataclass
@@ -35,9 +32,7 @@ class ScenarioData:
     O: np.ndarray
     theta_bar: np.ndarray
     sigma: float
-    upsilon: float
     mu: float
-    p: float
     lam_max: float = field(init=False)
     lam_min: float = field(init=False)  # smallest eigenvalue of O O^T
 
@@ -49,8 +44,8 @@ class ScenarioData:
             raise OracleError("anchor dimension mismatch")
         if np.max(np.abs(self.O.mean(axis=0) - self.theta_bar)) > 1e-12 * max(1.0, np.abs(self.O).max()):
             raise OracleError("anchor must equal the scenario row mean")
-        if min(self.sigma, self.upsilon, self.p) <= 0.0 or self.mu < 0.0:
-            raise OracleError("need sigma, upsilon, p > 0 and mu >= 0")
+        if self.sigma <= 0.0 or self.mu < 0.0:
+            raise OracleError("need sigma > 0 and mu >= 0")
         gram = self.O @ self.O.T if n <= d else self.O.T @ self.O
         eigs = np.linalg.eigvalsh(gram)
         self.lam_max = float(eigs[-1])
@@ -66,15 +61,13 @@ class ScenarioData:
 
 
 def generate_scenarios(n: int, d: int, p: float, seed: int,
-                       sigma: float = 1e-3, upsilon: float = 1.0,
-                       mu: float = 0.0) -> ScenarioData:
+                       sigma: float = 1e-3, mu: float = 0.0) -> ScenarioData:
     """n Gaussian scenarios with per-coordinate variance 1/p, seeded."""
     if n < 1 or d < 1 or p <= 0.0:
         raise OracleError("need n, d >= 1 and p > 0")
     rng = np.random.default_rng(seed)
     O = rng.standard_normal((n, d)) / math.sqrt(p)
-    return ScenarioData(O=O, theta_bar=O.mean(axis=0), sigma=sigma,
-                        upsilon=upsilon, mu=mu, p=p)
+    return ScenarioData(O=O, theta_bar=O.mean(axis=0), sigma=sigma, mu=mu)
 
 
 def kappa_hat(data: ScenarioData) -> float:
@@ -101,13 +94,13 @@ class OracleReply:
 # ---------------------------------------------------------------------------
 
 def softmax_value_grad(data: ScenarioData, x: np.ndarray) -> tuple[float, np.ndarray]:
-    """Smoothed robust objective and its gradient, overflow safe."""
-    s = data.upsilon * (data.O @ x)
+    """Smoothed robust objective (smoothing parameter 1) and its gradient,
+    overflow safe."""
+    s = data.O @ x
     mx = float(s.max())
     e = np.exp(s - mx)
     denom = float(e.sum())
-    value = (mx + math.log(denom / data.n)) / data.upsilon \
-        + 0.5 * data.mu * float(x @ x)
+    value = mx + math.log(denom / data.n) + 0.5 * data.mu * float(x @ x)
     weights = e / denom
     grad = data.O.T @ weights + data.mu * x
     return value, grad
@@ -161,7 +154,6 @@ class InnerResult:
     w: np.ndarray
     value: float                # q(w; x) at the returned w
     gap: float
-    gap_history: list[float]
     work: int
     converged: bool
 
@@ -191,10 +183,8 @@ def fista_inner(data: ScenarioData, x: np.ndarray, delta_target: float,
     q_w, grad_w = inner_q_value_grad(data, w, x)
     upper = q_w + float(grad_w.max()) - float(grad_w @ w)
     gap = upper - q_w
-    gap_history = [gap]
     if gap <= delta_target:
-        return InnerResult(w=w, value=q_w, gap=gap, gap_history=gap_history,
-                           work=0, converged=True)
+        return InnerResult(w=w, value=q_w, gap=gap, work=0, converged=True)
 
     v = w_prev = w  # never written in place
     t = 1.0
@@ -214,12 +204,9 @@ def fista_inner(data: ScenarioData, x: np.ndarray, delta_target: float,
         q_w, grad_w = inner_q_value_grad(data, w, x)
         upper = min(upper, q_w + float(grad_w.max()) - float(grad_w @ w))
         gap = upper - q_w
-        gap_history.append(gap)
         if gap <= delta_target:
-            return InnerResult(w=w, value=q_w, gap=gap, gap_history=gap_history,
-                               work=it, converged=True)
-    return InnerResult(w=w, value=q_w, gap=gap, gap_history=gap_history,
-                       work=max_inner, converged=False)
+            return InnerResult(w=w, value=q_w, gap=gap, work=it, converged=True)
+    return InnerResult(w=w, value=q_w, gap=gap, work=max_inner, converged=False)
 
 
 def hull_oracle(data: ScenarioData, x: np.ndarray, delta: float,
@@ -249,14 +236,3 @@ def hull_value(data: ScenarioData, x: np.ndarray, precision: float = 1e-10,
         raise InnerSolverExhausted(result.gap, precision, result.work)
     return 0.5 * data.mu * float(x @ x) + result.value
 
-
-def estimate_fstar(data: ScenarioData, x_hat: np.ndarray,
-                   precision: float = 1e-10) -> float:
-    """Lower bound on the hull optimum from the strongly-convex model at x_hat."""
-    reply = hull_oracle(data, x_hat, precision, InnerState())
-    g = reply.gradient
-    if data.mu > 0.0:
-        x_m = project_simplex(x_hat - g / data.mu)
-        diff = x_m - x_hat
-        return reply.value + float(g @ diff) + 0.5 * data.mu * float(diff @ diff)
-    return reply.value + float(np.min(g)) - float(g @ x_hat)

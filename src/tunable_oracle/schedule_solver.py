@@ -135,10 +135,8 @@ class Schedule:
 class KktCertificate:
     n_plus: int
     n_minus: int
-    lambda_star: float
-    rho: np.ndarray
+    lambda_star: float      # NaN when every rank is pinned
     budget_residual: float  # |achieved - budget| / budget of the returned schedule
-    degenerate: bool = False
 
 
 def _descending_order(nu) -> np.ndarray:
@@ -147,12 +145,6 @@ def _descending_order(nu) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise SolverError("comparison vector must be finite")
     return np.argsort(-v, kind="stable")
-
-
-def _rank_of(order: np.ndarray) -> np.ndarray:
-    rho = np.empty(order.size, dtype=int)
-    rho[order] = np.arange(order.size)
-    return rho
 
 
 def reference_budget(p: ScheduleProblem) -> float:
@@ -226,13 +218,11 @@ def _saturation_counts(n: int, key, c_hi: float, c_lo: float,
     return n_plus, n_minus
 
 
-def _degenerate(n_plus: int, n_minus: int, order: np.ndarray,
-                gap: float) -> KktCertificate:
+def _degenerate(n_plus: int, n_minus: int, gap: float) -> KktCertificate:
     """Certificate of a partition pinning every rank, at relative budget gap."""
     if abs(gap) > 1e-10:
         raise SolverError("bound saturation exhausted all indices off-budget")
-    return KktCertificate(n_plus, n_minus, math.nan, _rank_of(order), abs(gap),
-                          degenerate=True)
+    return KktCertificate(n_plus, n_minus, math.nan, abs(gap))
 
 
 def _budget_residual(achieved: float, target: float) -> float:
@@ -371,7 +361,7 @@ def solve_accuracy(p: ScheduleProblem) -> tuple[Schedule, KktCertificate]:
     if n_minus:
         budget_T -= h_lo * np.sum(p.b[idx_minus])
     if idx_T.size == 0:
-        cert = _degenerate(n_plus, n_minus, order, budget_T / budget)
+        cert = _degenerate(n_plus, n_minus, budget_T / budget)
         return Schedule(values, "accuracy"), cert
 
     # below the loose breakpoint of the last loose rank and the tight
@@ -385,8 +375,7 @@ def solve_accuracy(p: ScheduleProblem) -> tuple[Schedule, KktCertificate]:
     values[idx_T] = np.clip(delta_T, lo, hi if finite_hi else None)
     del delta_T
     residual = _budget_residual(float(p.b @ h_eval(cm, values)), budget)
-    cert = KktCertificate(n_plus, n_minus, float(lambda_star), _rank_of(order),
-                          residual)
+    cert = KktCertificate(n_plus, n_minus, float(lambda_star), residual)
     return Schedule(values, "accuracy"), cert
 
 
@@ -415,7 +404,7 @@ def solve_work(p: WorkProblem) -> tuple[Schedule, KktCertificate]:
     values[idx_minus] = p.omega_m
     residual = p.omega_bar - n_plus * p.omega_M - n_minus * p.omega_m
     if idx_T.size == 0:
-        cert = _degenerate(n_plus, n_minus, order, residual / p.omega_bar)
+        cert = _degenerate(n_plus, n_minus, residual / p.omega_bar)
         return Schedule(values, "work"), cert
     if residual <= 0.0:
         raise SolverError("non-positive residual work budget")
@@ -428,8 +417,7 @@ def solve_work(p: WorkProblem) -> tuple[Schedule, KktCertificate]:
     values[idx_T] = np.clip(omega_T, p.omega_M, p.omega_m)
     del omega_T
     budget_residual = _budget_residual(float(np.sum(values)), p.omega_bar)
-    cert = KktCertificate(n_plus, n_minus, float(lam_hat), _rank_of(order),
-                          budget_residual)
+    cert = KktCertificate(n_plus, n_minus, float(lam_hat), budget_residual)
     return Schedule(values, "work"), cert
 
 

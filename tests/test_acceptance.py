@@ -23,6 +23,7 @@ from tunable_oracle.problems import InnerState, generate_scenarios, hull_oracle
 from tunable_oracle.schedule_solver import (
     WorkProblem,
     accuracy_problem,
+    brute_force_error_bound,
     brute_force_oracle,
     closed_form_interior_accuracy,
     closed_form_interior_work,
@@ -60,8 +61,8 @@ class TestCriterion1Toy:
         d = schedule.values
 
         ok = cert.n_plus == 10 and cert.n_minus == 0
-        plus = np.nonzero(cert.rho < cert.n_plus)[0]
-        ok &= np.array_equal(plus, np.arange(10))
+        order = np.argsort(-(p.b / p.a), kind="stable")  # descending nu
+        ok &= np.array_equal(np.sort(order[:cert.n_plus]), np.arange(10))
         ok &= bool(np.all(d[:10] == 2e-4))
 
         budget = reference_budget(p)
@@ -76,7 +77,6 @@ class TestCriterion1Toy:
 
         # Figure 1 shape: sorted by descending rank the schedule is
         # non-increasing, and the raw sequence jumps at the tier boundaries
-        order = np.argsort(cert.rho)
         ok &= bool(np.all(np.diff(d[order]) <= 1e-18))
         ok &= d[20] < d[19] and d[40] > d[39]
 
@@ -138,7 +138,8 @@ class TestCriterion3BruteForce:
             r = float(rng.choice([0.5, 1.0, 2.0]))
             p = _random_accuracy_problem(rng, kind, n, r)
             solved, _ = solve_accuracy(p)
-            brute, bound = brute_force_oracle(p, 200)
+            brute, _ = brute_force_oracle(p, 200)
+            bound = brute_force_error_bound(p, 200)
             so = float(p.a @ solved.values)
             bo = float(p.a @ brute.values)
             ok &= so <= bo + bound + 1e-12 * max(1.0, so)
@@ -155,11 +156,11 @@ class TestCriterion4Structure:
                 n = int(rng.integers(3, 40))
                 r = float(rng.choice([0.5, 1.0, 2.0]))
                 p = _random_accuracy_problem(rng, kind, n, r)
-                schedule, cert = solve_accuracy(p)
+                schedule, _ = solve_accuracy(p)
                 d = schedule.values
                 # rank monotonicity: higher nu = b/a never gets a smaller
                 # accuracy allowance
-                order = np.argsort(cert.rho)
+                order = np.argsort(-(p.b / p.a), kind="stable")
                 ok &= bool(np.all(np.diff(d[order]) <= 1e-12 * p.delta_ref))
                 # box feasibility
                 lo, hi = p.m * p.delta_ref, p.M * p.delta_ref

@@ -13,6 +13,8 @@ from tunable_oracle.certificates import (
 )
 from tunable_oracle.cli import main as cli_main
 from tunable_oracle.harness import (
+    FSTAR_PRECISION,
+    ORACLE_FLOOR,
     ExperimentConfig,
     HarnessError,
     baseline_schedule,
@@ -87,10 +89,11 @@ class TestConfigParsing:
         assert cfg.d == 12 and cfg.seeds == (7,)
         assert cfg.alpha == default_config(1).alpha
 
-    def test_load_config_experiment_conflict(self, tmp_path):
+    def test_load_config_rejects_experiment_key(self, tmp_path):
+        # the experiment id comes from the caller only
         path = tmp_path / "cfg.txt"
-        path.write_text("experiment = 2\n")
-        with pytest.raises(HarnessError, match="conflicts"):
+        path.write_text("experiment = 1\n")
+        with pytest.raises(HarnessError, match="unknown config key 'experiment'"):
             load_config(str(path), experiment=1)
 
     def test_load_config_seed_override(self, tmp_path):
@@ -149,6 +152,14 @@ class TestConfigValidation:
         monkeypatch.setattr(harness, "_run_one", no_run)
         with pytest.raises(HarnessError, match=r"M\*delta_ref < 1"):
             run_experiment(cfg)
+
+    def test_delta_ref_must_exceed_the_oracle_floor(self):
+        # experiments 2 and 3 solve their box from the floor up, m = floor/dref
+        for cfg in (TINY_EXP2, TINY_EXP3):
+            with pytest.raises(HarnessError, match="oracle floor"):
+                replace(cfg, delta_ref=(1e-3, ORACLE_FLOOR))
+        # experiment 1 has no inner solver and no floor
+        assert replace(TINY_EXP1, delta_ref=(ORACLE_FLOOR,)).delta_ref == (ORACLE_FLOOR,)
 
     def test_bootstrap_solved_only_for_the_online_family(self):
         # M * delta_ref = 1 is outside the log cost's domain, but no family
@@ -235,6 +246,12 @@ class TestRunExperiment:
         sampled = [rec for rec in result.records if rec.objective is not None]
         assert all(rec.k % TINY_EXP1.sample_every == 0 for rec in sampled)
         assert len(sampled) == 2 * 2 * 2  # k = 0 and k = 10 per run
+        # cum_work is each run's running sum of the per-iteration work
+        totals = {}
+        for rec in result.records:
+            run = (rec.schedule, rec.seed)
+            totals[run] = totals.get(run, 0.0) + rec.omega
+            assert rec.cum_work == totals[run]
 
     def test_exp1_shared_streams_pair_runs(self):
         result = run_experiment(TINY_EXP1)
@@ -265,7 +282,7 @@ class TestRunExperiment:
         boot = solve_accuracy(accuracy_problem(
             a_boot, np.ones_like(a_boot), delta_ref, cfg.m, cfg.M,
             "logarithmic"))[0].values
-        box = (max(cfg.m * delta_ref, cfg.oracle_floor), cfg.M * delta_ref)
+        box = (max(cfg.m * delta_ref, ORACLE_FLOOR), cfg.M * delta_ref)
         assert [rec.k for rec in online] == list(range(cfg.N[0]))
         for rec in online[:cfg.N_r]:
             assert rec.delta == boot[rec.k]
@@ -274,6 +291,21 @@ class TestRunExperiment:
                 (float(a_boot[-1]), 1.0, float(boot[-1])), (rec.A, 1.0),
                 0.0, box)
         assert {s.schedule for s in result.summaries} == set(TINY_EXP3.schedules)
+
+    def test_solved_schedule_respects_the_oracle_floor(self):
+        # The experiment-3 bootstrap solve at N_r = 1e4 (log cost, m = 0): a
+        # box starting at 0 puts 977 values below the floor, down to 4.6e-20.
+        # The box starts at the floor, so the oracle can certify every
+        # solved value as requested.
+        cfg = replace(default_config(3), N_r=10_000)
+        (delta_ref,) = cfg.delta_ref
+        certs = fixed_step_certificates(cfg.N_r, 1.0 / cfg.sigma + cfg.mu, cfg.mu)
+        a, _ = impact_coefficients_fgm(certs)
+        values = harness._tunable_values(cfg, a, delta_ref, 0.0).values
+        assert values.min() >= ORACLE_FLOOR
+        assert np.count_nonzero(values == ORACLE_FLOOR) > 0
+        budget = -a.size * math.log(delta_ref)
+        assert abs(-np.sum(np.log(values)) - budget) <= 1e-10 * budget
 
     def test_seed_order_does_not_matter(self):
         base = run_experiment(TINY_EXP1)
@@ -287,7 +319,7 @@ class TestRunExperiment:
         sample_value = harness.hull_value
 
         def terminal_exhausts(data, x, precision=1e-10, state=None):
-            if precision == TINY_EXP2.fstar_precision:
+            if precision == FSTAR_PRECISION:
                 raise InnerSolverExhausted(1.0, precision, 1)
             return sample_value(data, x, precision, state=state)
         monkeypatch.setattr(harness, "hull_value", terminal_exhausts)

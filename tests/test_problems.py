@@ -5,6 +5,7 @@ import pytest
 
 from test_fgm import reference_project_simplex
 from tunable_oracle import problems
+from tunable_oracle.harness import estimate_fstar
 from tunable_oracle.problems import (
     InnerResult,
     InnerSolverExhausted,
@@ -12,7 +13,6 @@ from tunable_oracle.problems import (
     OracleError,
     OracleReply,
     ScenarioData,
-    estimate_fstar,
     fista_inner,
     generate_scenarios,
     hull_oracle,
@@ -24,10 +24,9 @@ from tunable_oracle.problems import (
 )
 
 
-def make_data(O, sigma=0.1, upsilon=1.0, mu=0.0, p=1.0):
+def make_data(O, sigma=0.1, mu=0.0):
     O = np.asarray(O, dtype=float)
-    return ScenarioData(O=O, theta_bar=O.mean(axis=0), sigma=sigma,
-                        upsilon=upsilon, mu=mu, p=p)
+    return ScenarioData(O=O, theta_bar=O.mean(axis=0), sigma=sigma, mu=mu)
 
 
 class TestGeneration:
@@ -48,8 +47,7 @@ class TestGeneration:
 
     def test_anchor_validated(self):
         with pytest.raises(OracleError):
-            ScenarioData(O=np.eye(2), theta_bar=np.zeros(2), sigma=1.0,
-                         upsilon=1.0, mu=0.0, p=1.0)
+            ScenarioData(O=np.eye(2), theta_bar=np.zeros(2), sigma=1.0, mu=0.0)
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(OracleError):
@@ -94,12 +92,12 @@ class TestSoftmax:
         np.testing.assert_allclose(grad, 0.0, atol=1e-14)
 
     def test_overflow_safe(self):
-        data = make_data([[1e4, 0.0], [0.0, -1e4]], upsilon=1.0)
+        data = make_data([[1e4, 0.0], [0.0, -1e4]])
         value, grad = softmax_value_grad(data, np.array([1.0, 0.0]))
         assert math.isfinite(value) and np.all(np.isfinite(grad))
 
     def test_finite_differences(self):
-        data = generate_scenarios(8, 5, 1.0, seed=1, upsilon=2.0, mu=0.4)
+        data = generate_scenarios(8, 5, 1.0, seed=1, mu=0.4)
         rng = np.random.default_rng(2)
         eps = 1e-6
         for _ in range(10):
@@ -232,14 +230,18 @@ class TestFistaInner:
         warm = fista_inner(data, x, 1e-6, warm_start=InnerState(w=tight.w))
         assert warm.work == 0 and warm.converged
 
-    def test_gap_history_certifies_every_step(self):
+    def test_gap_certifies_every_step(self):
+        # stopped after any number of steps, the returned gap bounds the
+        # distance of the returned value to the optimum
         data = generate_scenarios(8, 16, 1.0, seed=6, sigma=1e-2)
         x = np.full(16, 1.0 / 16.0)
-        result = fista_inner(data, x, 1e-10)
-        q_opt, _ = inner_q_value_grad(data, result.w, x)
-        # every recorded gap must be a genuine upper bound at termination
-        assert all(g >= -1e-12 for g in result.gap_history)
-        assert result.gap_history[-1] == result.gap
+        q_star = fista_inner(data, x, 1e-12).value
+        steps = fista_inner(data, x, 1e-10).work
+        assert steps >= 10
+        for max_inner in range(1, steps + 1):
+            result = fista_inner(data, x, 1e-10, max_inner=max_inner)
+            assert result.gap >= q_star - result.value - 1e-12
+        assert result.converged and result.gap <= 1e-10
 
     def test_rejects_nonpositive_target(self):
         data = generate_scenarios(2, 2, 1.0, seed=0)
@@ -281,10 +283,8 @@ def reference_fista_inner(data, x, delta_target, warm_start=None,
     q_w, grad_w = inner_q_value_grad(data, w, x)
     upper = q_w + float(np.max(grad_w)) - float(grad_w @ w)
     gap = upper - q_w
-    gap_history = [gap]
     if gap <= delta_target:
-        return InnerResult(w=w, value=q_w, gap=gap, gap_history=gap_history,
-                           work=0, converged=True)
+        return InnerResult(w=w, value=q_w, gap=gap, work=0, converged=True)
 
     v = w.copy()
     w_prev = w.copy()
@@ -305,12 +305,9 @@ def reference_fista_inner(data, x, delta_target, warm_start=None,
         q_w, grad_w = inner_q_value_grad(data, w, x)
         upper = min(upper, q_w + float(np.max(grad_w)) - float(grad_w @ w))
         gap = upper - q_w
-        gap_history.append(gap)
         if gap <= delta_target:
-            return InnerResult(w=w, value=q_w, gap=gap, gap_history=gap_history,
-                               work=it, converged=True)
-    return InnerResult(w=w, value=q_w, gap=gap, gap_history=gap_history,
-                       work=max_inner, converged=False)
+            return InnerResult(w=w, value=q_w, gap=gap, work=it, converged=True)
+    return InnerResult(w=w, value=q_w, gap=gap, work=max_inner, converged=False)
 
 
 class TestFistaInnerBitIdentity:
@@ -320,7 +317,7 @@ class TestFistaInnerBitIdentity:
     def assert_identical(result, ref):
         assert result.work == ref.work
         assert result.converged == ref.converged
-        assert result.gap_history == ref.gap_history
+        assert result.gap == ref.gap
         assert result.value == ref.value
         assert result.w.tobytes() == ref.w.tobytes()
 
@@ -418,9 +415,9 @@ class TestHullValue:
         monkeypatch.setattr(problems, "fista_inner", one_step)
         data = generate_scenarios(12, 24, 0.5, seed=11, sigma=1e-2)
         x = np.full(24, 1.0 / 24.0)
-        with pytest.raises(InnerSolverExhausted) as info:
+        with pytest.raises(InnerSolverExhausted,
+                           match=r"vs target 1\.000e-12 after 1 steps"):
             hull_value(data, x, precision=1e-12)
-        assert info.value.work == 1 and info.value.target == 1e-12
 
 
 class TestEstimateFstar:

@@ -16,6 +16,7 @@ from tunable_oracle.schedule_solver import (
     Schedule,
     SolverError,
     WorkProblem,
+    _descending_order,
     accuracy_problem,
     brute_force_error_bound,
     brute_force_oracle,
@@ -50,20 +51,26 @@ def random_problem(rng, kind, n=None, r=None, allow_inf_M=True):
     return accuracy_problem(a, b, delta_ref, m, M, kind, r)
 
 
+def degenerate(p, cert) -> bool:
+    """Every rank pinned to a bound: no transient set, no multiplier."""
+    return cert.n_plus + cert.n_minus == p.size
+
+
 def assert_kkt(p, s, cert):
     """Stationarity on the transient set and multiplier signs on the pinned sets."""
     lam_tilde = -1.0 / cert.lambda_star
-    in_T = (cert.rho >= cert.n_plus) & (cert.rho < p.size - cert.n_minus)
+    order = np.argsort(-(p.b / p.a), kind="stable")
+    in_T = order[cert.n_plus:p.size - cert.n_minus]
     hp = h_derivative(p.cost_model, s.values[in_T])
     resid = p.a[in_T] + lam_tilde * p.b[in_T] * hp
     assert np.all(np.abs(resid) <= 1e-8 * p.a[in_T])
-    plus = cert.rho < cert.n_plus
-    if np.any(plus):
+    plus = order[:cert.n_plus]
+    if plus.size:
         hp_plus = h_derivative(p.cost_model, s.values[plus])
         station = p.a[plus] + lam_tilde * p.b[plus] * hp_plus
         assert np.all(station <= 1e-7 * p.a[plus])
-    minus = cert.rho >= p.size - cert.n_minus
-    if np.any(minus):
+    minus = order[p.size - cert.n_minus:]
+    if minus.size:
         hp_minus = h_derivative(p.cost_model, s.values[minus])
         station = p.a[minus] + lam_tilde * p.b[minus] * hp_minus
         assert np.all(station >= -1e-7 * p.a[minus])
@@ -78,28 +85,25 @@ def assert_budget_and_box(p, s, cert):
     assert np.all(s.values <= p.M * p.delta_ref)
 
 
-def solved_rank(nu):
-    """KktCertificate.rho of a solve whose comparison vector b/a is nu."""
-    p = accuracy_problem(np.ones(len(nu)), nu, 1e-2, 0.5, 2.0, POWER, 1.0)
-    return solve_accuracy(p)[1].rho
-
-
 class TestDescendingRank:
+    """The solvers' ranking: indices by descending nu, ties by lower index."""
+
     def test_simple(self):
-        np.testing.assert_array_equal(solved_rank([3, 1, 2]), [0, 2, 1])
+        np.testing.assert_array_equal(_descending_order([3, 1, 2]), [0, 2, 1])
 
     def test_tie_by_index(self):
-        np.testing.assert_array_equal(solved_rank([5, 5, 1]), [0, 1, 2])
+        np.testing.assert_array_equal(_descending_order([5, 5, 1]), [0, 1, 2])
 
     def test_reverse(self):
-        np.testing.assert_array_equal(solved_rank([1, 2, 3, 4]), [3, 2, 1, 0])
+        np.testing.assert_array_equal(_descending_order([1, 2, 3, 4]), [3, 2, 1, 0])
 
     def test_is_permutation(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             nu = np.exp(rng.normal(size=rng.integers(1, 50)))
-            rho = solved_rank(nu)
-            assert sorted(rho) == list(range(nu.size))
+            order = _descending_order(nu)
+            assert sorted(order) == list(range(nu.size))
+            assert np.all(np.diff(nu[order]) <= 0.0)
 
 
 class TestReferenceBudget:
@@ -206,7 +210,7 @@ class TestSolveAccuracy:
             for _ in range(40):
                 p = random_problem(rng, kind)
                 s, cert = solve_accuracy(p)
-                if cert.degenerate:
+                if degenerate(p, cert):
                     continue
                 assert_kkt(p, s, cert)
 
@@ -233,7 +237,7 @@ class TestSolveAccuracy:
                                   kind, p.cost_model.r if kind == POWER else 1.0)
             s2, cert2 = solve_accuracy(p2)
             np.testing.assert_allclose(s2.values, s.values, rtol=1e-12)
-            if not (cert.degenerate or cert2.degenerate):
+            if not (degenerate(p, cert) or degenerate(p2, cert2)):
                 # stationarity multiplier: a_k = lam_tilde * b_k * |h'|, so
                 # lam_tilde = -1/lambda_star scales by Ka/Kb
                 lam_tilde, lam_tilde2 = -1.0 / cert.lambda_star, -1.0 / cert2.lambda_star
@@ -403,7 +407,7 @@ class TestTiesAndDegenerate:
                 np.testing.assert_allclose(s.values, np.repeat(s3.values, 50),
                                            rtol=1e-10)
                 assert_budget_and_box(p, s, cert)
-                if not cert.degenerate:
+                if not degenerate(p, cert):
                     assert_kkt(p, s, cert)
         assert cert.n_plus and cert.n_minus  # the last case pins both bounds
 
@@ -412,7 +416,7 @@ class TestTiesAndDegenerate:
         # the loose bound and index 1 on the tight one, with no transient set
         p = accuracy_problem([1.0, 100.0], [2.0, 1.0], 1.0, 0.5, 2.0, POWER, 1.0)
         s, cert = solve_accuracy(p)
-        assert cert.degenerate and math.isnan(cert.lambda_star)
+        assert degenerate(p, cert) and math.isnan(cert.lambda_star)
         assert (cert.n_plus, cert.n_minus) == (1, 1)
         np.testing.assert_array_equal(s.values, [2.0, 0.5])
         assert cert.budget_residual == 0.0
@@ -420,7 +424,7 @@ class TestTiesAndDegenerate:
     def test_all_pinned_degenerate_work(self):
         p = WorkProblem(np.array([1.0, 4.0]), np.ones(2), 3.0, 1.0, 2.0, 1.0)
         s, cert = solve_work(p)
-        assert cert.degenerate
+        assert degenerate(p, cert) and math.isnan(cert.lambda_star)
         np.testing.assert_array_equal(s.values, [1.0, 2.0])
 
 
