@@ -22,13 +22,11 @@ from .schedule_solver import (
     solve_work,
 )
 from .certificates import (
-    CertificateSequence,
     fixed_step_certificates,
     impact_coefficients_fgm,
     next_certificate,
 )
 from .fgm import (
-    FgmConfig,
     fgm_run,
     line_search_validate,
     project_simplex,

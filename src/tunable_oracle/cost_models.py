@@ -82,35 +82,27 @@ def h_derivative(model: CostModel, delta):
     return out if out.ndim else float(out)
 
 
-_INV_E = math.exp(-1.0)
-
-
 def lambert_w0(x):
-    """Principal branch of the Lambert W function, w*exp(w) = x for x >= -1/e.
+    """Principal branch of the Lambert W function, w*exp(w) = x, for x >= 0.
 
     Halley iteration from a piecewise initial guess; relative residual
-    below 1e-12 on the whole branch. Accepts scalars and arrays. The
-    iteration runs in place on five work arrays the size of ``x``.
+    below 1e-12. Accepts scalars and arrays. The iteration runs in place on
+    five work arrays the size of ``x``.
     """
     xs = np.asarray(x, dtype=float)
-    if np.any(xs < -_INV_E - 1e-15) or not np.all(np.isfinite(xs)):
-        raise CostModelError("lambert_w0 requires finite x >= -1/e")
+    if np.any(xs < 0.0) or not np.all(np.isfinite(xs)):
+        raise CostModelError("lambert_w0 requires finite x >= 0")
     xv = np.atleast_1d(xs)
 
     w = np.empty_like(xv)
-    near_branch = xv < -0.25
     large = xv > math.e
-    mid = ~(near_branch | large)
-    # Series around the branch point x = -1/e.
-    p = np.sqrt(2.0 * np.clip(math.e * xv[near_branch] + 1.0, 0.0, None))
-    w[near_branch] = -1.0 + p - p * p / 3.0 + 11.0 * p**3 / 72.0
     # Asymptotic guess for large arguments.
     lx = np.log(xv[large])
     w[large] = lx - np.log(lx)
-    # Pade-free rational guess is plenty in the middle.
-    xm = xv[mid]
-    w[mid] = xm / (1.0 + xm * np.exp(-np.clip(xm, -1.0, 3.0)))
-    del p, lx, xm, near_branch, large, mid
+    # A rational guess is plenty on [0, e].
+    xm = xv[~large]
+    w[~large] = xm / (1.0 + xm * np.exp(-xm))
+    del lx, xm, large
 
     tol = np.abs(xv)
     np.maximum(tol, 1.0, out=tol)
@@ -123,17 +115,14 @@ def lambert_w0(x):
         np.abs(f, out=corr)
         if np.all(corr <= tol):
             break
-        # Halley step f / (ew*(w+1) - (w+2)*f / (2*(w+1))); at the branch
-        # point (w+1 = 0) the inner divisor is 2, a zero denominator gives no step.
+        # Halley step f / (ew*(w+1) - (w+2)*f / (2*(w+1))); w + 1 > 0 for x >= 0
         np.add(w, 1.0, out=wp1)
         np.add(w, 2.0, out=corr)
         corr *= f
-        np.divide(corr, wp1, out=corr, where=wp1 != 0.0)
+        corr /= wp1
         corr *= 0.5
         np.multiply(ew, wp1, out=wp1)
         wp1 -= corr                      # the denominator
-        corr.fill(0.0)
-        np.divide(f, wp1, out=corr, where=wp1 != 0.0)
+        np.divide(f, wp1, out=corr)
         w -= corr
-    np.maximum(w, -1.0, out=w)
     return w.reshape(xs.shape) if xs.ndim else float(w[0])

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .certificates import CertificateSequence, next_certificate
+from .certificates import next_certificate
 
 
 class FgmError(RuntimeError):
@@ -28,19 +28,6 @@ class FgmError(RuntimeError):
 # failed validation retries with L * _DECREASE
 _INCREASE = 1.5
 _DECREASE = 2.0
-
-
-@dataclass(frozen=True)
-class FgmConfig:
-    mode: str = "fixed_step"  # "fixed_step" | "adaptive"
-    L_init: float = 1.0       # adaptive mode: first estimate and ceiling
-    mu: float = 0.0
-
-    def __post_init__(self):
-        if self.mode not in ("fixed_step", "adaptive"):
-            raise FgmError(f"unknown mode {self.mode!r}")
-        if not 0.0 < self.L_init < math.inf or self.mu < 0.0:
-            raise FgmError("need a finite L_init > 0 and mu >= 0")
 
 
 @dataclass(frozen=True)
@@ -99,14 +86,16 @@ def line_search_validate(f_y: float, grad_y: np.ndarray, f_x_next: float,
     return f_x_next <= model + 2.0 * delta_k + 1e-12 * max(1.0, abs(f_y))
 
 
-def fgm_run(config: FgmConfig,
-            oracle: Callable[[np.ndarray, float], "object"],
+def fgm_run(oracle: Callable[[np.ndarray, float], "object"],
             schedule: Callable[[int, float], float],
             N: int,
             x0: np.ndarray,
+            L: float,
+            mu: float = 0.0,
+            adaptive: bool = False,
             r2_estimate: float = 0.0,
             observer: Callable[[int, np.ndarray], None] | None = None,
-            ) -> tuple[np.ndarray, list[IterationRecord], CertificateSequence]:
+            ) -> tuple[np.ndarray, list[IterationRecord]]:
     """Run N accelerated steps from the simplex point x0.
 
     ``oracle(point, delta_request)`` must return an object with attributes
@@ -115,30 +104,33 @@ def fgm_run(config: FgmConfig,
     candidate certificate lets online rules react to the accepted stepsizes.
     ``observer(k, x_new)``, when given, is called after each accepted step.
 
-    In adaptive mode ``config.L_init`` is also the ceiling: a failed
-    validation doubles the estimate up to it, and the ceiling is accepted
-    without a test, so each search stops after finitely many retries.
+    With ``adaptive`` off every step uses the inverse stepsize ``L``. With it
+    on, ``L`` is the first estimate and also the ceiling: a failed validation
+    doubles the estimate up to it, and the ceiling is accepted without a
+    test, so each search stops after finitely many retries.
     """
+    if not 0.0 < L < math.inf or mu < 0.0:
+        raise FgmError("need a finite L > 0 and mu >= 0")
     x = np.asarray(x0, dtype=float).copy()
     if abs(x.sum() - 1.0) > 1e-9 or np.any(x < -1e-12):
         raise FgmError("x0 must lie in the unit simplex")
     z = x.copy()
-    mu = config.mu
-    L_max = config.L_init
     A = 0.0
     weighted_delta = 0.0  # sum of A_{k+1} delta_k
     trajectory: list[IterationRecord] = []
-    L_next = L_max
+    L_next = L
 
     for k in range(N):
-        if config.mode == "adaptive":
-            L_try = min(max(L_next / _INCREASE, 1e-300), L_max)
+        if adaptive:
+            L_try = min(max(L_next / _INCREASE, 1e-300), L)
         else:
-            L_try = L_max
+            L_try = L
         omega_k = 0.0
         retries = 0
         while True:
             A_next = next_certificate(A, L_try, mu)
+            if not math.isfinite(A_next):
+                raise FgmError(f"certificate overflow at iteration {k}")
             alpha = (A_next - A) / A_next
             y = (1.0 - alpha) * x + alpha * z
             delta_k = float(schedule(k, A_next))
@@ -147,16 +139,16 @@ def fgm_run(config: FgmConfig,
             coef = (A_next - A) / (1.0 + mu * A_next)
             z_new = project_simplex(z - coef * (reply_y.gradient + mu * (z - y)))
             x_new = (1.0 - alpha) * x + alpha * z_new
-            if config.mode == "fixed_step":
+            if not adaptive:
                 break
             reply_x = oracle(x_new, delta_k)
             omega_k += reply_x.inner_work
             ok = line_search_validate(reply_y.value, reply_y.gradient,
                                       reply_x.value, x_new, y, L_try, delta_k)
-            if ok or L_try >= L_max:
+            if ok or L_try >= L:
                 break
             retries += 1
-            L_try = min(L_try * _DECREASE, L_max)
+            L_try = min(L_try * _DECREASE, L)
         if not np.isfinite(x_new).all():
             raise FgmError(f"non-finite iterate at iteration {k}")
         x, z, A = x_new, z_new, A_next
@@ -167,6 +159,4 @@ def fgm_run(config: FgmConfig,
         trajectory.append(IterationRecord(
             k=k, delta=delta_k, omega=omega_k, L=L_try, A=A,
             bound=(r2_estimate + 2.0 * weighted_delta) / A, retries=retries))
-    certs = CertificateSequence([0.0] + [rec.A for rec in trajectory],
-                                [rec.L for rec in trajectory], mu)
-    return x, trajectory, certs
+    return x, trajectory

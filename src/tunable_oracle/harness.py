@@ -28,7 +28,7 @@ from .certificates import (
     next_certificate,
 )
 from .cost_models import LOGARITHMIC, POWER
-from .fgm import FgmConfig, FgmError, fgm_run, project_simplex
+from .fgm import FgmError, fgm_run, project_simplex
 from .problems import (
     InnerState,
     OracleError,
@@ -96,6 +96,12 @@ class ExperimentConfig:
                 raise HarnessError("experiment 3 requires a bootstrap length N_r >= 1")
         elif self.N_r != 0:
             raise HarnessError("N_r is admissible for experiment 3 only")
+        if self.ref_iterations < 0 or (self.ref_iterations and self.experiment != 1):
+            raise HarnessError("ref_iterations must be >= 0, and 0 outside experiment 1")
+        for name in ("seeds", "N", "delta_ref", "schedules"):
+            # a repeated entry would repeat its runs and double-count them
+            if len(set(getattr(self, name))) != len(getattr(self, name)):
+                raise HarnessError(f"{name} lists an entry twice")
         if not self.delta_ref or any(v <= 0.0 for v in self.delta_ref):
             raise HarnessError("delta_ref values must be > 0")
         if self.experiment != 1 and min(self.delta_ref) <= ORACLE_FLOOR:
@@ -321,8 +327,7 @@ def _reference_fstar_exp1(config: ExperimentConfig, data: ScenarioData,
     n_ref = k
 
     x0 = np.full(config.d, 1.0 / config.d)
-    x_hat, _, _ = fgm_run(FgmConfig(mode="fixed_step", L_init=L, mu=config.mu),
-                          oracle, lambda k, A: 0.0, n_ref, x0)
+    x_hat, _ = fgm_run(oracle, lambda k, A: 0.0, n_ref, x0, L, config.mu)
     f, g = softmax_value_grad(data, x_hat)
     return _lower_model(f, g, x_hat, data.mu)
 
@@ -396,9 +401,8 @@ def _run_one(config: ExperimentConfig, data: ScenarioData, name: str,
             else:
                 samples[k] = hull_value(data, x, SAMPLE_PRECISION, state=state)
 
-    mode = "adaptive" if config.experiment == 3 else "fixed_step"
-    x_final, traj, _ = fgm_run(FgmConfig(mode=mode, L_init=L, mu=config.mu),
-                               oracle, schedule_cb, N, x0, observer=observer)
+    x_final, traj = fgm_run(oracle, schedule_cb, N, x0, L, config.mu,
+                            adaptive=config.experiment == 3, observer=observer)
 
     records = []
     cum_work = 0.0
@@ -438,10 +442,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         a_boot, _ = impact_coefficients_fgm(certs)
 
     for delta_ref in config.delta_ref:
+        # a failed schedule solve fails its family's runs, not the sweep
+        online_cb = online_error = None
         if "online_tunable" in config.schedules:
-            online_cb = _online_schedule(
-                config, _tunable_values(config, a_boot, delta_ref, r),
-                float(a_boot[-1]), delta_ref, r)
+            try:
+                online_cb = _online_schedule(
+                    config, _tunable_values(config, a_boot, delta_ref, r),
+                    float(a_boot[-1]), delta_ref, r)
+            except SolverError as exc:
+                online_error = str(exc)
         for N in sorted(config.N):
             a = None
             if config.experiment in (1, 2):
@@ -451,12 +460,21 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             # (name, seed) -> (terminal x, terminal objective value, total work)
             terminals: dict[tuple, tuple] = {}
             for name in config.schedules:
+                error = None
                 if name == "online_tunable":
-                    schedule_cb = online_cb
+                    schedule_cb, error = online_cb, online_error
                 else:
-                    sched = _schedule_values(config, name, delta_ref, N, L, a, r)
-                    schedules[f"{name}_N{N}_dref{delta_ref:g}"] = sched
-                    schedule_cb = lambda k, _A_next, values=sched.values: values[k]
+                    try:
+                        sched = _schedule_values(config, name, delta_ref, N, L, a, r)
+                    except SolverError as exc:
+                        error = str(exc)
+                    else:
+                        schedules[f"{name}_N{N}_dref{delta_ref:g}"] = sched
+                        schedule_cb = lambda k, _A_next, values=sched.values: values[k]
+                if error is not None:
+                    failures += [(name, seed, N, delta_ref, error)
+                                 for seed in sorted(config.seeds)]
+                    continue
                 for seed in sorted(config.seeds):
                     try:
                         rows, x_final, total = _run_one(

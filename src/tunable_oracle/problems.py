@@ -30,20 +30,16 @@ class ScenarioData:
     """Scenario matrix O (rows theta_i) plus the problem constants."""
 
     O: np.ndarray
-    theta_bar: np.ndarray
     sigma: float
     mu: float
+    theta_bar: np.ndarray = field(init=False)  # the anchor: row mean of O
     lam_max: float = field(init=False)
     lam_min: float = field(init=False)  # smallest eigenvalue of O O^T
 
     def __post_init__(self):
         self.O = np.asarray(self.O, dtype=float)
-        self.theta_bar = np.asarray(self.theta_bar, dtype=float)
+        self.theta_bar = self.O.mean(axis=0)
         n, d = self.O.shape
-        if self.theta_bar.shape != (d,):
-            raise OracleError("anchor dimension mismatch")
-        if np.max(np.abs(self.O.mean(axis=0) - self.theta_bar)) > 1e-12 * max(1.0, np.abs(self.O).max()):
-            raise OracleError("anchor must equal the scenario row mean")
         if self.sigma <= 0.0 or self.mu < 0.0:
             raise OracleError("need sigma > 0 and mu >= 0")
         gram = self.O @ self.O.T if n <= d else self.O.T @ self.O
@@ -67,7 +63,7 @@ def generate_scenarios(n: int, d: int, p: float, seed: int,
         raise OracleError("need n, d >= 1 and p > 0")
     rng = np.random.default_rng(seed)
     O = rng.standard_normal((n, d)) / math.sqrt(p)
-    return ScenarioData(O=O, theta_bar=O.mean(axis=0), sigma=sigma, mu=mu)
+    return ScenarioData(O=O, sigma=sigma, mu=mu)
 
 
 def kappa_hat(data: ScenarioData) -> float:

@@ -7,13 +7,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from test_certificates import recursion_residual
 
 from tunable_oracle.certificates import (
     fixed_step_certificates,
     impact_coefficients_fgm,
 )
 from tunable_oracle.cost_models import h_derivative, h_eval
-from tunable_oracle.fgm import FgmConfig, fgm_run
+from tunable_oracle.fgm import fgm_run
 from tunable_oracle.harness import (
     default_config,
     run_experiment,
@@ -177,10 +178,10 @@ class TestCriterion4Structure:
 
 class TestCriterion5Certificates:
     def test_certificate_growth(self):
-        certs = fixed_step_certificates(10_000, 1.0, 0.0)
+        A = fixed_step_certificates(10_000, 1.0, 0.0)
         k = np.arange(10_001, dtype=float)
-        ok = bool(np.all(certs.A >= k * k / 4.0))
-        ok &= float(np.max(certs.recursion_residual())) <= 1e-9
+        ok = bool(np.all(A >= k * k / 4.0))
+        ok &= float(np.max(recursion_residual(A, 1.0, 0.0))) <= 1e-9
         _report(5, "certificate growth", ok)
 
 
@@ -202,15 +203,14 @@ class TestCriterion6NoiseFreeBound:
         oracle = _quadratic_oracle([0.0, 0.0])
         x0 = np.array([1.0, 0.0])
         r2 = 0.5
-        cfg = FgmConfig(mode="fixed_step", L_init=1.0)
         gaps = {}
 
         def observer(k, x):
             gaps[k] = 0.5 * float(x @ x) - 0.25
 
-        _, _, certs = fgm_run(cfg, oracle, lambda k, A: 0.0, 100, x0,
-                              r2_estimate=r2, observer=observer)
-        ok = all(gaps[k] <= r2 / certs.A[k + 1] + 1e-12 for k in range(100))
+        _, traj = fgm_run(oracle, lambda k, A: 0.0, 100, x0, 1.0,
+                          r2_estimate=r2, observer=observer)
+        ok = all(gaps[k] <= r2 / traj[k].A + 1e-12 for k in range(100))
         _report(6, "noise-free FGM bound", bool(ok))
 
 
@@ -293,18 +293,15 @@ class TestCriterion10ErrorAccumulation:
         x0 = np.array([1.0, 0.0])
         N, mu, L = 400, 0.5, 2.0
 
-        cfg = FgmConfig(mode="fixed_step", L_init=L, mu=mu)
-        _, traj_const, _ = fgm_run(cfg, oracle, lambda k, A: delta_ref, N, x0,
-                                   r2_estimate=0.5)
+        _, traj_const = fgm_run(oracle, lambda k, A: delta_ref, N, x0, L, mu,
+                                r2_estimate=0.5)
         ok = all(rec.bound >= 2.0 * delta_ref for rec in traj_const)
 
-        certs = fixed_step_certificates(N, L, mu)
-        a, b = impact_coefficients_fgm(certs)
+        a, b = impact_coefficients_fgm(fixed_step_certificates(N, L, mu))
         p = accuracy_problem(a, b, delta_ref, 0.0, 100.0, "power", 1.0)
         tunable, _ = solve_accuracy(p)
-        _, traj_tun, _ = fgm_run(cfg, oracle,
-                                 lambda k, A: tunable.values[k], N, x0,
-                                 r2_estimate=0.5)
+        _, traj_tun = fgm_run(oracle, lambda k, A: tunable.values[k], N, x0,
+                              L, mu, r2_estimate=0.5)
         ok &= traj_tun[-1].bound < 2.0 * delta_ref
         _report(10, "error accumulation witness", bool(ok),
                 f"constant bound={traj_const[-1].bound:.3e} "

@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tunable_oracle.fgm import (
-    FgmConfig,
     FgmError,
     fgm_run,
     line_search_validate,
@@ -141,48 +140,43 @@ class TestLineSearchValidate:
 
 class TestFgmRun:
     def test_zero_iterations_returns_start(self):
-        cfg = FgmConfig(mode="fixed_step", L_init=1.0)
         x0 = np.array([0.25, 0.75])
-        x, traj, certs = fgm_run(cfg, quadratic_oracle([0.0, 0.0]),
-                                 constant_schedule(0.0), 0, x0)
+        x, traj = fgm_run(quadratic_oracle([0.0, 0.0]),
+                          constant_schedule(0.0), 0, x0, 1.0)
         np.testing.assert_array_equal(x, x0)
         assert traj == []
-        assert certs.L.size == 0
 
     def test_rejects_infeasible_start(self):
-        cfg = FgmConfig(mode="fixed_step", L_init=1.0)
         with pytest.raises(FgmError):
-            fgm_run(cfg, quadratic_oracle([0.0, 0.0]), constant_schedule(0.0),
-                    1, np.array([0.7, 0.7]))
+            fgm_run(quadratic_oracle([0.0, 0.0]), constant_schedule(0.0),
+                    1, np.array([0.7, 0.7]), 1.0)
 
     def test_noise_free_worst_case_bound(self):
         # F(x) = ||x||^2 / 2 on the simplex: minimizer (1/2, 1/2), F* = 1/4
         oracle = quadratic_oracle([0.0, 0.0])
         x0 = np.array([1.0, 0.0])
         r2 = 0.5  # ||x0 - x*||^2
-        cfg = FgmConfig(mode="fixed_step", L_init=1.0)
         for N in (1, 5, 20, 100):
-            x, traj, certs = fgm_run(cfg, oracle, constant_schedule(0.0), N,
-                                     x0, r2_estimate=r2)
+            x, traj = fgm_run(oracle, constant_schedule(0.0), N, x0, 1.0,
+                              r2_estimate=r2)
             gap = 0.5 * float(x @ x) - 0.25
-            assert -1e-12 <= gap <= r2 / certs.A[-1] + 1e-12
-            assert traj[-1].bound == pytest.approx(r2 / certs.A[-1])
+            assert -1e-12 <= gap <= r2 / traj[-1].A + 1e-12
+            assert traj[-1].bound == pytest.approx(r2 / traj[-1].A)
 
     def test_constant_delta_tracker_identity(self):
         delta = 1e-3
-        cfg = FgmConfig(mode="fixed_step", L_init=2.0)
-        _, traj, certs = fgm_run(cfg, quadratic_oracle([0.2, 0.2], scale=2.0),
-                                 constant_schedule(delta), 30,
-                                 np.array([0.5, 0.5]), r2_estimate=1.0)
-        expected = (1.0 + 2.0 * delta * certs.A[1:].sum()) / certs.A[-1]
+        _, traj = fgm_run(quadratic_oracle([0.2, 0.2], scale=2.0),
+                          constant_schedule(delta), 30, np.array([0.5, 0.5]),
+                          2.0, r2_estimate=1.0)
+        A = np.array([rec.A for rec in traj])
+        expected = (1.0 + 2.0 * delta * A.sum()) / A[-1]
         assert traj[-1].bound == pytest.approx(expected, rel=1e-12)
 
     def test_iterates_stay_on_simplex(self):
         seen = []
-        cfg = FgmConfig(mode="fixed_step", L_init=1.0, mu=0.5)
-        fgm_run(cfg, quadratic_oracle([2.0, -1.0, 0.0]),
+        fgm_run(quadratic_oracle([2.0, -1.0, 0.0]),
                 constant_schedule(1e-4), 50, np.array([1.0, 0.0, 0.0]),
-                observer=lambda k, x: seen.append(x.copy()))
+                1.0, mu=0.5, observer=lambda k, x: seen.append(x.copy()))
         assert len(seen) == 50
         for x in seen:
             assert abs(x.sum() - 1.0) <= 1e-12
@@ -191,60 +185,65 @@ class TestFgmRun:
     def test_error_accumulation_constant_floor(self):
         # a constant request keeps the bound pinned at >= 2 * delta
         delta = 1e-2
-        cfg = FgmConfig(mode="fixed_step", L_init=1.0)
-        _, traj, _ = fgm_run(cfg, quadratic_oracle([0.0, 0.0]),
-                             constant_schedule(delta), 200,
-                             np.array([1.0, 0.0]), r2_estimate=0.5)
+        _, traj = fgm_run(quadratic_oracle([0.0, 0.0]),
+                          constant_schedule(delta), 200, np.array([1.0, 0.0]),
+                          1.0, r2_estimate=0.5)
         assert traj[-1].bound >= 2.0 * delta
 
     def test_error_accumulation_decaying_vanishes(self):
-        cfg = FgmConfig(mode="fixed_step", L_init=1.0)
         schedule = lambda k, A_next: 1e-2 / (k + 1.0) ** 3
-        _, traj, _ = fgm_run(cfg, quadratic_oracle([0.0, 0.0]), schedule,
-                             10_000, np.array([1.0, 0.0]), r2_estimate=0.5)
+        _, traj = fgm_run(quadratic_oracle([0.0, 0.0]), schedule, 10_000,
+                          np.array([1.0, 0.0]), 1.0, r2_estimate=0.5)
         assert traj[-1].bound <= 1e-4
         assert traj[-1].bound < traj[99].bound
 
 
 class TestAdaptive:
     def test_settles_near_true_curvature(self):
-        cfg = FgmConfig(mode="adaptive", L_init=64.0, mu=0.0)
-        _, traj, certs = fgm_run(cfg, quadratic_oracle([0.0, 0.0], scale=3.0),
-                                 constant_schedule(0.0), 40,
-                                 np.array([1.0, 0.0]))
+        _, traj = fgm_run(quadratic_oracle([0.0, 0.0], scale=3.0),
+                          constant_schedule(0.0), 40, np.array([1.0, 0.0]),
+                          64.0, mu=0.0, adaptive=True)
         # shrink from 64 toward the true curvature 3, never far below it
         assert traj[-1].L <= 3.0 * 2.0
-        assert np.all(certs.L >= 3.0 / 1.5 / 2.0)
+        assert all(rec.L >= 3.0 / 1.5 / 2.0 for rec in traj)
 
     def test_cap_terminates_search(self):
         # curvature 10 but ceiling L_init = 2: validation fails, the ceiling
         # must accept
-        cfg = FgmConfig(mode="adaptive", L_init=2.0)
-        _, traj, _ = fgm_run(cfg, quadratic_oracle([0.0, 0.0], scale=10.0),
-                             constant_schedule(0.0), 10, np.array([1.0, 0.0]))
+        _, traj = fgm_run(quadratic_oracle([0.0, 0.0], scale=10.0),
+                          constant_schedule(0.0), 10, np.array([1.0, 0.0]),
+                          2.0, adaptive=True)
         assert all(rec.L == 2.0 for rec in traj)
 
     def test_adaptive_beats_pessimistic_fixed_step(self):
         oracle = quadratic_oracle([0.0, 0.0], scale=1.0)
         x0 = np.array([1.0, 0.0])
-        fixed = FgmConfig(mode="fixed_step", L_init=50.0)
-        adaptive = FgmConfig(mode="adaptive", L_init=50.0)
-        _, _, certs_f = fgm_run(fixed, oracle, constant_schedule(0.0), 30, x0)
-        _, _, certs_a = fgm_run(adaptive, oracle, constant_schedule(0.0), 30, x0)
-        assert certs_a.A[-1] > 5.0 * certs_f.A[-1]
+        _, traj_f = fgm_run(oracle, constant_schedule(0.0), 30, x0, 50.0)
+        _, traj_a = fgm_run(oracle, constant_schedule(0.0), 30, x0, 50.0,
+                            adaptive=True)
+        assert traj_a[-1].A > 5.0 * traj_f[-1].A
 
     def test_charges_both_oracle_calls(self):
-        cfg = FgmConfig(mode="adaptive", L_init=1.0)
-        _, traj, _ = fgm_run(cfg, quadratic_oracle([0.0, 0.0]),
-                             constant_schedule(0.0), 5, np.array([0.5, 0.5]))
+        _, traj = fgm_run(quadratic_oracle([0.0, 0.0]), constant_schedule(0.0),
+                          5, np.array([0.5, 0.5]), 1.0, adaptive=True)
         for rec in traj:
             assert rec.omega == pytest.approx(2.0 * (1 + rec.retries))
 
     def test_config_validation(self):
-        with pytest.raises(FgmError):
-            FgmConfig(mode="magic")
-        with pytest.raises(FgmError):
-            FgmConfig(L_init=0.0)
-        for L_init in (math.inf, math.nan):
-            with pytest.raises(FgmError):
-                FgmConfig(mode="adaptive", L_init=L_init)
+        run = lambda L, mu=0.0: fgm_run(
+            quadratic_oracle([0.0, 0.0]), constant_schedule(0.0), 1,
+            np.array([1.0, 0.0]), L, mu=mu, adaptive=True)
+        for L in (0.0, math.inf, math.nan):
+            with pytest.raises(FgmError, match="finite L"):
+                run(L)
+        with pytest.raises(FgmError, match="mu >= 0"):
+            run(1.0, mu=-0.1)
+
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_certificate_overflow_names_the_iteration(self, adaptive):
+        # at L = mu = 1 the certificates grow ~2.6-fold per step and overflow
+        # at k = 369 with a fixed step (earlier with the adaptive search);
+        # without the check it surfaced as a non-finite projection
+        with pytest.raises(FgmError, match=r"certificate overflow at iteration \d+"):
+            fgm_run(quadratic_oracle([0.0, 0.0]), constant_schedule(0.0), 3000,
+                    np.array([1.0, 0.0]), 1.0, mu=1.0, adaptive=adaptive)

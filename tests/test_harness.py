@@ -127,6 +127,24 @@ class TestConfigValidation:
             ExperimentConfig(experiment=1, d=4, n=4, p=1.0, alpha=1.0,
                              schedules=("mystery",))
 
+    def test_negative_ref_iterations_rejected(self):
+        # a negative count would close f* at x0 without a run
+        with pytest.raises(HarnessError, match="ref_iterations"):
+            replace(TINY_EXP1, ref_iterations=-1)
+
+    def test_ref_iterations_only_for_experiment_1(self):
+        for cfg in (TINY_EXP2, TINY_EXP3):
+            with pytest.raises(HarnessError, match="0 outside experiment 1"):
+                replace(cfg, ref_iterations=100)
+
+    @pytest.mark.parametrize("name, values", [
+        ("seeds", (0, 0)), ("N", (15, 15)), ("delta_ref", (1e-3, 1e-3)),
+        ("schedules", ("tunable", "constant", "tunable"))])
+    def test_duplicate_entries_rejected(self, name, values):
+        # a repeated entry repeats its runs and double-counts their work
+        with pytest.raises(HarnessError, match=f"{name} lists an entry twice"):
+            replace(TINY_EXP2, **{name: values})
+
     def test_bounds_ordering(self):
         with pytest.raises(HarnessError):
             ExperimentConfig(experiment=1, d=4, n=4, p=1.0, alpha=1.0,
@@ -335,6 +353,29 @@ class TestRunExperiment:
         result = run_experiment(TINY_EXP2)
         assert [f[0] for f in result.failures] == ["tunable", "constant"]
         assert all(f[-1] == "inner solver gave up" for f in result.failures)
+
+    @pytest.mark.parametrize("cfg, family", [(TINY_EXP2, "tunable"),
+                                             (TINY_EXP3, "online_tunable")])
+    def test_schedule_solve_failure_is_recorded(self, monkeypatch, cfg, family):
+        # experiment 2 solves per (delta_ref, N), experiment 3 bootstraps
+        # once per delta_ref; either failure fails that family's runs only
+        def failing(_problem):
+            raise SolverError("budget bracket not found")
+        monkeypatch.setattr(harness, "solve_accuracy", failing)
+        cfg = replace(cfg, N=(cfg.N[0], 2 * cfg.N[0]), seeds=(0, 1))
+        result = run_experiment(cfg)
+        assert sorted(f[:3] for f in result.failures) == sorted(
+            (family, seed, N) for N in cfg.N for seed in cfg.seeds)
+        assert all(f[-1] == "budget bracket not found" for f in result.failures)
+        others = set(cfg.schedules) - {family}
+        assert {rec.schedule for rec in result.records} == others
+        assert {(rec.schedule, rec.seed) for rec in result.records if rec.k == 0} == {
+            (name, seed) for name in others for seed in cfg.seeds}
+        by = {(row.schedule, row.N): row.median_gap for row in result.summaries}
+        for N in cfg.N:
+            assert math.isnan(by[(family, N)])
+            assert all(math.isfinite(by[(name, N)]) for name in others
+                       if name != "linear")
 
     def test_programming_error_in_oracle_propagates(self, monkeypatch):
         def broken(*_args):

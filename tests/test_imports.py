@@ -1,7 +1,8 @@
 """Static guards: every name a package module imports is used in it, every
 module-level ``_private`` name is referenced somewhere in the package, every
-dataclass field the package declares is read somewhere in the repo, and every
-name ``__init__`` re-exports is reached from the package or the benchmark.
+dataclass field the package declares is read somewhere in the repo, every
+name ``__init__`` re-exports is reached from the package or the benchmark,
+and every import site the benchmark's tracer wraps exists.
 
 No lint tool is part of the toolchain, so these tests walk each module's
 syntax tree with the standard-library ``ast`` module. The import guard skips
@@ -9,6 +10,7 @@ syntax tree with the standard-library ``ast`` module. The import guard skips
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -183,3 +185,36 @@ def test_detects_an_unreached_export():
                "from a import imported\n"]
     assert unreached_exports(init, sources) == ["Defined (line 4)",
                                                 "orphan (line 1)"]
+
+
+def tracer_sites(source: str) -> list[tuple[str, str]]:
+    """The ``(module, attribute)`` pairs of the ``SITES`` tuple assigned at
+    the top level of ``source``, read without importing it."""
+    for node in ast.parse(source).body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "SITES" for t in node.targets)):
+            return [tuple(site[:2]) for site in ast.literal_eval(node.value)]
+    raise AssertionError("no SITES assignment")
+
+
+def unresolved_sites(sites: list[tuple[str, str]]) -> list[str]:
+    """Sites whose attribute is not a callable of its package module."""
+    return [f"{module}.{attr}" for module, attr in sites
+            if not callable(getattr(importlib.import_module(
+                f"tunable_oracle.{module}"), attr, None))]
+
+
+def test_every_tracer_site_resolves():
+    # the tracer swaps a wrapper in at each site; a refactor that drops an
+    # import site would otherwise fail only a traced benchmark run
+    sites = tracer_sites((ROOT / "bench" / "tracer.py").read_text())
+    assert len(sites) >= 20
+    assert unresolved_sites(sites) == []
+
+
+def test_detects_an_unresolved_site():
+    source = ("X = 1\nSITES = (\n    ('harness', 'fgm_run', 'fgm.fgm_run'),\n"
+              "    ('harness', 'FgmConfig', 'fgm.FgmConfig'),\n"
+              "    ('harness', 'ALL_SCHEDULES', 'harness.ALL_SCHEDULES'),\n)\n")
+    assert unresolved_sites(tracer_sites(source)) == ["harness.FgmConfig",
+                                                      "harness.ALL_SCHEDULES"]

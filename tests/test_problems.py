@@ -26,7 +26,7 @@ from tunable_oracle.problems import (
 
 def make_data(O, sigma=0.1, mu=0.0):
     O = np.asarray(O, dtype=float)
-    return ScenarioData(O=O, theta_bar=O.mean(axis=0), sigma=sigma, mu=mu)
+    return ScenarioData(O=O, sigma=sigma, mu=mu)
 
 
 class TestGeneration:
@@ -44,10 +44,6 @@ class TestGeneration:
     def test_single_scenario_anchor(self):
         data = generate_scenarios(1, 4, 1.0, seed=3)
         np.testing.assert_array_equal(data.theta_bar, data.O[0])
-
-    def test_anchor_validated(self):
-        with pytest.raises(OracleError):
-            ScenarioData(O=np.eye(2), theta_bar=np.zeros(2), sigma=1.0, mu=0.0)
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(OracleError):
