@@ -107,7 +107,8 @@ def fgm_run(oracle: Callable[[np.ndarray, float], "object"],
     With ``adaptive`` off every step uses the inverse stepsize ``L``. With it
     on, ``L`` is the first estimate and also the ceiling: a failed validation
     doubles the estimate up to it, and the ceiling is accepted without a
-    test, so each search stops after finitely many retries.
+    test, so each search stops after finitely many retries. No estimate
+    below ``mu`` is tried.
     """
     if not 0.0 < L < math.inf or mu < 0.0:
         raise FgmError("need a finite L > 0 and mu >= 0")
@@ -122,7 +123,8 @@ def fgm_run(oracle: Callable[[np.ndarray, float], "object"],
 
     for k in range(N):
         if adaptive:
-            L_try = min(max(L_next / _INCREASE, 1e-300), L)
+            # a mu-strongly convex objective has curvature >= mu
+            L_try = min(max(L_next / _INCREASE, mu, 1e-300), L)
         else:
             L_try = L
         omega_k = 0.0

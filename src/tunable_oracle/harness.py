@@ -112,8 +112,8 @@ class ExperimentConfig:
             raise HarnessError("N values must be >= 1")
         if not (0.0 <= self.m < 1.0 < self.M):
             raise HarnessError("bounds must satisfy 0 <= m < 1 < M")
-        if not self.seeds:
-            raise HarnessError("at least one seed is required")
+        if not self.seeds or min(self.seeds) < 0:
+            raise HarnessError("need at least one seed, and seeds >= 0")
         for name in self.schedules:
             if name not in ALL_SCHEDULES:
                 raise HarnessError(f"unknown schedule family {name!r}")
@@ -347,48 +347,59 @@ def _tunable_values(config: ExperimentConfig, a: np.ndarray, delta_ref: float,
     return solve_accuracy(problem)[0]
 
 
-def _schedule_values(config: ExperimentConfig, name: str, delta_ref: float,
-                     N: int, L: float, a: np.ndarray, r: float) -> Schedule:
+def _family_schedule(config: ExperimentConfig, name: str, delta_ref: float,
+                     N: int, L: float, r: float):
+    """The step callback ``(k, A_next) -> delta`` of one family and the
+    schedule to emit, None for the online family; a failed solve raises
+    SolverError."""
+    if name == "online_tunable":
+        # bootstrap values for k < N_r, then the online extension rule
+        a, _ = impact_coefficients_fgm(fixed_step_certificates(config.N_r, L, config.mu))
+        boot = _tunable_values(config, a, delta_ref, r).values
+        last = (float(a[-1]), 1.0, float(boot[-1]))
+        box = (max(config.m * delta_ref, ORACLE_FLOOR), config.M * delta_ref)
+
+        def online(k, A_next):
+            if k < config.N_r:
+                return boot[k]
+            return online_extend_accuracy(last, (A_next, 1.0), r, box)
+        return online, None
     if name == "tunable":
-        return _tunable_values(config, a, delta_ref, r)
-    sched = baseline_schedule(name, delta_ref, config.mu, L, N)
-    if config.experiment in (2, 3):
-        # The FISTA oracle cannot certify gaps near float resolution, and the
-        # cost model is only defined up to M * delta_ref (log costs need
-        # delta < 1); clip baseline requests into the modeled domain.
-        sched = Schedule(np.clip(sched.values, ORACLE_FLOOR,
-                                 config.M * delta_ref), sched.kind)
-    return sched
+        a, _ = impact_coefficients_fgm(fixed_step_certificates(N, L, config.mu))
+        sched = _tunable_values(config, a, delta_ref, r)
+    else:
+        sched = baseline_schedule(name, delta_ref, config.mu, L, N)
+        if config.experiment != 1:
+            # The FISTA oracle cannot certify gaps near float resolution, and
+            # the cost model is only defined up to M * delta_ref (log costs
+            # need delta < 1); clip baseline requests into the modeled domain.
+            sched = Schedule(np.clip(sched.values, ORACLE_FLOOR,
+                                     config.M * delta_ref), sched.kind)
+    values = sched.values
+    return (lambda k, _A_next: values[k]), sched
 
 
-def _online_schedule(config: ExperimentConfig, bootstrap: Schedule,
-                     a_last: float, delta_ref: float, r: float):
-    """Bootstrap values for k < N_r, then the online extension rule."""
-    lo = max(config.m * delta_ref, ORACLE_FLOOR)
-    hi = config.M * delta_ref
-    d_last = float(bootstrap.values[-1])
-
-    def schedule_cb(k, A_next):
-        if k < config.N_r:
-            return bootstrap.values[k]
-        return online_extend_accuracy((a_last, 1.0, d_last),
-                                      (A_next, 1.0), r, (lo, hi))
-    return schedule_cb
+def _objective(config: ExperimentConfig, data: ScenarioData, x: np.ndarray,
+               precision: float, state: InnerState | None = None) -> float:
+    """The objective at x; hull values are certified to ``precision``."""
+    if config.experiment == 1:
+        return softmax_value_grad(data, x)[0]
+    return hull_value(data, x, precision, state=state)
 
 
 def _run_one(config: ExperimentConfig, data: ScenarioData, name: str,
              seed: int, N: int, L: float, r: float, schedule_cb):
-    """One (schedule, seed) run; returns (records, terminal x, total work)."""
+    """One (schedule, seed) run; returns (records, terminal x, terminal
+    objective value, total work)."""
     x0_rng, noise_rng = _seed_streams(config, seed)
     x0 = x0_rng.dirichlet(np.ones(config.d))
 
+    state = InnerState()  # the hull oracle's warm start; unused in experiment 1
     if config.experiment == 1:
         def oracle(x, delta):
             return noisy_oracle(data, x, delta, config.alpha, noise_rng,
                                 r=max(r, 0.0))
     else:
-        state = InnerState()
-
         def oracle(x, delta):
             return hull_oracle(data, x, delta, state)
 
@@ -396,13 +407,12 @@ def _run_one(config: ExperimentConfig, data: ScenarioData, name: str,
 
     def observer(k, x):
         if k % config.sample_every == 0:
-            if config.experiment == 1:
-                samples[k] = softmax_value_grad(data, x)[0]
-            else:
-                samples[k] = hull_value(data, x, SAMPLE_PRECISION, state=state)
+            samples[k] = _objective(config, data, x, SAMPLE_PRECISION, state)
 
     x_final, traj = fgm_run(oracle, schedule_cb, N, x0, L, config.mu,
                             adaptive=config.experiment == 3, observer=observer)
+    # the terminal value is a cold solve, independent of the run's warm start
+    value = _objective(config, data, x_final, FSTAR_PRECISION)
 
     records = []
     cum_work = 0.0
@@ -412,7 +422,7 @@ def _run_one(config: ExperimentConfig, data: ScenarioData, name: str,
             experiment=config.experiment, schedule=name, seed=seed, k=rec.k,
             delta=rec.delta, omega=rec.omega, L=rec.L, A=rec.A,
             objective=samples.get(rec.k), cum_work=cum_work))
-    return records, x_final, cum_work
+    return records, x_final, value, cum_work
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -437,52 +447,25 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         # the noise-free reference depends on max(N) only, so it runs once
         fstar = _reference_fstar_exp1(config, data, L,
                                       config.ref_iterations or 4 * max(config.N))
-    elif "online_tunable" in config.schedules:
-        certs = fixed_step_certificates(config.N_r, L, config.mu)
-        a_boot, _ = impact_coefficients_fgm(certs)
 
     for delta_ref in config.delta_ref:
-        # a failed schedule solve fails its family's runs, not the sweep
-        online_cb = online_error = None
-        if "online_tunable" in config.schedules:
-            try:
-                online_cb = _online_schedule(
-                    config, _tunable_values(config, a_boot, delta_ref, r),
-                    float(a_boot[-1]), delta_ref, r)
-            except SolverError as exc:
-                online_error = str(exc)
         for N in sorted(config.N):
-            a = None
-            if config.experiment in (1, 2):
-                certs = fixed_step_certificates(N, L, config.mu)
-                a, _ = impact_coefficients_fgm(certs)
-
             # (name, seed) -> (terminal x, terminal objective value, total work)
             terminals: dict[tuple, tuple] = {}
             for name in config.schedules:
-                error = None
-                if name == "online_tunable":
-                    schedule_cb, error = online_cb, online_error
-                else:
-                    try:
-                        sched = _schedule_values(config, name, delta_ref, N, L, a, r)
-                    except SolverError as exc:
-                        error = str(exc)
-                    else:
-                        schedules[f"{name}_N{N}_dref{delta_ref:g}"] = sched
-                        schedule_cb = lambda k, _A_next, values=sched.values: values[k]
-                if error is not None:
-                    failures += [(name, seed, N, delta_ref, error)
+                try:
+                    schedule_cb, sched = _family_schedule(config, name, delta_ref, N, L, r)
+                except SolverError as exc:
+                    # a failed solve fails its family's runs, not the sweep
+                    failures += [(name, seed, N, delta_ref, str(exc))
                                  for seed in sorted(config.seeds)]
                     continue
+                if sched is not None:
+                    schedules[f"{name}_N{N}_dref{delta_ref:g}"] = sched
                 for seed in sorted(config.seeds):
                     try:
-                        rows, x_final, total = _run_one(
+                        rows, x_final, value, total = _run_one(
                             config, data, name, seed, N, L, r, schedule_cb)
-                        if config.experiment == 1:
-                            value = softmax_value_grad(data, x_final)[0]
-                        else:
-                            value = hull_value(data, x_final, FSTAR_PRECISION)
                     except (OracleError, FgmError, SolverError) as exc:
                         # a numerical failure must not stop the sweep; a
                         # programming error still raises
@@ -497,20 +480,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 fstar = estimate_fstar(data, terminals[best][0])
 
             for name in config.schedules:
-                gaps, work = [], 0.0
-                for seed in sorted(config.seeds):
-                    entry = terminals.get((name, seed))
-                    if entry is None:
-                        continue
-                    _, value, total = entry
-                    gaps.append(value - fstar)
-                    work += total
-                median_gap = statistics.median(sorted(gaps)) if gaps else math.nan
-                mean_gap = statistics.fmean(gaps) if gaps else math.nan
+                runs = [terminals[name, seed] for seed in sorted(config.seeds)
+                        if (name, seed) in terminals]
+                gaps = [value - fstar for _, value, _ in runs]
                 summaries.append(SummaryRow(
                     experiment=config.experiment, schedule=name, mu=config.mu,
-                    r=r, N=N, delta_ref=delta_ref, median_gap=median_gap,
-                    mean_gap=mean_gap, total_inner_work=work))
+                    r=r, N=N, delta_ref=delta_ref,
+                    median_gap=statistics.median(gaps) if gaps else math.nan,
+                    mean_gap=statistics.fmean(gaps) if gaps else math.nan,
+                    total_inner_work=sum((total for *_, total in runs), 0.0)))
 
     return ExperimentResult(records, summaries, schedules, failures)
 

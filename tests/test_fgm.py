@@ -239,10 +239,19 @@ class TestAdaptive:
         with pytest.raises(FgmError, match="mu >= 0"):
             run(1.0, mu=-0.1)
 
+    def test_estimate_never_drops_below_mu(self):
+        # once the iterates settle every validation passes; an estimate
+        # divided by 1.5 per step without a floor overflowed A_k at step 53
+        mu = 1.0
+        _, traj = fgm_run(quadratic_oracle([0.0, 0.0]), constant_schedule(0.0),
+                          100, np.array([0.3, 0.7]), 1.0, mu=mu, adaptive=True)
+        assert len(traj) == 100
+        assert all(rec.L >= mu for rec in traj)
+
     @pytest.mark.parametrize("adaptive", [False, True])
     def test_certificate_overflow_names_the_iteration(self, adaptive):
         # at L = mu = 1 the certificates grow ~2.6-fold per step and overflow
-        # at k = 369 with a fixed step (earlier with the adaptive search);
+        # at k = 369 (the adaptive search never tries an L below mu = 1);
         # without the check it surfaced as a non-finite projection
         with pytest.raises(FgmError, match=r"certificate overflow at iteration \d+"):
             fgm_run(quadratic_oracle([0.0, 0.0]), constant_schedule(0.0), 3000,

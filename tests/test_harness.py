@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -145,6 +146,13 @@ class TestConfigValidation:
         with pytest.raises(HarnessError, match=f"{name} lists an entry twice"):
             replace(TINY_EXP2, **{name: values})
 
+    @pytest.mark.parametrize("seeds", [(0, -1), (-3,)])
+    def test_negative_seeds_rejected(self, seeds):
+        # SeedSequence takes non-negative entropy only; reject the config
+        # before a sweep fails on it
+        with pytest.raises(HarnessError, match="seeds >= 0"):
+            replace(TINY_EXP2, seeds=seeds)
+
     def test_bounds_ordering(self):
         with pytest.raises(HarnessError):
             ExperimentConfig(experiment=1, d=4, n=4, p=1.0, alpha=1.0,
@@ -286,13 +294,18 @@ class TestRunExperiment:
         assert tun.total_inner_work > 0.0 and con.total_inner_work > 0.0
         assert tun.r == 0.0  # kappa_hat > 0 for n < d selects the log cost
 
-    def test_exp3_online_schedule_follows_bootstrap(self):
-        result = run_experiment(TINY_EXP3)
+    @pytest.mark.parametrize("horizons", [(12,), (12, 24)],
+                             ids=["one_N", "two_N"])
+    def test_exp3_online_schedule_follows_bootstrap(self, horizons):
+        # the bootstrap is solved in each (delta_ref, N) cell; every horizon
+        # of the sweep follows it
+        cfg = replace(TINY_EXP3, N=horizons)
+        result = run_experiment(cfg)
         assert not result.failures
-        online = sorted((r for r in result.records
-                         if r.schedule == "online_tunable"),
-                        key=lambda r: r.k)
-        cfg, (delta_ref,) = TINY_EXP3, TINY_EXP3.delta_ref
+        online = [r for r in result.records if r.schedule == "online_tunable"]
+        starts = [i for i, rec in enumerate(online) if rec.k == 0] + [len(online)]
+        runs = [online[i:j] for i, j in zip(starts, starts[1:])]
+        (delta_ref,) = cfg.delta_ref
         # bootstrap: the log-cost solve over the first N_r fixed-step
         # certificates at the validity ceiling 1/sigma + mu
         certs = fixed_step_certificates(cfg.N_r, 1.0 / cfg.sigma + cfg.mu, cfg.mu)
@@ -301,14 +314,17 @@ class TestRunExperiment:
             a_boot, np.ones_like(a_boot), delta_ref, cfg.m, cfg.M,
             "logarithmic"))[0].values
         box = (max(cfg.m * delta_ref, ORACLE_FLOOR), cfg.M * delta_ref)
-        assert [rec.k for rec in online] == list(range(cfg.N[0]))
-        for rec in online[:cfg.N_r]:
-            assert rec.delta == boot[rec.k]
-        for rec in online[cfg.N_r:]:
-            assert rec.delta == online_extend_accuracy(
-                (float(a_boot[-1]), 1.0, float(boot[-1])), (rec.A, 1.0),
-                0.0, box)
-        assert {s.schedule for s in result.summaries} == set(TINY_EXP3.schedules)
+        assert [[rec.k for rec in run] for run in runs] == [
+            list(range(N)) for N in horizons]
+        for run in runs:
+            for rec in run[:cfg.N_r]:
+                assert rec.delta == boot[rec.k]
+            for rec in run[cfg.N_r:]:
+                assert rec.delta == online_extend_accuracy(
+                    (float(a_boot[-1]), 1.0, float(boot[-1])), (rec.A, 1.0),
+                    0.0, box)
+        assert {(s.schedule, s.N) for s in result.summaries} == {
+            (name, N) for name in cfg.schedules for N in horizons}
 
     def test_solved_schedule_respects_the_oracle_floor(self):
         # The experiment-3 bootstrap solve at N_r = 1e4 (log cost, m = 0): a
@@ -357,8 +373,8 @@ class TestRunExperiment:
     @pytest.mark.parametrize("cfg, family", [(TINY_EXP2, "tunable"),
                                              (TINY_EXP3, "online_tunable")])
     def test_schedule_solve_failure_is_recorded(self, monkeypatch, cfg, family):
-        # experiment 2 solves per (delta_ref, N), experiment 3 bootstraps
-        # once per delta_ref; either failure fails that family's runs only
+        # both experiments solve per (delta_ref, N) cell, experiment 3 its
+        # online bootstrap; either failure fails that family's runs only
         def failing(_problem):
             raise SolverError("budget bracket not found")
         monkeypatch.setattr(harness, "solve_accuracy", failing)
@@ -394,7 +410,9 @@ class TestRecordedExperiments:
     ``experiment_fixture.json`` holds, per config, the trajectory row count
     and every summary row (exact total inner work, median and mean gap) of
     the harness as it was before the terminal values and the experiment-1
-    reference were computed once per run and once per experiment.
+    reference were computed once per run and once per experiment. Its
+    ``output_sha256`` block pins the bytes of every CSV that ``emit_outputs``
+    writes for each config.
     """
 
     CASES = json.loads(EXPERIMENT_FIXTURE.read_text())
@@ -414,6 +432,13 @@ class TestRecordedExperiments:
             assert row.total_inner_work == ref["total_inner_work"]
             assert row.median_gap == pytest.approx(ref["median_gap"], rel=1e-12)
             assert row.mean_gap == pytest.approx(ref["mean_gap"], rel=1e-12)
+
+    @pytest.mark.parametrize("label", sorted(CONFIGS))
+    def test_emitted_bytes_match_recorded_run(self, label, tmp_path):
+        written = emit_outputs(run_experiment(self.CONFIGS[label]), str(tmp_path))
+        digests = {Path(path).name: hashlib.sha256(Path(path).read_bytes()).hexdigest()
+                   for path in written}
+        assert digests == self.CASES["output_sha256"][label]
 
 
 class TestEmitOutputs:
@@ -541,6 +566,14 @@ class TestCli:
         captured = capsys.readouterr().out
         assert "trajectory.csv" in captured and "summary.csv" in captured
         assert (out_dir / "summary.csv").exists()
+
+    def test_experiment_negative_seed_fails(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("")
+        rc = cli_main(["experiment", "--id", "1", "--config", str(cfg),
+                       "--seeds", "0,-1", "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "seeds >= 0" in capsys.readouterr().err
 
     def test_experiment_bad_config_fails(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
