@@ -16,12 +16,11 @@ import argparse
 import sys
 
 from .cost_models import LOG_SQUARED, LOGARITHMIC, POWER
-from .harness import emit_outputs, load_config, run_experiment, toy_instance
+from .harness import (emit_outputs, export_schedule, import_coefficients,
+                      load_config, run_experiment, toy_instance)
 from .schedule_solver import (
     WorkProblem,
     accuracy_problem,
-    export_schedule,
-    import_coefficients,
     reference_budget,
     solve_accuracy,
     solve_work,

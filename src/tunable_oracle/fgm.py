@@ -72,6 +72,10 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
                        "unit sum to register in double precision")
     rho = int(nonzero[-1])
     tau = css[rho] / (rho + 1.0)
+    if not math.isfinite(tau):
+        # the running sum of entries near -1e308 overflows
+        raise FgmError("the entries are too large in magnitude to sum in "
+                       "double precision")
     out = v - tau
     np.maximum(out, 0.0, out=out)
     return out
@@ -113,7 +117,7 @@ def fgm_run(oracle: Callable[[np.ndarray, float], "object"],
     if not 0.0 < L < math.inf or mu < 0.0:
         raise FgmError("need a finite L > 0 and mu >= 0")
     x = np.asarray(x0, dtype=float).copy()
-    if abs(x.sum() - 1.0) > 1e-9 or np.any(x < -1e-12):
+    if not np.isfinite(x).all() or abs(x.sum() - 1.0) > 1e-9 or np.any(x < -1e-12):
         raise FgmError("x0 must lie in the unit simplex")
     z = x.copy()
     A = 0.0
@@ -151,8 +155,6 @@ def fgm_run(oracle: Callable[[np.ndarray, float], "object"],
                 break
             retries += 1
             L_try = min(L_try * _DECREASE, L)
-        if not np.isfinite(x_new).all():
-            raise FgmError(f"non-finite iterate at iteration {k}")
         x, z, A = x_new, z_new, A_next
         if observer is not None:
             observer(k, x)

@@ -1,6 +1,7 @@
 """Experiment harness: builds budget-matched inexactness schedules, runs the
 inexact fast gradient method over seeded instances, and aggregates the
-trajectories into deterministic CSV outputs.
+trajectories into deterministic CSV outputs. Every CSV file the package
+reads or writes goes through the one reader and one writer of this module.
 
 Three experiments are supported:
 
@@ -44,7 +45,6 @@ from .schedule_solver import (
     Schedule,
     SolverError,
     accuracy_problem,
-    export_schedule,
     online_extend_accuracy,
     solve_accuracy,
 )
@@ -86,6 +86,11 @@ class ExperimentConfig:
             raise HarnessError(f"unknown experiment {self.experiment}")
         if min(self.d, self.n) < 1 or self.p <= 0.0:
             raise HarnessError("need d, n >= 1 and p > 0")
+        # NaN passes the `<=` checks; m and M (which may be +inf) are
+        # checked with the bounds, which NaN fails
+        for name in ("p", "sigma", "mu", "alpha", "r"):
+            if not math.isfinite(getattr(self, name)):
+                raise HarnessError(f"{name} must be finite")
         if self.experiment == 1:
             if self.alpha <= 0.0:
                 raise HarnessError("experiment 1 requires a noise scale alpha > 0")
@@ -102,8 +107,8 @@ class ExperimentConfig:
             # a repeated entry would repeat its runs and double-count them
             if len(set(getattr(self, name))) != len(getattr(self, name)):
                 raise HarnessError(f"{name} lists an entry twice")
-        if not self.delta_ref or any(v <= 0.0 for v in self.delta_ref):
-            raise HarnessError("delta_ref values must be > 0")
+        if not self.delta_ref or not all(0.0 < v < math.inf for v in self.delta_ref):
+            raise HarnessError("delta_ref values must be finite and > 0")
         if self.experiment != 1 and min(self.delta_ref) <= ORACLE_FLOOR:
             # the solved box starts at the floor, which needs m = floor/dref < 1
             raise HarnessError(f"delta_ref values must exceed the oracle floor "
@@ -494,7 +499,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
 
 # ---------------------------------------------------------------------------
-# output emission
+# CSV files: every file the package reads or writes passes through these two
 # ---------------------------------------------------------------------------
 
 def _fmt(value) -> str:
@@ -505,29 +510,64 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_records(path: str, cls, rows):
-    """One CSV column per field of the record dataclass ``cls``, in order."""
-    names = [f.name for f in fields(cls)]
+def _write_csv(path: str, header, rows):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(names)
-        for row in rows:
-            writer.writerow([_fmt(getattr(row, name)) for name in names])
+        writer.writerow(header)
+        writer.writerows([_fmt(cell) for cell in row] for row in rows)
+
+
+def _read_csv(path: str, *headers) -> tuple[list, np.ndarray]:
+    """The header, which must equal one of ``headers``, and the float columns
+    after ``k`` as a (rows x columns) array; every row must have the header's
+    width."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header not in headers:
+            raise HarnessError(f"{path}: unexpected header {header!r}")
+        rows = list(reader)
+    for lineno, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise HarnessError(f"{path}: line {lineno} has {len(row)} cells, "
+                               f"not {len(header)}")
+    values = [[float(cell) for cell in row[1:]] for row in rows]
+    return header, np.array(values).reshape(len(rows), len(header) - 1)
+
+
+def export_schedule(s: Schedule, path: str):
+    column = "delta" if s.kind == "accuracy" else "omega"
+    _write_csv(path, ["k", column], enumerate(s.values))
+
+
+def import_schedule(path: str) -> Schedule:
+    header, values = _read_csv(path, ["k", "delta"], ["k", "omega"])
+    return Schedule(values[:, 0], "accuracy" if header[1] == "delta" else "work")
+
+
+def export_coefficients(a, b, path: str):
+    a = np.asarray(a, float)
+    _write_csv(path, ["k", "a", "b"],
+               zip(range(a.size), a, np.asarray(b, float), strict=True))
+
+
+def import_coefficients(path: str) -> tuple[np.ndarray, np.ndarray]:
+    _, values = _read_csv(path, ["k", "a", "b"])
+    return values[:, 0], values[:, 1]
 
 
 def emit_outputs(result: ExperimentResult, out_dir: str) -> list[str]:
-    """Write trajectory.csv, summary.csv and one schedule.csv per schedule."""
+    """Write trajectory.csv, summary.csv and one schedule.csv per schedule;
+    the columns of the first two are the fields of their record, in order."""
     os.makedirs(out_dir, exist_ok=True)
     written = []
-
-    path = os.path.join(out_dir, "trajectory.csv")
-    _write_records(path, RunRecord, result.records)
-    written.append(path)
-
-    path = os.path.join(out_dir, "summary.csv")
-    _write_records(path, SummaryRow, sorted(
-        result.summaries, key=lambda s: (s.N, s.delta_ref, s.schedule)))
-    written.append(path)
+    summaries = sorted(result.summaries, key=lambda s: (s.N, s.delta_ref, s.schedule))
+    for name, cls, rows in (("trajectory", RunRecord, result.records),
+                            ("summary", SummaryRow, summaries)):
+        path = os.path.join(out_dir, f"{name}.csv")
+        names = [f.name for f in fields(cls)]
+        _write_csv(path, names, ([getattr(row, n) for n in names] for row in rows))
+        written.append(path)
 
     for label in sorted(result.schedules):
         path = os.path.join(out_dir, f"schedule_{label}.csv")

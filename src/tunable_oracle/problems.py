@@ -110,7 +110,7 @@ def noisy_oracle(data: ScenarioData, x: np.ndarray, delta: float, alpha: float,
     4*alpha*delta; the simulated work charged is the power/logarithmic cost
     of the requested delta (zero for an exact request).
     """
-    if delta < 0.0 or alpha <= 0.0:
+    if not (delta >= 0.0 and alpha > 0.0):  # NaN fails too
         raise OracleError("need delta >= 0 and alpha > 0")
     value, grad = softmax_value_grad(data, x)
     if delta > 0.0:
@@ -164,7 +164,7 @@ def fista_inner(data: ScenarioData, x: np.ndarray, delta_target: float,
     The certified gap is the tightest linearization upper bound collected so
     far minus the current value; reaching it guarantees the inner criterion.
     """
-    if delta_target <= 0.0:
+    if not delta_target > 0.0:  # NaN fails too
         raise OracleError("delta_target must be > 0")
     n = data.n
     w = warm_start.w.copy() if warm_start is not None and warm_start.w is not None \
@@ -176,18 +176,21 @@ def fista_inner(data: ScenarioData, x: np.ndarray, delta_target: float,
     kap = kappa_hat(data)
     beta_const = (1.0 - math.sqrt(kap)) / (1.0 + math.sqrt(kap)) if kap > 0.0 else None
 
-    q_w, grad_w = inner_q_value_grad(data, w, x)
-    upper = q_w + float(grad_w.max()) - float(grad_w @ w)
-    gap = upper - q_w
-    if gap <= delta_target:
-        return InnerResult(w=w, value=q_w, gap=gap, work=0, converged=True)
-
     v = w_prev = w  # never written in place
+    upper = math.inf
     t = 1.0
-    for it in range(1, max_inner + 1):
-        q_v, grad_v = inner_q_value_grad(data, v, x)
+    for it in range(max_inner + 1):
+        q_w, grad_w = inner_q_value_grad(data, w, x)
         # linearizations are global upper bounds by concavity, even off-simplex
-        upper = min(upper, q_v + float(grad_v.max()) - float(grad_v @ v))
+        upper = min(upper, q_w + float(grad_w.max()) - float(grad_w @ w))
+        gap = upper - q_w
+        if gap <= delta_target or it == max_inner:
+            break
+        if it == 0:
+            grad_v = grad_w  # v = w: the first step reuses its evaluation
+        else:
+            q_v, grad_v = inner_q_value_grad(data, v, x)
+            upper = min(upper, q_v + float(grad_v.max()) - float(grad_v @ v))
         w = project_simplex(v + step * grad_v)
         if beta_const is not None:
             beta = beta_const
@@ -197,18 +200,13 @@ def fista_inner(data: ScenarioData, x: np.ndarray, delta_target: float,
             t = t_new
         v = w + beta * (w - w_prev)
         w_prev = w
-        q_w, grad_w = inner_q_value_grad(data, w, x)
-        upper = min(upper, q_w + float(grad_w.max()) - float(grad_w @ w))
-        gap = upper - q_w
-        if gap <= delta_target:
-            return InnerResult(w=w, value=q_w, gap=gap, work=it, converged=True)
-    return InnerResult(w=w, value=q_w, gap=gap, work=max_inner, converged=False)
+    return InnerResult(w=w, value=q_w, gap=gap, work=it, converged=gap <= delta_target)
 
 
 def hull_oracle(data: ScenarioData, x: np.ndarray, delta: float,
                 state: InnerState) -> OracleReply:
     """Inexact value/gradient of the hull objective via the inner solver."""
-    if delta <= 0.0:
+    if not delta > 0.0:  # NaN fails too
         raise OracleError("delta must be > 0")
     result = fista_inner(data, x, delta, warm_start=state)
     if not result.converged:

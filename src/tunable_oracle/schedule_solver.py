@@ -19,7 +19,6 @@ O(N log N), plus O(log N) Lambert W passes for the log-squared kind.
 from __future__ import annotations
 
 import bisect
-import csv
 import math
 from dataclasses import dataclass
 
@@ -497,47 +496,3 @@ def brute_force_error_bound(p: ScheduleProblem, grid_points: int = 200) -> float
     width = (p.M - p.m) * p.delta_ref / (grid_points - 1)
     return float(np.sum(p.a) * width)
 
-
-# ---------------------------------------------------------------------------
-# CSV import/export
-# ---------------------------------------------------------------------------
-
-def export_schedule(s: Schedule, path: str):
-    header = "delta" if s.kind == "accuracy" else "omega"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", header])
-        for k, v in enumerate(s.values):
-            writer.writerow([k, f"{v:.17g}"])
-
-
-def import_schedule(path: str) -> Schedule:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[0] != "k" or header[1] not in ("delta", "omega"):
-            raise SolverError(f"unexpected schedule header {header!r}")
-        kind = "accuracy" if header[1] == "delta" else "work"
-        values = [float(row[1]) for row in reader]
-    return Schedule(np.asarray(values), kind)
-
-
-def export_coefficients(a, b, path: str):
-    a = np.asarray(a, float)
-    b = np.asarray(b, float)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "a", "b"])
-        for k in range(a.size):
-            writer.writerow([k, f"{a[k]:.17g}", f"{b[k]:.17g}"])
-
-
-def import_coefficients(path: str) -> tuple[np.ndarray, np.ndarray]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["k", "a", "b"]:
-            raise SolverError(f"unexpected coefficient header {header!r}")
-        rows = [(float(r[1]), float(r[2])) for r in reader]
-    arr = np.asarray(rows, dtype=float)
-    return arr[:, 0], arr[:, 1]

@@ -76,6 +76,13 @@ class TestProjectSimplex:
         with pytest.raises(FgmError, match="no rank qualifies"):
             project_simplex(np.array([1e17, 0.0]))
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("values", [[-1e308, -1e308], [-1.7e308, 1.0, -1.7e308]])
+    def test_overflowing_sum_raises(self, values):
+        # the cumulative sum reaches -inf, which would shift every entry to inf
+        with pytest.raises(FgmError, match="too large in magnitude"):
+            project_simplex(np.array(values))
+
     def test_input_not_modified(self):
         v = np.array([0.9, -0.3, 0.6])
         project_simplex(v)
@@ -147,9 +154,13 @@ class TestFgmRun:
         assert traj == []
 
     def test_rejects_infeasible_start(self):
-        with pytest.raises(FgmError):
-            fgm_run(quadratic_oracle([0.0, 0.0]), constant_schedule(0.0),
-                    1, np.array([0.7, 0.7]), 1.0)
+        # a NaN sum passes a `> tolerance` test, so a non-finite start must be
+        # rejected on its own, even at N = 0
+        for x0 in ([0.7, 0.7], [math.nan, 1.0], [math.inf, 1.0]):
+            for N in (0, 1):
+                with pytest.raises(FgmError, match="unit simplex"):
+                    fgm_run(quadratic_oracle([0.0, 0.0]), constant_schedule(0.0),
+                            N, np.array(x0), 1.0)
 
     def test_noise_free_worst_case_bound(self):
         # F(x) = ||x||^2 / 2 on the simplex: minimizer (1/2, 1/2), F* = 1/4

@@ -21,6 +21,8 @@ from tunable_oracle.harness import (
     baseline_schedule,
     default_config,
     emit_outputs,
+    export_coefficients,
+    import_schedule,
     load_config,
     parse_config_text,
     run_experiment,
@@ -30,8 +32,6 @@ from tunable_oracle.problems import InnerSolverExhausted, OracleError
 from tunable_oracle.schedule_solver import (
     SolverError,
     accuracy_problem,
-    export_coefficients,
-    import_schedule,
     online_extend_accuracy,
     solve_accuracy,
 )
@@ -153,6 +153,23 @@ class TestConfigValidation:
         with pytest.raises(HarnessError, match="seeds >= 0"):
             replace(TINY_EXP2, seeds=seeds)
 
+    @pytest.mark.parametrize("name, value", [
+        (name, value) for name in ("p", "sigma", "mu", "alpha", "r", "m", "M")
+        for value in (math.nan, math.inf, -math.inf)
+        if (name, value) != ("M", math.inf)])  # the power cost admits M = inf
+    def test_non_finite_values_rejected(self, name, value):
+        with pytest.raises(HarnessError):
+            replace(TINY_EXP1, **{name: value})
+
+    def test_unbounded_M_accepted(self):
+        assert replace(TINY_EXP1, M=math.inf).M == math.inf
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_delta_ref_rejected(self, value):
+        for cfg in (TINY_EXP1, TINY_EXP2):
+            with pytest.raises(HarnessError, match="delta_ref values must be finite"):
+                replace(cfg, delta_ref=(1e-3, value))
+
     def test_bounds_ordering(self):
         with pytest.raises(HarnessError):
             ExperimentConfig(experiment=1, d=4, n=4, p=1.0, alpha=1.0,
@@ -232,6 +249,16 @@ class TestMatchBudget:
         assert 100.0 * 1e-2 == 1.0
         with pytest.raises(SolverError, match="M\\*delta_ref < 1"):
             accuracy_problem(a, a, 1e-2, 0.0, 100.0, kind)
+
+
+class TestLowerModel:
+    def test_linear_model_without_strong_convexity(self):
+        # mu = 0: the linear model f + g.(y - x_hat) is smallest at the
+        # vertex of the smallest gradient entry
+        f, g = 1.5, np.array([2.0, -1.0, 0.5])
+        x_hat = np.array([0.2, 0.3, 0.5])
+        vertices = [f + float(g @ (e - x_hat)) for e in np.eye(3)]
+        assert harness._lower_model(f, g, x_hat, 0.0) == pytest.approx(min(vertices))
 
 
 class TestBaselines:
@@ -574,6 +601,48 @@ class TestCli:
                        "--seeds", "0,-1", "--out", str(tmp_path / "out")])
         assert rc == 1
         assert "seeds >= 0" in capsys.readouterr().err
+
+    def test_experiment_nan_delta_ref_fails(self, tmp_path, capsys):
+        # NaN fails no `<= 0` check; it must not run as an exact request
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("delta_ref = nan\n")
+        out_dir = tmp_path / "out"
+        rc = cli_main(["experiment", "--id", "1", "--config", str(cfg),
+                       "--out", str(out_dir)])
+        assert rc == 1
+        assert "delta_ref values must be finite" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("cost, h", [
+        ("log", lambda d: -np.log(d)), ("logsq", lambda d: np.log(d) ** 2)])
+    def test_schedule_log_costs(self, tmp_path, capsys, cost, h):
+        coeffs = tmp_path / "coeffs.csv"
+        export_coefficients(np.arange(1.0, 9.0), np.ones(8), str(coeffs))
+        out = tmp_path / "sched.csv"
+        rc = cli_main(["schedule", "--coeffs", str(coeffs), "--cost", cost,
+                       "--delta-ref", "1e-3", "--m", "0", "--M", "10",
+                       "--out", str(out)])
+        assert rc == 0
+        sched = import_schedule(str(out))
+        assert sched.values.size == 8 and sched.kind == "accuracy"
+        assert float(np.sum(h(sched.values))) == pytest.approx(8 * h(1e-3), rel=1e-9)
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--cost", "power:x", "--delta-ref", "1e-3", "--m", "0", "--M", "10"],
+         "bad power exponent"),
+        (["--cost", "power:0", "--delta-ref", "1e-3", "--m", "0", "--M", "10"],
+         "exponent must be > 0"),
+        (["--cost", "power:1", "--work", "--budget", "2"],
+         "--work requires --budget, --wmin and --wmax"),
+        (["--cost", "logsq", "--work", "--budget", "2", "--wmin", "0.1",
+          "--wmax", "2"], "power and log costs only")])
+    def test_schedule_bad_arguments_fail(self, tmp_path, capsys, extra, message):
+        coeffs = tmp_path / "coeffs.csv"
+        export_coefficients([1.0, 2.0], [1.0, 1.0], str(coeffs))
+        rc = cli_main(["schedule", "--coeffs", str(coeffs), *extra,
+                       "--out", str(tmp_path / "s.csv")])
+        assert rc == 1
+        assert message in capsys.readouterr().err
 
     def test_experiment_bad_config_fails(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"

@@ -2,7 +2,8 @@
 module-level ``_private`` name is referenced somewhere in the package, every
 dataclass field the package declares is read somewhere in the repo, every
 name ``__init__`` re-exports is reached from the package or the benchmark,
-and every import site the benchmark's tracer wraps exists.
+every import site the benchmark's tracer wraps exists, and only the harness
+imports ``csv``.
 
 No lint tool is part of the toolchain, so these tests walk each module's
 syntax tree with the standard-library ``ast`` module. The import guard skips
@@ -185,6 +186,32 @@ def test_detects_an_unreached_export():
                "from a import imported\n"]
     assert unreached_exports(init, sources) == ["Defined (line 4)",
                                                 "orphan (line 1)"]
+
+
+def imports_module(source: str, name: str) -> bool:
+    """Whether ``source`` imports the top-level module ``name`` anywhere."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            if any(alias.name.split(".")[0] == name for alias in node.names):
+                return True
+        elif (isinstance(node, ast.ImportFrom) and node.level == 0
+                and node.module.split(".")[0] == name):
+            return True
+    return False
+
+
+def test_only_the_harness_imports_csv():
+    # one module owns the CSV format of every file the package reads or writes
+    importers = [p.name for p in PACKAGE.glob("*.py")
+                 if imports_module(p.read_text(), "csv")]
+    assert importers == ["harness.py"]
+
+
+def test_detects_a_csv_import():
+    assert imports_module("import csv\n", "csv")
+    assert imports_module("def f():\n    from csv import writer\n", "csv")
+    assert imports_module("import os, csv as c\n", "csv")
+    assert not imports_module("import csvkit\nfrom .csv import x\n", "csv")
 
 
 def tracer_sites(source: str) -> list[tuple[str, str]]:

@@ -164,6 +164,13 @@ class TestNoisyOracle:
         with pytest.raises(OracleError):
             noisy_oracle(data, np.array([0.5, 0.5]), 0.1, 0.0,
                          np.random.default_rng(0))
+        # NaN fails every comparison; it must not pass as an exact request
+        with pytest.raises(OracleError):
+            noisy_oracle(data, np.array([0.5, 0.5]), math.nan, 1.0,
+                         np.random.default_rng(0))
+        with pytest.raises(OracleError):
+            noisy_oracle(data, np.array([0.5, 0.5]), 0.1, math.nan,
+                         np.random.default_rng(0))
         with pytest.raises(OracleError):
             OracleReply(value=0.0, gradient=np.zeros(2), delta=-0.1,
                         inner_work=0.0)
@@ -239,10 +246,35 @@ class TestFistaInner:
             assert result.gap >= q_star - result.value - 1e-12
         assert result.converged and result.gap <= 1e-10
 
+    def test_each_point_evaluated_once(self, monkeypatch):
+        # w_0..w_W and the extrapolations v_1..v_{W-1}: the first step
+        # reuses the evaluation of its start point
+        calls = []
+        original = problems.inner_q_value_grad
+
+        def counted(data, w, x):
+            calls.append(w)
+            return original(data, w, x)
+        monkeypatch.setattr(problems, "inner_q_value_grad", counted)
+        data = generate_scenarios(20, 40, 0.5, seed=2, sigma=1e-2)
+        x = np.full(40, 1.0 / 40.0)
+        results = {}
+        for target, max_inner in ((1e-2, 10**6), (1e-10, 10**6), (1e-12, 3)):
+            calls.clear()
+            results[target] = fista_inner(data, x, target, max_inner=max_inner)
+            assert results[target].work >= 1
+            assert len(calls) == 2 * results[target].work
+        calls.clear()
+        warm = InnerState(w=results[1e-10].w)
+        assert fista_inner(data, x, 1e-6, warm_start=warm).work == 0
+        assert len(calls) == 1
+
     def test_rejects_nonpositive_target(self):
         data = generate_scenarios(2, 2, 1.0, seed=0)
         with pytest.raises(OracleError):
             fista_inner(data, np.array([0.5, 0.5]), 0.0)
+        with pytest.raises(OracleError):
+            fista_inner(data, np.array([0.5, 0.5]), math.nan, max_inner=50)
 
     def test_value_is_q_at_w_on_every_exit(self):
         data = generate_scenarios(10, 20, 1.0, seed=3, sigma=1e-2)
@@ -391,6 +423,8 @@ class TestHullOracle:
         data = generate_scenarios(2, 2, 1.0, seed=0)
         with pytest.raises(OracleError):
             hull_oracle(data, np.array([0.5, 0.5]), 0.0, InnerState())
+        with pytest.raises(OracleError):
+            hull_oracle(data, np.array([0.5, 0.5]), math.nan, InnerState())
 
 
 class TestHullValue:

@@ -12,6 +12,13 @@ from tunable_oracle.cost_models import (
     h_derivative,
     h_eval,
 )
+from tunable_oracle.harness import (
+    HarnessError,
+    export_coefficients,
+    export_schedule,
+    import_coefficients,
+    import_schedule,
+)
 from tunable_oracle.schedule_solver import (
     Schedule,
     SolverError,
@@ -22,10 +29,6 @@ from tunable_oracle.schedule_solver import (
     brute_force_oracle,
     closed_form_interior_accuracy,
     closed_form_interior_work,
-    export_coefficients,
-    export_schedule,
-    import_coefficients,
-    import_schedule,
     online_extend_accuracy,
     reference_budget,
     solve_accuracy,
@@ -530,6 +533,50 @@ class TestCsvRoundTrip:
         np.testing.assert_array_equal(a2, a)
         np.testing.assert_array_equal(b2, b)
 
+    def test_coefficient_bytes(self, tmp_path):
+        # CRLF line ends, full-precision floats, ints via str
+        path = tmp_path / "coeffs.csv"
+        export_coefficients([1, 0.1], [2.0, 0.25], str(path))
+        assert path.read_bytes() == b"k,a,b\r\n0,1,2\r\n1,0.10000000000000001,0.25\r\n"
+
+    def test_coefficient_lengths_must_match(self, tmp_path):
+        with pytest.raises(ValueError):
+            export_coefficients([1.0, 2.0], [1.0], str(tmp_path / "coeffs.csv"))
+
+    def test_header_only_coefficients_fail_in_the_solver(self, tmp_path):
+        path = tmp_path / "coeffs.csv"
+        path.write_text("k,a,b\n")
+        a, b = import_coefficients(str(path))
+        assert a.shape == b.shape == (0,)
+        with pytest.raises(SolverError, match="nonempty"):
+            accuracy_problem(a, b, 1e-3, 0.0, 10.0, POWER, 1.0)
+
+    def test_header_only_schedule_is_empty(self, tmp_path):
+        path = tmp_path / "sched.csv"
+        export_schedule(Schedule(np.array([]), "work"), str(path))
+        s = import_schedule(str(path))
+        assert s.kind == "work" and s.values.shape == (0,)
+
+    @pytest.mark.parametrize("text", ["k,a,b\n0,1\n", "k,a,b\n0,1,2,3\n"],
+                             ids=["short", "long"])
+    def test_row_width_must_match_header(self, tmp_path, text):
+        path = tmp_path / "coeffs.csv"
+        path.write_text(text)
+        with pytest.raises(HarnessError, match="coeffs.csv: line 2 has"):
+            import_coefficients(str(path))
+
+    @pytest.mark.parametrize("reader, text", [
+        (import_schedule, "k,delta,extra\n0,1,2\n"),
+        (import_schedule, "k,a,b\n0,1,2\n"),
+        (import_schedule, ""),
+        (import_coefficients, "k,b,a\n0,1,2\n")],
+        ids=["extra_column", "coefficients_as_schedule", "empty", "swapped_columns"])
+    def test_header_must_match(self, tmp_path, reader, text):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        with pytest.raises(HarnessError, match="data.csv: unexpected header"):
+            reader(str(path))
+
 
 class TestValidation:
     def test_bad_bounds(self):
@@ -539,7 +586,7 @@ class TestValidation:
             accuracy_problem([1.0], [1.0], 0.01, 0.0, 1.0, POWER, 1.0)
 
     def test_log_kind_rejects_infinite_M(self):
-        with pytest.raises((SolverError, Exception)):
+        with pytest.raises(SolverError):
             accuracy_problem([1.0], [1.0], 0.01, 0.0, math.inf, LOGARITHMIC)
 
     def test_log_kind_rejects_budget_crossing_one(self):
@@ -550,6 +597,24 @@ class TestValidation:
     def test_work_bounds(self):
         with pytest.raises(SolverError):
             WorkProblem(np.ones(2), np.ones(2), 4.0, 3.0, 5.0, 1.0)
+
+    def test_schedule_problem_rejects_bad_shapes_and_levels(self):
+        with pytest.raises(SolverError, match="same length"):
+            accuracy_problem([1.0, 2.0], [1.0], 0.01, 0.0, 2.0, POWER, 1.0)
+        with pytest.raises(SolverError, match="1-d"):
+            accuracy_problem([[1.0, 2.0]], [1.0, 2.0], 0.01, 0.0, 2.0, POWER, 1.0)
+        for delta_ref in (math.inf, math.nan):
+            with pytest.raises(SolverError, match="delta_ref must be finite"):
+                accuracy_problem([1.0], [1.0], delta_ref, 0.0, 2.0, POWER, 1.0)
+
+    def test_work_problem_rejects_bad_shapes_and_levels(self):
+        with pytest.raises(SolverError, match="same length"):
+            WorkProblem(np.ones(3), np.ones(2), 4.0, 0.0, 5.0, 1.0)
+        for omega_bar in (math.inf, math.nan):
+            with pytest.raises(SolverError, match="omega_bar must be finite"):
+                WorkProblem(np.ones(2), np.ones(2), omega_bar, 0.0, 5.0, 1.0)
+        with pytest.raises(SolverError, match="r must be >= 0"):
+            WorkProblem(np.ones(2), np.ones(2), 4.0, 0.0, 5.0, -0.5)
 
     def test_nonpositive_coefficients(self):
         with pytest.raises(SolverError):
