@@ -76,12 +76,6 @@ def _hprime_raw(model: CostModel, d):
     return 2.0 * np.log(d) / d
 
 
-def h_derivative(model: CostModel, delta):
-    """h'(delta) for finite delta > 0."""
-    out = _hprime_raw(model, _check_delta(delta))
-    return out if out.ndim else float(out)
-
-
 def lambert_w0(x):
     """Principal branch of the Lambert W function, w*exp(w) = x, for x >= 0.
 

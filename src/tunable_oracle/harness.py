@@ -70,7 +70,7 @@ class ExperimentConfig:
     sigma: float = 1e-3
     mu: float = 0.0
     alpha: float = 0.0          # gradient-noise scale, experiment 1 only
-    r: float = -1.0             # cost exponent; negative = pick via kappa_hat
+    r: float = -1.0             # cost exponent; -1 = pick via kappa_hat
     delta_ref: tuple = (1e-3,)
     N: tuple = (500,)
     M: float = 100.0
@@ -91,6 +91,16 @@ class ExperimentConfig:
         for name in ("p", "sigma", "mu", "alpha", "r"):
             if not math.isfinite(getattr(self, name)):
                 raise HarnessError(f"{name} must be finite")
+        if self.sigma <= 0.0 or self.mu < 0.0:
+            raise HarnessError("need sigma > 0 and mu >= 0")
+        for name in ("p", "sigma", "mu"):
+            # the scenario scale is 1/sqrt(p), the step constant 2/sigma and
+            # the lower model steps by g/mu
+            value = getattr(self, name)
+            if value and not math.isfinite(2.0 / value):
+                raise HarnessError(f"{name} is too small: 2/{name} overflows")
+        if self.r < 0.0 and self.r != -1.0:
+            raise HarnessError("r must be >= 0, or -1 (auto)")
         if self.experiment == 1:
             if self.alpha <= 0.0:
                 raise HarnessError("experiment 1 requires a noise scale alpha > 0")
@@ -117,6 +127,8 @@ class ExperimentConfig:
             raise HarnessError("N values must be >= 1")
         if not (0.0 <= self.m < 1.0 < self.M):
             raise HarnessError("bounds must satisfy 0 <= m < 1 < M")
+        if self.m and not self.m * min(self.delta_ref) > 0.0:
+            raise HarnessError("m is too small: m*delta_ref underflows to 0")
         if not self.seeds or min(self.seeds) < 0:
             raise HarnessError("need at least one seed, and seeds >= 0")
         for name in self.schedules:
@@ -130,6 +142,17 @@ class ExperimentConfig:
                 raise HarnessError("the linear baseline degenerates when mu = 0")
         if self.sample_every < 1:
             raise HarnessError("sample_every must be >= 1")
+        _check_log_domain(self, self.r)  # r = -1 (auto) waits for the data
+
+
+def _check_log_domain(config: ExperimentConfig, r: float):
+    """The log cost (r = 0) is defined for delta < 1 only: fail before any
+    run rather than abort the sweep in the middle."""
+    solved = {"tunable", "online_tunable"}.intersection(config.schedules)
+    if r == 0.0 and solved and config.M * max(config.delta_ref) >= 1.0:
+        raise HarnessError(f"the logarithmic cost of {sorted(solved)} needs "
+                           f"M*delta_ref < 1, got M = {config.M:g} and "
+                           f"delta_ref = {max(config.delta_ref):g}")
 
 
 def default_config(experiment: int) -> ExperimentConfig:
@@ -402,8 +425,7 @@ def _run_one(config: ExperimentConfig, data: ScenarioData, name: str,
     state = InnerState()  # the hull oracle's warm start; unused in experiment 1
     if config.experiment == 1:
         def oracle(x, delta):
-            return noisy_oracle(data, x, delta, config.alpha, noise_rng,
-                                r=max(r, 0.0))
+            return noisy_oracle(data, x, delta, config.alpha, noise_rng, r=r)
     else:
         def oracle(x, delta):
             return hull_oracle(data, x, delta, state)
@@ -434,13 +456,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     data = generate_scenarios(config.n, config.d, config.p, DATA_SEED,
                               sigma=config.sigma, mu=config.mu)
     r = _resolve_r(config, data)
-    solved = {"tunable", "online_tunable"}.intersection(config.schedules)
-    if r <= 0.0 and solved and config.M * max(config.delta_ref) >= 1.0:
-        # the log cost is defined for delta < 1 only: fail before any run
-        # rather than abort the sweep in the middle
-        raise HarnessError(f"the logarithmic cost of {sorted(solved)} needs "
-                           f"M*delta_ref < 1, got M = {config.M:g} and "
-                           f"delta_ref = {max(config.delta_ref):g}")
+    _check_log_domain(config, r)
     L = _fixed_L(config, data)
 
     records: list[RunRecord] = []
@@ -517,22 +533,24 @@ def _write_csv(path: str, header, rows):
         writer.writerows([_fmt(cell) for cell in row] for row in rows)
 
 
-def _read_csv(path: str, *headers) -> tuple[list, np.ndarray]:
-    """The header, which must equal one of ``headers``, and the float columns
-    after ``k`` as a (rows x columns) array; every row must have the header's
-    width."""
+def _read_csv(path: str, header: list) -> np.ndarray:
+    """The float columns after ``k`` of a file with exactly ``header``, as a
+    (rows x columns) array; every row must have the header's width."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header not in headers:
-            raise HarnessError(f"{path}: unexpected header {header!r}")
-        rows = list(reader)
-    for lineno, row in enumerate(rows, start=2):
-        if len(row) != len(header):
-            raise HarnessError(f"{path}: line {lineno} has {len(row)} cells, "
-                               f"not {len(header)}")
-    values = [[float(cell) for cell in row[1:]] for row in rows]
-    return header, np.array(values).reshape(len(rows), len(header) - 1)
+        found = next(reader, None)
+        if found != header:
+            raise HarnessError(f"{path}: unexpected header {found!r}")
+        values = []
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise HarnessError(f"{path}: line {lineno} has {len(row)} cells, "
+                                   f"not {len(header)}")
+            try:
+                values.append([float(cell) for cell in row[1:]])
+            except ValueError as exc:
+                raise HarnessError(f"{path}: line {lineno}: {exc}") from exc
+    return np.array(values).reshape(len(values), len(header) - 1)
 
 
 def export_schedule(s: Schedule, path: str):
@@ -540,19 +558,8 @@ def export_schedule(s: Schedule, path: str):
     _write_csv(path, ["k", column], enumerate(s.values))
 
 
-def import_schedule(path: str) -> Schedule:
-    header, values = _read_csv(path, ["k", "delta"], ["k", "omega"])
-    return Schedule(values[:, 0], "accuracy" if header[1] == "delta" else "work")
-
-
-def export_coefficients(a, b, path: str):
-    a = np.asarray(a, float)
-    _write_csv(path, ["k", "a", "b"],
-               zip(range(a.size), a, np.asarray(b, float), strict=True))
-
-
 def import_coefficients(path: str) -> tuple[np.ndarray, np.ndarray]:
-    _, values = _read_csv(path, ["k", "a", "b"])
+    values = _read_csv(path, ["k", "a", "b"])
     return values[:, 0], values[:, 1]
 
 

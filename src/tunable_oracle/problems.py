@@ -14,6 +14,9 @@ import numpy as np
 from .fgm import project_simplex
 
 
+_MAX_INNER = 10**6  # inner iteration cap of fista_inner
+
+
 class OracleError(RuntimeError):
     pass
 
@@ -155,8 +158,7 @@ class InnerResult:
 
 
 def fista_inner(data: ScenarioData, x: np.ndarray, delta_target: float,
-                warm_start: InnerState | None = None,
-                max_inner: int = 10**6) -> InnerResult:
+                warm_start: InnerState | None = None) -> InnerResult:
     """Maximize q(.; x) over the simplex until the certified gap <= target.
 
     The momentum uses the strongly-concave constant when the scenario Gram
@@ -179,12 +181,12 @@ def fista_inner(data: ScenarioData, x: np.ndarray, delta_target: float,
     v = w_prev = w  # never written in place
     upper = math.inf
     t = 1.0
-    for it in range(max_inner + 1):
+    for it in range(_MAX_INNER + 1):
         q_w, grad_w = inner_q_value_grad(data, w, x)
         # linearizations are global upper bounds by concavity, even off-simplex
         upper = min(upper, q_w + float(grad_w.max()) - float(grad_w @ w))
         gap = upper - q_w
-        if gap <= delta_target or it == max_inner:
+        if gap <= delta_target or it == _MAX_INNER:
             break
         if it == 0:
             grad_v = grad_w  # v = w: the first step reuses its evaluation

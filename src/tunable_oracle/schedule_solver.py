@@ -152,36 +152,6 @@ def reference_budget(p: ScheduleProblem) -> float:
 
 
 # ---------------------------------------------------------------------------
-# closed forms (interior solutions, no bound saturation)
-# ---------------------------------------------------------------------------
-
-def closed_form_interior_accuracy(p: ScheduleProblem) -> Schedule | None:
-    """All-interior closed form for the power cost; None when a bound binds."""
-    cm = p.cost_model
-    if cm.kind != POWER:
-        raise SolverError("interior closed form requires the power cost kind")
-    r = cm.r
-    w = (p.b * p.a**r) ** (1.0 / (r + 1.0))
-    scale = (np.sum(w) / np.sum(p.b)) ** (1.0 / r)
-    delta = p.delta_ref * scale * (p.b / p.a) ** (1.0 / (r + 1.0))
-    lo, hi = p.m * p.delta_ref, p.M * p.delta_ref
-    tol = _REL_TOL * p.delta_ref
-    if np.any(delta < lo - tol) or np.any(delta > hi + tol):
-        return None
-    return Schedule(np.clip(delta, lo, hi if math.isfinite(hi) else None), "accuracy")
-
-
-def closed_form_interior_work(p: WorkProblem) -> Schedule | None:
-    """All-interior closed form of the work split; None when a bound binds."""
-    w = (p.b * p.a**p.r) ** (1.0 / (p.r + 1.0))
-    omega = p.omega_bar * w / np.sum(w)
-    tol = _REL_TOL * p.omega_bar
-    if np.any(omega < p.omega_M - tol) or np.any(omega > p.omega_m + tol):
-        return None
-    return Schedule(np.clip(omega, p.omega_M, p.omega_m), "work")
-
-
-# ---------------------------------------------------------------------------
 # water-filling kernel
 # ---------------------------------------------------------------------------
 
@@ -433,66 +403,3 @@ def online_extend_accuracy(known: tuple[float, float, float],
     factor = ((b_q * a_k) / (a_q * b_k)) ** (1.0 / (r + 1.0))
     lo, hi = bounds
     return float(min(hi, max(lo, factor * delta_k)))
-
-
-# ---------------------------------------------------------------------------
-# brute-force oracle (test-side optimality witness)
-# ---------------------------------------------------------------------------
-
-def brute_force_oracle(p: ScheduleProblem, grid_points: int = 200) -> tuple[Schedule, float]:
-    """Grid search over the box keeping near-on-budget points; N <= 4 only.
-
-    A grid point is kept when its cell provably contains an exactly-on-budget
-    point: the budget mismatch must be repairable by one-sided cost
-    adjustments within each coordinate's cell. Every kept point is therefore
-    within one cell of a feasible schedule, so the returned objective
-    undershoots the true optimum by at most sum(a_k) * cell_width.
-    """
-    n = p.size
-    if n > 4:
-        raise SolverError("brute force supports N <= 4")
-    if not math.isfinite(p.M):
-        raise SolverError("brute force requires a finite M")
-    lo, hi = p.m * p.delta_ref, p.M * p.delta_ref
-    grid = np.linspace(lo, hi, grid_points)
-    if p.m == 0.0:
-        grid = grid[1:]  # h(0) = inf for every supported kind
-    width = (hi - lo) / (grid_points - 1)
-    cm = p.cost_model
-    h_grid = h_eval(cm, grid)
-    # One-sided cost adjustments reachable inside each point's cell, per axis:
-    # moving left increases the cost, moving right decreases it.
-    g_lo = np.maximum(grid - width, max(lo, 1e-300))
-    g_hi = np.minimum(grid + width, hi)
-    inc = h_eval(cm, g_lo) - h_grid
-    dec = h_grid - h_eval(cm, g_hi)
-
-    budget = reference_budget(p)
-    shape = [1] * n
-    total_cost = np.zeros([1] * n)
-    total_inc = np.zeros([1] * n)
-    total_dec = np.zeros([1] * n)
-    total_obj = np.zeros([1] * n)
-    for k in range(n):
-        sh = shape.copy()
-        sh[k] = grid.size
-        total_cost = total_cost + (p.b[k] * h_grid).reshape(sh)
-        total_inc = total_inc + (p.b[k] * inc).reshape(sh)
-        total_dec = total_dec + (p.b[k] * dec).reshape(sh)
-        total_obj = total_obj + (p.a[k] * grid).reshape(sh)
-    gap = budget - total_cost
-    feasible = (gap <= total_inc) & (-gap <= total_dec)
-    if not np.any(feasible):
-        raise SolverError("brute-force grid found no near-feasible point")
-    obj = np.where(feasible, total_obj, math.inf)
-    flat = int(np.argmin(obj))
-    idx = np.unravel_index(flat, obj.shape)
-    values = np.array([grid[i] for i in idx])
-    return Schedule(values, "accuracy"), float(obj[idx])
-
-
-def brute_force_error_bound(p: ScheduleProblem, grid_points: int = 200) -> float:
-    """Objective slack of the brute-force oracle: sum(a_k) * cell width."""
-    width = (p.M - p.m) * p.delta_ref / (grid_points - 1)
-    return float(np.sum(p.a) * width)
-

@@ -8,12 +8,19 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from test_certificates import recursion_residual
+from witnesses import (
+    brute_force_error_bound,
+    brute_force_oracle,
+    closed_form_interior_accuracy,
+    closed_form_interior_work,
+    h_derivative,
+)
 
 from tunable_oracle.certificates import (
     fixed_step_certificates,
     impact_coefficients_fgm,
 )
-from tunable_oracle.cost_models import h_derivative, h_eval
+from tunable_oracle.cost_models import h_eval
 from tunable_oracle.fgm import fgm_run
 from tunable_oracle.harness import (
     default_config,
@@ -24,10 +31,6 @@ from tunable_oracle.problems import InnerState, generate_scenarios, hull_oracle
 from tunable_oracle.schedule_solver import (
     WorkProblem,
     accuracy_problem,
-    brute_force_error_bound,
-    brute_force_oracle,
-    closed_form_interior_accuracy,
-    closed_form_interior_work,
     reference_budget,
     solve_accuracy,
     solve_work,

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from witnesses import h_derivative
 
 from tunable_oracle.cost_models import (
     CostModel,
     CostModelError,
-    h_derivative,
     h_eval,
     lambert_w0,
 )

@@ -6,6 +6,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from witnesses import read_schedule, write_coefficients
 
 from tunable_oracle import harness
 from tunable_oracle.certificates import (
@@ -14,6 +17,7 @@ from tunable_oracle.certificates import (
 )
 from tunable_oracle.cli import main as cli_main
 from tunable_oracle.harness import (
+    ALL_SCHEDULES,
     FSTAR_PRECISION,
     ORACLE_FLOOR,
     ExperimentConfig,
@@ -21,8 +25,6 @@ from tunable_oracle.harness import (
     baseline_schedule,
     default_config,
     emit_outputs,
-    export_coefficients,
-    import_schedule,
     load_config,
     parse_config_text,
     run_experiment,
@@ -161,6 +163,33 @@ class TestConfigValidation:
         with pytest.raises(HarnessError):
             replace(TINY_EXP1, **{name: value})
 
+    @pytest.mark.parametrize("experiment, changes, message", [
+        (1, {"sigma": -1.0}, "need sigma > 0 and mu >= 0"),
+        (2, {"sigma": 0.0}, "need sigma > 0 and mu >= 0"),
+        (2, {"mu": -0.5}, "need sigma > 0 and mu >= 0"),
+        (3, {"mu": -1e-300}, "need sigma > 0 and mu >= 0"),
+        (1, {"r": -0.5}, "r must be >= 0"),
+        (1, {"r": -2.0}, "r must be >= 0"),
+        (1, {"r": -5e-324}, "r must be >= 0"),
+        (2, {"sigma": 5e-324}, "2/sigma overflows"),
+        (1, {"p": 5e-324}, "2/p overflows"),
+        (1, {"mu": 5e-324}, "2/mu overflows"),
+        (1, {"m": 5e-324}, "m\\*delta_ref underflows"),
+        (2, {"r": 0.0, "M": math.inf}, "M\\*delta_ref < 1"),
+        (1, {"r": 0.0, "M": 1e3}, "M\\*delta_ref < 1")])
+    def test_values_a_run_cannot_take_rejected_at_construction(
+            self, experiment, changes, message):
+        # each would otherwise fail inside run_experiment, once the scenarios
+        # exist, or (a negative r) run as r = auto
+        with pytest.raises(HarnessError, match=message):
+            replace(default_config(experiment), **changes)
+
+    def test_negative_r_in_a_config_file_rejected(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text("r = -0.5\n")
+        with pytest.raises(HarnessError, match="r must be >= 0"):
+            load_config(str(path), experiment=1)
+
     def test_unbounded_M_accepted(self):
         assert replace(TINY_EXP1, M=math.inf).M == math.inf
 
@@ -212,6 +241,53 @@ class TestConfigValidation:
         result = run_experiment(cfg)
         assert not result.failures
         assert {s.schedule for s in result.summaries} == {"constant", "poly3"}
+
+
+def _around(bound: float) -> list[float]:
+    """A bound and the doubles on either side of it."""
+    return [bound, math.nextafter(bound, -math.inf), math.nextafter(bound, math.inf)]
+
+
+@st.composite
+def boundary_configs(draw):
+    """ExperimentConfig fields: up to four of them at or next to a bound,
+    the rest typical; tiny d and n, N = 2 and one seed keep each run short."""
+    experiment = draw(st.sampled_from((1, 2, 3)))
+    fields = dict(d=2, n=2, p=1.0, sigma=1e-2, mu=0.1,
+                  alpha=1.0 if experiment == 1 else 0.0, r=-1.0, delta_ref=1e-3,
+                  m=0.0, M=100.0, N_r=1 if experiment == 3 else 0)
+    edges = dict(d=[0, 1], n=[0, 1], p=_around(0.0), sigma=_around(0.0),
+                 mu=_around(0.0), alpha=_around(0.0),
+                 r=_around(-1.0) + _around(0.0), delta_ref=_around(ORACLE_FLOOR),
+                 m=_around(0.0) + _around(1.0), N_r=[0, 1, 2])
+    for name in draw(st.lists(st.sampled_from([*edges, "M"]), max_size=4, unique=True)):
+        if name == "M":  # M > 1, and M*delta_ref < 1 for the log cost
+            fields[name] = draw(st.sampled_from(
+                _around(1.0) + _around(1.0 / fields["delta_ref"]) + [math.inf]))
+        else:
+            fields[name] = draw(st.sampled_from(edges[name]))
+    solved = "online_tunable" if experiment == 3 else "tunable"
+    families = [f for f in ALL_SCHEDULES if f not in ("tunable", "online_tunable")]
+    schedules = draw(st.lists(st.sampled_from([solved, *families]), min_size=1,
+                              unique=True))
+    return {**fields, "experiment": experiment, "N": (2,), "seeds": (0,),
+            "delta_ref": (fields["delta_ref"],), "schedules": tuple(schedules)}
+
+
+class TestConfigBoundaries:
+    @settings(max_examples=500, deadline=None)
+    @given(boundary_configs())
+    def test_rejected_at_construction_or_run(self, fields):
+        try:
+            config = ExperimentConfig(**fields)
+        except HarnessError:
+            return
+        try:
+            run_experiment(config)
+        except HarnessError as exc:
+            # under r = auto the cost kind comes from the scenario data, so
+            # its domain check waits for them; it still fails before any run
+            assert config.r == -1.0 and "M*delta_ref < 1" in str(exc)
 
 
 class TestMatchBudget:
@@ -501,7 +577,7 @@ class TestEmitOutputs:
         result.schedules["toy"] = sched
         written = emit_outputs(result, str(tmp_path))
         path = next(p for p in written if p.endswith("schedule_toy.csv"))
-        back = import_schedule(path)
+        back = read_schedule(path)
         np.testing.assert_array_equal(back.values, sched.values)
         assert back.kind == "accuracy"
 
@@ -538,36 +614,36 @@ class TestCli:
     def test_toy_file(self, tmp_path, capsys):
         path = tmp_path / "toy.csv"
         assert cli_main(["toy", "--out", str(path)]) == 0
-        sched = import_schedule(str(path))
+        sched = read_schedule(str(path))
         assert sched.values.size == 80
 
     def test_schedule_accuracy_mode(self, tmp_path, capsys):
         coeffs = tmp_path / "coeffs.csv"
-        export_coefficients(np.arange(1.0, 9.0), np.ones(8), str(coeffs))
+        write_coefficients(np.arange(1.0, 9.0), np.ones(8), str(coeffs))
         out = tmp_path / "sched.csv"
         rc = cli_main(["schedule", "--coeffs", str(coeffs), "--cost", "power:1",
                        "--delta-ref", "1e-3", "--m", "0", "--M", "10",
                        "--out", str(out)])
         assert rc == 0
-        sched = import_schedule(str(out))
+        sched = read_schedule(str(out))
         assert sched.values.size == 8 and sched.kind == "accuracy"
         assert float(np.sum(1.0 / sched.values)) == pytest.approx(8e3, rel=1e-8)
 
     def test_schedule_work_mode(self, tmp_path, capsys):
         coeffs = tmp_path / "coeffs.csv"
-        export_coefficients([1.0, 4.0, 9.0], np.ones(3), str(coeffs))
+        write_coefficients([1.0, 4.0, 9.0], np.ones(3), str(coeffs))
         out = tmp_path / "sched.csv"
         rc = cli_main(["schedule", "--coeffs", str(coeffs), "--cost", "power:1",
                        "--work", "--budget", "6", "--wmin", "0.1",
                        "--wmax", "2.2", "--out", str(out)])
         assert rc == 0
-        sched = import_schedule(str(out))
+        sched = read_schedule(str(out))
         np.testing.assert_allclose(sched.values, [1.6, 2.2, 2.2], rtol=1e-9)
         assert sched.kind == "work"
 
     def test_schedule_missing_args_fails(self, tmp_path, capsys):
         coeffs = tmp_path / "coeffs.csv"
-        export_coefficients([1.0], [1.0], str(coeffs))
+        write_coefficients([1.0], [1.0], str(coeffs))
         rc = cli_main(["schedule", "--coeffs", str(coeffs), "--cost", "power:1",
                        "--out", str(tmp_path / "s.csv")])
         assert rc == 1
@@ -575,7 +651,7 @@ class TestCli:
 
     def test_schedule_bad_cost_fails(self, tmp_path, capsys):
         coeffs = tmp_path / "coeffs.csv"
-        export_coefficients([1.0], [1.0], str(coeffs))
+        write_coefficients([1.0], [1.0], str(coeffs))
         rc = cli_main(["schedule", "--coeffs", str(coeffs), "--cost", "cubic",
                        "--delta-ref", "1e-3", "--m", "0", "--M", "10",
                        "--out", str(tmp_path / "s.csv")])
@@ -617,13 +693,13 @@ class TestCli:
         ("log", lambda d: -np.log(d)), ("logsq", lambda d: np.log(d) ** 2)])
     def test_schedule_log_costs(self, tmp_path, capsys, cost, h):
         coeffs = tmp_path / "coeffs.csv"
-        export_coefficients(np.arange(1.0, 9.0), np.ones(8), str(coeffs))
+        write_coefficients(np.arange(1.0, 9.0), np.ones(8), str(coeffs))
         out = tmp_path / "sched.csv"
         rc = cli_main(["schedule", "--coeffs", str(coeffs), "--cost", cost,
                        "--delta-ref", "1e-3", "--m", "0", "--M", "10",
                        "--out", str(out)])
         assert rc == 0
-        sched = import_schedule(str(out))
+        sched = read_schedule(str(out))
         assert sched.values.size == 8 and sched.kind == "accuracy"
         assert float(np.sum(h(sched.values))) == pytest.approx(8 * h(1e-3), rel=1e-9)
 
@@ -638,11 +714,20 @@ class TestCli:
           "--wmax", "2"], "power and log costs only")])
     def test_schedule_bad_arguments_fail(self, tmp_path, capsys, extra, message):
         coeffs = tmp_path / "coeffs.csv"
-        export_coefficients([1.0, 2.0], [1.0, 1.0], str(coeffs))
+        write_coefficients([1.0, 2.0], [1.0, 1.0], str(coeffs))
         rc = cli_main(["schedule", "--coeffs", str(coeffs), *extra,
                        "--out", str(tmp_path / "s.csv")])
         assert rc == 1
         assert message in capsys.readouterr().err
+
+    def test_schedule_non_numeric_cell_fails(self, tmp_path, capsys):
+        coeffs = tmp_path / "coeffs.csv"
+        coeffs.write_text("k,a,b\n0,x,1\n")
+        rc = cli_main(["schedule", "--coeffs", str(coeffs), "--cost", "power:1",
+                       "--delta-ref", "1e-3", "--m", "0", "--M", "10",
+                       "--out", str(tmp_path / "s.csv")])
+        assert rc == 1
+        assert f"{coeffs}: line 2: could not convert" in capsys.readouterr().err
 
     def test_experiment_bad_config_fails(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"

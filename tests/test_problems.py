@@ -233,7 +233,7 @@ class TestFistaInner:
         warm = fista_inner(data, x, 1e-6, warm_start=InnerState(w=tight.w))
         assert warm.work == 0 and warm.converged
 
-    def test_gap_certifies_every_step(self):
+    def test_gap_certifies_every_step(self, monkeypatch):
         # stopped after any number of steps, the returned gap bounds the
         # distance of the returned value to the optimum
         data = generate_scenarios(8, 16, 1.0, seed=6, sigma=1e-2)
@@ -242,7 +242,8 @@ class TestFistaInner:
         steps = fista_inner(data, x, 1e-10).work
         assert steps >= 10
         for max_inner in range(1, steps + 1):
-            result = fista_inner(data, x, 1e-10, max_inner=max_inner)
+            monkeypatch.setattr(problems, "_MAX_INNER", max_inner)
+            result = fista_inner(data, x, 1e-10)
             assert result.gap >= q_star - result.value - 1e-12
         assert result.converged and result.gap <= 1e-10
 
@@ -259,9 +260,10 @@ class TestFistaInner:
         data = generate_scenarios(20, 40, 0.5, seed=2, sigma=1e-2)
         x = np.full(40, 1.0 / 40.0)
         results = {}
-        for target, max_inner in ((1e-2, 10**6), (1e-10, 10**6), (1e-12, 3)):
+        for target, max_inner in ((1e-12, 3), (1e-2, 10**6), (1e-10, 10**6)):
+            monkeypatch.setattr(problems, "_MAX_INNER", max_inner)
             calls.clear()
-            results[target] = fista_inner(data, x, target, max_inner=max_inner)
+            results[target] = fista_inner(data, x, target)
             assert results[target].work >= 1
             assert len(calls) == 2 * results[target].work
         calls.clear()
@@ -269,22 +271,24 @@ class TestFistaInner:
         assert fista_inner(data, x, 1e-6, warm_start=warm).work == 0
         assert len(calls) == 1
 
-    def test_rejects_nonpositive_target(self):
+    def test_rejects_nonpositive_target(self, monkeypatch):
         data = generate_scenarios(2, 2, 1.0, seed=0)
         with pytest.raises(OracleError):
             fista_inner(data, np.array([0.5, 0.5]), 0.0)
+        monkeypatch.setattr(problems, "_MAX_INNER", 50)
         with pytest.raises(OracleError):
-            fista_inner(data, np.array([0.5, 0.5]), math.nan, max_inner=50)
+            fista_inner(data, np.array([0.5, 0.5]), math.nan)
 
-    def test_value_is_q_at_w_on_every_exit(self):
+    def test_value_is_q_at_w_on_every_exit(self, monkeypatch):
         data = generate_scenarios(10, 20, 1.0, seed=3, sigma=1e-2)
         x = np.full(20, 0.05)
         tight = fista_inner(data, x, 1e-12)
         exits = {
             "start": fista_inner(data, x, 1e-6, warm_start=InnerState(w=tight.w)),
             "loop": tight,
-            "exhausted": fista_inner(data, x, 1e-12, max_inner=2),
         }
+        monkeypatch.setattr(problems, "_MAX_INNER", 2)
+        exits["exhausted"] = fista_inner(data, x, 1e-12)
         assert exits["start"].work == 0 and exits["start"].converged
         assert exits["loop"].work > 0 and exits["loop"].converged
         assert not exits["exhausted"].converged
@@ -371,10 +375,11 @@ class TestFistaInnerBitIdentity:
                 works.append(result.work)
         assert min(works) >= 1 and max(works) >= 30
 
-    def test_exhausted_exit(self):
+    def test_exhausted_exit(self, monkeypatch):
         data = generate_scenarios(30, 10, 0.2, seed=6, sigma=1.0)
         x = np.full(10, 0.1)
-        self.assert_identical(fista_inner(data, x, 1e-12, max_inner=7),
+        monkeypatch.setattr(problems, "_MAX_INNER", 7)
+        self.assert_identical(fista_inner(data, x, 1e-12),
                               reference_fista_inner(data, x, 1e-12, max_inner=7))
 
 
@@ -409,11 +414,7 @@ class TestHullOracle:
         assert warm < cold
 
     def test_exhaustion_raises(self, monkeypatch):
-        capped = problems.fista_inner
-
-        def two_steps(*args, **kwargs):
-            return capped(*args, **{**kwargs, "max_inner": 2})
-        monkeypatch.setattr(problems, "fista_inner", two_steps)
+        monkeypatch.setattr(problems, "_MAX_INNER", 2)
         data = generate_scenarios(12, 24, 0.5, seed=11, sigma=1e-2)
         x = np.full(24, 1.0 / 24.0)
         with pytest.raises(InnerSolverExhausted):
@@ -438,11 +439,7 @@ class TestHullValue:
         np.testing.assert_array_equal(state.w, w_before)
 
     def test_exhaustion_raises(self, monkeypatch):
-        capped = problems.fista_inner
-
-        def one_step(*args, **kwargs):
-            return capped(*args, **{**kwargs, "max_inner": 1})
-        monkeypatch.setattr(problems, "fista_inner", one_step)
+        monkeypatch.setattr(problems, "_MAX_INNER", 1)
         data = generate_scenarios(12, 24, 0.5, seed=11, sigma=1e-2)
         x = np.full(24, 1.0 / 24.0)
         with pytest.raises(InnerSolverExhausted,

@@ -4,20 +4,27 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from witnesses import (
+    brute_force_error_bound,
+    brute_force_oracle,
+    closed_form_interior_accuracy,
+    closed_form_interior_work,
+    h_derivative,
+    read_schedule,
+    write_coefficients,
+)
 
 from tunable_oracle.cost_models import (
     LOG_SQUARED,
     LOGARITHMIC,
     POWER,
-    h_derivative,
     h_eval,
 )
 from tunable_oracle.harness import (
     HarnessError,
-    export_coefficients,
+    _read_csv,
     export_schedule,
     import_coefficients,
-    import_schedule,
 )
 from tunable_oracle.schedule_solver import (
     Schedule,
@@ -25,10 +32,6 @@ from tunable_oracle.schedule_solver import (
     WorkProblem,
     _descending_order,
     accuracy_problem,
-    brute_force_error_bound,
-    brute_force_oracle,
-    closed_form_interior_accuracy,
-    closed_form_interior_work,
     online_extend_accuracy,
     reference_budget,
     solve_accuracy,
@@ -514,7 +517,7 @@ class TestCsvRoundTrip:
         s = Schedule(np.array([1e-3, 2.5e-4, 0.1]), "accuracy")
         path = tmp_path / "sched.csv"
         export_schedule(s, str(path))
-        s2 = import_schedule(str(path))
+        s2 = read_schedule(str(path))
         assert s2.kind == "accuracy"
         np.testing.assert_array_equal(s2.values, s.values)
 
@@ -522,26 +525,22 @@ class TestCsvRoundTrip:
         s = Schedule(np.array([1.0, 2.0]), "work")
         path = tmp_path / "sched.csv"
         export_schedule(s, str(path))
-        assert import_schedule(str(path)).kind == "work"
+        assert read_schedule(str(path)).kind == "work"
 
     def test_coefficients(self, tmp_path):
         a = np.array([1.0, math.pi, 1e-17])
         b = np.array([2.0, 0.5, 3.0])
         path = tmp_path / "coeffs.csv"
-        export_coefficients(a, b, str(path))
+        write_coefficients(a, b, str(path))
         a2, b2 = import_coefficients(str(path))
         np.testing.assert_array_equal(a2, a)
         np.testing.assert_array_equal(b2, b)
 
-    def test_coefficient_bytes(self, tmp_path):
+    def test_schedule_bytes(self, tmp_path):
         # CRLF line ends, full-precision floats, ints via str
-        path = tmp_path / "coeffs.csv"
-        export_coefficients([1, 0.1], [2.0, 0.25], str(path))
-        assert path.read_bytes() == b"k,a,b\r\n0,1,2\r\n1,0.10000000000000001,0.25\r\n"
-
-    def test_coefficient_lengths_must_match(self, tmp_path):
-        with pytest.raises(ValueError):
-            export_coefficients([1.0, 2.0], [1.0], str(tmp_path / "coeffs.csv"))
+        path = tmp_path / "sched.csv"
+        export_schedule(Schedule(np.array([1.0, 0.1]), "accuracy"), str(path))
+        assert path.read_bytes() == b"k,delta\r\n0,1\r\n1,0.10000000000000001\r\n"
 
     def test_header_only_coefficients_fail_in_the_solver(self, tmp_path):
         path = tmp_path / "coeffs.csv"
@@ -554,7 +553,7 @@ class TestCsvRoundTrip:
     def test_header_only_schedule_is_empty(self, tmp_path):
         path = tmp_path / "sched.csv"
         export_schedule(Schedule(np.array([]), "work"), str(path))
-        s = import_schedule(str(path))
+        s = read_schedule(str(path))
         assert s.kind == "work" and s.values.shape == (0,)
 
     @pytest.mark.parametrize("text", ["k,a,b\n0,1\n", "k,a,b\n0,1,2,3\n"],
@@ -565,17 +564,26 @@ class TestCsvRoundTrip:
         with pytest.raises(HarnessError, match="coeffs.csv: line 2 has"):
             import_coefficients(str(path))
 
-    @pytest.mark.parametrize("reader, text", [
-        (import_schedule, "k,delta,extra\n0,1,2\n"),
-        (import_schedule, "k,a,b\n0,1,2\n"),
-        (import_schedule, ""),
-        (import_coefficients, "k,b,a\n0,1,2\n")],
+    @pytest.mark.parametrize("text", ["k,a,b\n0,1,2\n1,x,1\n",
+                                      "k,a,b\n0,1,2\n1,1,\n"],
+                             ids=["word", "blank"])
+    def test_non_numeric_cell_names_file_and_line(self, tmp_path, text):
+        path = tmp_path / "coeffs.csv"
+        path.write_text(text)
+        with pytest.raises(HarnessError, match="coeffs.csv: line 3: could not convert"):
+            import_coefficients(str(path))
+
+    @pytest.mark.parametrize("header, text", [
+        (["k", "delta"], "k,delta,extra\n0,1,2\n"),
+        (["k", "delta"], "k,a,b\n0,1,2\n"),
+        (["k", "delta"], ""),
+        (["k", "a", "b"], "k,b,a\n0,1,2\n")],
         ids=["extra_column", "coefficients_as_schedule", "empty", "swapped_columns"])
-    def test_header_must_match(self, tmp_path, reader, text):
+    def test_header_must_match(self, tmp_path, header, text):
         path = tmp_path / "data.csv"
         path.write_text(text)
         with pytest.raises(HarnessError, match="data.csv: unexpected header"):
-            reader(str(path))
+            _read_csv(str(path), header)
 
 
 class TestValidation:
