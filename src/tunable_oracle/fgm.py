@@ -57,21 +57,26 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     recorded runs pin exact inner iteration counts.
     """
     v = np.asarray(v, dtype=float)
-    if not np.isfinite(v).all():
-        raise FgmError("cannot project a non-finite vector")
+    n = v.size
+    if n == 0:
+        raise FgmError("cannot project an empty vector")
     u = v.copy()
     u.sort()
+    # NaN sorts last and -inf first, so the two ends decide finiteness
+    if not (math.isfinite(u[0]) and math.isfinite(u[-1])):
+        raise FgmError("cannot project a non-finite vector")
     u = u[::-1]
-    css = u.cumsum()
-    css -= 1.0
-    cond = u - css / _ranks(v.size) > 0.0
-    nonzero = cond.nonzero()[0]
-    if nonzero.size == 0:
+    thresholds = u.cumsum()
+    thresholds -= 1.0
+    thresholds /= _ranks(n)  # (u_1 + ... + u_k - 1) / k for rank k
+    # u - t > 0 exactly when u > t: an IEEE difference has the exact sign
+    cond = u > thresholds
+    rho = n - 1 - int(cond[::-1].argmax())  # the last qualifying rank
+    if not cond[rho]:
         # u[0] - (u[0] - 1) rounds to 0 once |u[0]| outgrows double resolution
         raise FgmError("no rank qualifies: the entries are too large for the "
                        "unit sum to register in double precision")
-    rho = int(nonzero[-1])
-    tau = css[rho] / (rho + 1.0)
+    tau = thresholds[rho]
     if not math.isfinite(tau):
         # the running sum of entries near -1e308 overflows
         raise FgmError("the entries are too large in magnitude to sum in "

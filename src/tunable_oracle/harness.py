@@ -233,6 +233,16 @@ def load_config(path: str, experiment: int,
 # schedule construction
 # ---------------------------------------------------------------------------
 
+def _linear_base(mu: float, L: float) -> float:
+    """The contraction 1 - sqrt(mu/L) of the linear baseline."""
+    if mu <= 0.0:
+        raise HarnessError("the linear baseline degenerates when mu = 0")
+    base = 1.0 - math.sqrt(mu / L)
+    if not (0.0 < base < 1.0):
+        raise HarnessError("linear baseline requires 0 < 1 - sqrt(mu/L) < 1")
+    return base
+
+
 def baseline_schedule(name: str, delta_ref: float, mu: float, L: float,
                       N: int) -> Schedule:
     """Literature baselines: constant, cubic decay, linear(-rate) schedule.
@@ -245,12 +255,7 @@ def baseline_schedule(name: str, delta_ref: float, mu: float, L: float,
     elif name == "poly3":
         values = delta_ref * (k + 1.0) ** -3.0
     elif name == "linear":
-        if mu <= 0.0:
-            raise HarnessError("the linear baseline degenerates when mu = 0")
-        base = 1.0 - math.sqrt(mu / L)
-        if not (0.0 < base < 1.0):
-            raise HarnessError("linear baseline requires 0 < 1 - sqrt(mu/L) < 1")
-        values = delta_ref * base ** -k
+        values = delta_ref * _linear_base(mu, L) ** -k
     else:
         raise HarnessError(f"unknown baseline {name!r}")
     return Schedule(values, "accuracy")
@@ -458,6 +463,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     r = _resolve_r(config, data)
     _check_log_domain(config, r)
     L = _fixed_L(config, data)
+    if "linear" in config.schedules:
+        _linear_base(config.mu, L)  # fail before any run, not mid-sweep
 
     records: list[RunRecord] = []
     summaries: list[SummaryRow] = []
@@ -535,7 +542,8 @@ def _write_csv(path: str, header, rows):
 
 def _read_csv(path: str, header: list) -> np.ndarray:
     """The float columns after ``k`` of a file with exactly ``header``, as a
-    (rows x columns) array; every row must have the header's width."""
+    (rows x columns) array; every row must have the header's width, and k
+    must count 0, 1, 2, ... down the rows."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         found = next(reader, None)
@@ -546,6 +554,9 @@ def _read_csv(path: str, header: list) -> np.ndarray:
             if len(row) != len(header):
                 raise HarnessError(f"{path}: line {lineno} has {len(row)} cells, "
                                    f"not {len(header)}")
+            if row[0] != str(lineno - 2):
+                raise HarnessError(f"{path}: line {lineno}: k must be "
+                                   f"{lineno - 2}, got {row[0]!r}")
             try:
                 values.append([float(cell) for cell in row[1:]])
             except ValueError as exc:

@@ -6,6 +6,7 @@ costly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -36,12 +37,14 @@ class ScenarioData:
     sigma: float
     mu: float
     theta_bar: np.ndarray = field(init=False)  # the anchor: row mean of O
+    half_sigma: float = field(init=False)  # 0.5 * sigma
     lam_max: float = field(init=False)
     lam_min: float = field(init=False)  # smallest eigenvalue of O O^T
 
     def __post_init__(self):
         self.O = np.asarray(self.O, dtype=float)
         self.theta_bar = self.O.mean(axis=0)
+        self.half_sigma = 0.5 * self.sigma
         n, d = self.O.shape
         if self.sigma <= 0.0 or self.mu < 0.0:
             raise OracleError("need sigma > 0 and mu >= 0")
@@ -57,6 +60,17 @@ class ScenarioData:
     @property
     def d(self) -> int:
         return self.O.shape[1]
+
+    @functools.cached_property
+    def fista_constants(self) -> tuple[float, float | None]:
+        """The inner solver's step 1/(sigma lam_max) and its constant
+        momentum, None when the Gram matrix is rank deficient."""
+        L_w = self.sigma * self.lam_max
+        if L_w <= 0.0:
+            raise OracleError("degenerate inner problem: sigma * lam_max == 0")
+        kap = kappa_hat(self)
+        beta = (1.0 - math.sqrt(kap)) / (1.0 + math.sqrt(kap)) if kap > 0.0 else None
+        return 1.0 / L_w, beta
 
 
 def generate_scenarios(n: int, d: int, p: float, seed: int,
@@ -133,12 +147,20 @@ def noisy_oracle(data: ScenarioData, x: np.ndarray, delta: float, alpha: float,
 
 def inner_q_value_grad(data: ScenarioData, w: np.ndarray,
                        x: np.ndarray) -> tuple[float, np.ndarray]:
-    """Concave inner objective q(w; x) and its gradient in w."""
-    Otw = data.O.T @ w
+    """Concave inner objective q(w; x) and its gradient in w.
+
+    The inner solver's hot path: ndarray ``dot`` (the same BLAS call as
+    ``@``) and in-place updates cut the interpreter overhead. Keep the
+    arithmetic and its order as they are; recorded runs pin exact inner
+    iteration counts.
+    """
+    Otw = data.O.T.dot(w)
     resid = Otw - data.theta_bar
-    value = float(Otw @ x) - 0.5 * data.sigma * float(resid @ resid)
-    grad = data.O @ (x - data.sigma * resid)
-    return value, grad
+    value = float(Otw.dot(x)) - data.half_sigma * float(resid.dot(resid))
+    # x - sigma * resid to the bit: (-s) * r == -(s * r) and x + (-y) == x - y
+    resid *= -data.sigma
+    resid += x
+    return value, data.O.dot(resid)
 
 
 @dataclass
@@ -171,20 +193,20 @@ def fista_inner(data: ScenarioData, x: np.ndarray, delta_target: float,
     n = data.n
     w = warm_start.w.copy() if warm_start is not None and warm_start.w is not None \
         else np.full(n, 1.0 / n)
-    L_w = data.sigma * data.lam_max
-    if L_w <= 0.0:
-        raise OracleError("degenerate inner problem: sigma * lam_max == 0")
-    step = 1.0 / L_w
-    kap = kappa_hat(data)
-    beta_const = (1.0 - math.sqrt(kap)) / (1.0 + math.sqrt(kap)) if kap > 0.0 else None
+    step, beta_const = data.fista_constants
 
-    v = w_prev = w  # never written in place
+    # The loop is the oracle's hot path. Every rewrite below is exact:
+    # g[g.argmax()] is g.max(), an `if` is min(), and the in-place updates
+    # only reorder commutative operations.
+    v = w_prev = w  # aliases: only fresh arrays are updated in place
     upper = math.inf
     t = 1.0
     for it in range(_MAX_INNER + 1):
         q_w, grad_w = inner_q_value_grad(data, w, x)
         # linearizations are global upper bounds by concavity, even off-simplex
-        upper = min(upper, q_w + float(grad_w.max()) - float(grad_w @ w))
+        bound = q_w + float(grad_w[grad_w.argmax()]) - float(grad_w.dot(w))
+        if bound < upper:
+            upper = bound
         gap = upper - q_w
         if gap <= delta_target or it == _MAX_INNER:
             break
@@ -192,15 +214,21 @@ def fista_inner(data: ScenarioData, x: np.ndarray, delta_target: float,
             grad_v = grad_w  # v = w: the first step reuses its evaluation
         else:
             q_v, grad_v = inner_q_value_grad(data, v, x)
-            upper = min(upper, q_v + float(grad_v.max()) - float(grad_v @ v))
-        w = project_simplex(v + step * grad_v)
+            bound = q_v + float(grad_v[grad_v.argmax()]) - float(grad_v.dot(v))
+            if bound < upper:
+                upper = bound
+        grad_v *= step  # v + step * grad_v
+        grad_v += v
+        w = project_simplex(grad_v)
         if beta_const is not None:
             beta = beta_const
         else:
             t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
             beta = (t - 1.0) / t_new
             t = t_new
-        v = w + beta * (w - w_prev)
+        v = w - w_prev  # w + beta * (w - w_prev)
+        v *= beta
+        v += w
         w_prev = w
     return InnerResult(w=w, value=q_w, gap=gap, work=it, converged=gap <= delta_target)
 

@@ -71,6 +71,27 @@ class TestProjectSimplex:
         with pytest.raises(FgmError):
             project_simplex(np.array([1.0, math.nan]))
 
+    # the check looks at the two ends of the sorted copy only
+    @pytest.mark.parametrize("position", [0, 2, 4], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    def test_rejects_nonfinite_at_any_position(self, bad, position):
+        v = np.array([0.3, -1.0, 0.5, 2.0, 0.1])
+        v[position] = bad
+        with pytest.raises(FgmError, match="cannot project a non-finite vector"):
+            project_simplex(v)
+
+    @pytest.mark.parametrize("values", [
+        [math.nan, math.inf], [-math.inf, 0.5, math.nan],
+        [math.inf, math.nan, -math.inf], [math.nan, math.nan]])
+    def test_rejects_nan_mixed_with_inf(self, values):
+        with pytest.raises(FgmError, match="cannot project a non-finite vector"):
+            project_simplex(np.array(values))
+
+    def test_rejects_empty(self):
+        with pytest.raises(FgmError):
+            project_simplex(np.array([]))
+
     def test_entries_beyond_double_resolution_raise(self):
         # 1e17 - (1e17 - 1) rounds to 0, so no rank passes the threshold test
         with pytest.raises(FgmError, match="no rank qualifies"):

@@ -225,6 +225,19 @@ class TestConfigValidation:
         with pytest.raises(HarnessError, match=r"M\*delta_ref < 1"):
             run_experiment(cfg)
 
+    def test_linear_base_rounding_to_one_rejected_before_any_run(self, monkeypatch):
+        # mu / L ~ 5e-43 passes the config's 2/mu check, but
+        # 1 - sqrt(mu/L) rounds to 1; the constant family must not run first
+        cfg = ExperimentConfig(experiment=2, d=2, n=2, p=1.0, sigma=1e-2,
+                               mu=1e-40, N=(2,), seeds=(0,),
+                               schedules=("constant", "linear"))
+
+        def no_run(*_args, **_kwargs):
+            raise AssertionError("a run started")
+        monkeypatch.setattr(harness, "fgm_run", no_run)
+        with pytest.raises(HarnessError, match=r"0 < 1 - sqrt\(mu/L\) < 1"):
+            run_experiment(cfg)
+
     def test_delta_ref_must_exceed_the_oracle_floor(self):
         # experiments 2 and 3 solve their box from the floor up, m = floor/dref
         for cfg in (TINY_EXP2, TINY_EXP3):

@@ -271,6 +271,26 @@ class TestFistaInner:
         assert fista_inner(data, x, 1e-6, warm_start=warm).work == 0
         assert len(calls) == 1
 
+    def test_one_projection_per_iteration(self, monkeypatch):
+        calls = []
+        original = problems.project_simplex
+
+        def counted(v):
+            calls.append(v)
+            return original(v)
+        monkeypatch.setattr(problems, "project_simplex", counted)
+        data = generate_scenarios(20, 40, 0.5, seed=2, sigma=1e-2)
+        x = np.full(40, 1.0 / 40.0)
+        for target, max_inner in ((1e-12, 3), (1e-2, 10**6), (1e-10, 10**6)):
+            monkeypatch.setattr(problems, "_MAX_INNER", max_inner)
+            calls.clear()
+            result = fista_inner(data, x, target)
+            assert result.work >= 1
+            assert len(calls) == result.work
+        calls.clear()
+        assert fista_inner(data, x, 1e-6, warm_start=InnerState(w=result.w)).work == 0
+        assert calls == []
+
     def test_rejects_nonpositive_target(self, monkeypatch):
         data = generate_scenarios(2, 2, 1.0, seed=0)
         with pytest.raises(OracleError):
@@ -296,10 +316,21 @@ class TestFistaInner:
             assert result.value == inner_q_value_grad(data, result.w, x)[0]
 
 
+def reference_inner_q_value_grad(data, w, x):
+    """``inner_q_value_grad`` as first written; the differential tests hold
+    the optimised evaluation to its exact bits."""
+    Otw = data.O.T @ w
+    resid = Otw - data.theta_bar
+    value = float(Otw @ x) - 0.5 * data.sigma * float(resid @ resid)
+    grad = data.O @ (x - data.sigma * resid)
+    return value, grad
+
+
 def reference_fista_inner(data, x, delta_target, warm_start=None,
                           max_inner=10**6):
-    """The FISTA loop as first written, over the reference projection; the
-    differential test holds ``fista_inner`` to its exact bits."""
+    """The FISTA loop as first written, over the reference evaluation and
+    projection; the differential test holds ``fista_inner`` to its exact
+    bits."""
     if delta_target <= 0.0:
         raise OracleError("delta_target must be > 0")
     n = data.n
@@ -312,7 +343,7 @@ def reference_fista_inner(data, x, delta_target, warm_start=None,
     kap = kappa_hat(data)
     beta_const = (1.0 - math.sqrt(kap)) / (1.0 + math.sqrt(kap)) if kap > 0.0 else None
 
-    q_w, grad_w = inner_q_value_grad(data, w, x)
+    q_w, grad_w = reference_inner_q_value_grad(data, w, x)
     upper = q_w + float(np.max(grad_w)) - float(grad_w @ w)
     gap = upper - q_w
     if gap <= delta_target:
@@ -322,7 +353,7 @@ def reference_fista_inner(data, x, delta_target, warm_start=None,
     w_prev = w.copy()
     t = 1.0
     for it in range(1, max_inner + 1):
-        q_v, grad_v = inner_q_value_grad(data, v, x)
+        q_v, grad_v = reference_inner_q_value_grad(data, v, x)
         # linearizations are global upper bounds by concavity, even off-simplex
         upper = min(upper, q_v + float(np.max(grad_v)) - float(grad_v @ v))
         w = reference_project_simplex(v + step * grad_v)
@@ -334,12 +365,19 @@ def reference_fista_inner(data, x, delta_target, warm_start=None,
             t = t_new
         v = w + beta * (w - w_prev)
         w_prev = w
-        q_w, grad_w = inner_q_value_grad(data, w, x)
+        q_w, grad_w = reference_inner_q_value_grad(data, w, x)
         upper = min(upper, q_w + float(np.max(grad_w)) - float(grad_w @ w))
         gap = upper - q_w
         if gap <= delta_target:
             return InnerResult(w=w, value=q_w, gap=gap, work=it, converged=True)
     return InnerResult(w=w, value=q_w, gap=gap, work=max_inner, converged=False)
+
+
+# (n, d): n <= d gives kappa_hat > 0 and the constant momentum, n > d a
+# rank-deficient Gram matrix and the accelerating sequence; every case takes
+# from a few to a few hundred iterations over the three targets
+_BIT_IDENTITY_CASES = [(10, 20, 3e-3, 5), (50, 100, 3e-3, 1234),
+                       (30, 10, 1.0, 6), (40, 25, 1e-2, 6)]
 
 
 class TestFistaInnerBitIdentity:
@@ -353,18 +391,30 @@ class TestFistaInnerBitIdentity:
         assert result.value == ref.value
         assert result.w.tobytes() == ref.w.tobytes()
 
-    # (n, d): n <= d gives kappa_hat > 0 and the constant momentum, n > d a
-    # rank-deficient Gram matrix and the accelerating sequence; every case
-    # takes from a few to a few hundred iterations over the three targets
-    @pytest.mark.parametrize("n, d, sigma, seed", [
-        (10, 20, 3e-3, 5), (50, 100, 3e-3, 1234), (30, 10, 1.0, 6),
-        (40, 25, 1e-2, 6)])
+    @pytest.mark.parametrize("n, d, sigma, seed", _BIT_IDENTITY_CASES)
+    def test_evaluation(self, n, d, sigma, seed):
+        # simplex points and the off-simplex extrapolations the loop makes
+        data = generate_scenarios(n, d, 0.2, seed=seed, sigma=sigma)
+        rng = np.random.default_rng(seed)
+        x = rng.dirichlet(np.ones(d))
+        points = list(rng.dirichlet(np.ones(n), size=3))
+        points += [w + 0.1 * rng.standard_normal(n) for w in points]
+        for w in points:
+            w_before, x_before = w.tobytes(), x.tobytes()
+            value, grad = inner_q_value_grad(data, w, x)
+            ref_value, ref_grad = reference_inner_q_value_grad(data, w, x)
+            assert value == ref_value
+            assert grad.tobytes() == ref_grad.tobytes()
+            assert w.tobytes() == w_before and x.tobytes() == x_before
+
+    @pytest.mark.parametrize("n, d, sigma, seed", _BIT_IDENTITY_CASES)
     def test_cold_and_warm_starts(self, n, d, sigma, seed):
         data = generate_scenarios(n, d, 0.2, seed=seed, sigma=sigma)
         assert (kappa_hat(data) > 0.0) == (n <= d)
         rng = np.random.default_rng(seed)
         x_prev, x = rng.dirichlet(np.ones(d), size=2)
         prev = reference_fista_inner(data, x_prev, 1e-4)
+        inputs = x.tobytes(), prev.w.tobytes()
         works = []
         for target in (1e-2, 1e-5, 1e-9):
             for start in (None, InnerState(w=prev.w)):
@@ -373,6 +423,7 @@ class TestFistaInnerBitIdentity:
                     result,
                     reference_fista_inner(data, x, target, warm_start=start))
                 works.append(result.work)
+        assert (x.tobytes(), prev.w.tobytes()) == inputs
         assert min(works) >= 1 and max(works) >= 30
 
     def test_exhausted_exit(self, monkeypatch):

@@ -573,6 +573,21 @@ class TestCsvRoundTrip:
         with pytest.raises(HarnessError, match="coeffs.csv: line 3: could not convert"):
             import_coefficients(str(path))
 
+    @pytest.mark.parametrize("text, line, found", [
+        ("k,a,b\nfoo,1,2\n", 2, "'foo'"),
+        ("k,a,b\n0,1,2\n1.0,1,2\n", 3, "'1.0'"),
+        ("k,a,b\n0,1,2\n0,1,2\n", 3, "'0'"),
+        ("k,a,b\n0,1,2\n2,1,2\n1,1,2\n", 3, "'2'"),
+        ("k,a,b\n1,1,2\n", 2, "'1'")],
+        ids=["word", "non_integer", "repeated", "out_of_order", "not_from_zero"])
+    def test_k_must_count_rows_from_zero(self, tmp_path, text, line, found):
+        path = tmp_path / "coeffs.csv"
+        path.write_text(text)
+        k = line - 2
+        with pytest.raises(HarnessError,
+                           match=f"coeffs.csv: line {line}: k must be {k}, got {found}"):
+            import_coefficients(str(path))
+
     @pytest.mark.parametrize("header, text", [
         (["k", "delta"], "k,delta,extra\n0,1,2\n"),
         (["k", "delta"], "k,a,b\n0,1,2\n"),
