@@ -115,8 +115,9 @@ def fgm_run(oracle: Callable[[np.ndarray, float], "object"],
 
     With ``adaptive`` off every step uses the inverse stepsize ``L``. With it
     on, ``L`` is the first estimate and also the ceiling: a failed validation
-    doubles the estimate up to it, and the ceiling is accepted without a
-    test, so each search stops after finitely many retries. No estimate
+    doubles the estimate up to it. At the ceiling the validation call is
+    still made and its work charged, but the step is accepted whatever it
+    says, so each search stops after finitely many retries. No estimate
     below ``mu`` is tried.
     """
     if not 0.0 < L < math.inf or mu < 0.0:

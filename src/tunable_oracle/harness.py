@@ -20,6 +20,7 @@ import math
 import os
 import statistics
 from dataclasses import dataclass, fields, replace
+from typing import get_type_hints
 
 import numpy as np
 
@@ -59,6 +60,8 @@ DATA_SEED = 1234           # seed of the scenario matrix
 SAMPLE_PRECISION = 1e-8    # inner precision of the sampled objective values
 FSTAR_PRECISION = 1e-10    # inner precision of terminal values and f*
 ORACLE_FLOOR = 1e-12       # smallest certifiable inner target
+ALPHA = 100.0              # gradient-noise scale of experiment 1
+N_R = 50                   # online bootstrap length of experiment 3
 
 
 @dataclass(frozen=True)
@@ -69,26 +72,22 @@ class ExperimentConfig:
     p: float
     sigma: float = 1e-3
     mu: float = 0.0
-    alpha: float = 0.0          # gradient-noise scale, experiment 1 only
     r: float = -1.0             # cost exponent; -1 = pick via kappa_hat
     delta_ref: tuple = (1e-3,)
     N: tuple = (500,)
     M: float = 100.0
-    m: float = 0.0
-    N_r: int = 0                # online bootstrap length, experiment 3 only
     seeds: tuple = (0, 1, 2)
     schedules: tuple = ("tunable", "constant")
     sample_every: int = 10
-    ref_iterations: int = 0     # 0 = 4 * max(N)
 
     def __post_init__(self):
         if self.experiment not in (1, 2, 3):
             raise HarnessError(f"unknown experiment {self.experiment}")
         if min(self.d, self.n) < 1 or self.p <= 0.0:
             raise HarnessError("need d, n >= 1 and p > 0")
-        # NaN passes the `<=` checks; m and M (which may be +inf) are
-        # checked with the bounds, which NaN fails
-        for name in ("p", "sigma", "mu", "alpha", "r"):
+        # NaN passes the `<=` checks; M (which may be +inf) is checked with
+        # its bound, which NaN fails
+        for name in ("p", "sigma", "mu", "r"):
             if not math.isfinite(getattr(self, name)):
                 raise HarnessError(f"{name} must be finite")
         if self.sigma <= 0.0 or self.mu < 0.0:
@@ -101,18 +100,6 @@ class ExperimentConfig:
                 raise HarnessError(f"{name} is too small: 2/{name} overflows")
         if self.r < 0.0 and self.r != -1.0:
             raise HarnessError("r must be >= 0, or -1 (auto)")
-        if self.experiment == 1:
-            if self.alpha <= 0.0:
-                raise HarnessError("experiment 1 requires a noise scale alpha > 0")
-        elif self.alpha != 0.0:
-            raise HarnessError("alpha is admissible for experiment 1 only")
-        if self.experiment == 3:
-            if self.N_r < 1:
-                raise HarnessError("experiment 3 requires a bootstrap length N_r >= 1")
-        elif self.N_r != 0:
-            raise HarnessError("N_r is admissible for experiment 3 only")
-        if self.ref_iterations < 0 or (self.ref_iterations and self.experiment != 1):
-            raise HarnessError("ref_iterations must be >= 0, and 0 outside experiment 1")
         for name in ("seeds", "N", "delta_ref", "schedules"):
             # a repeated entry would repeat its runs and double-count them
             if len(set(getattr(self, name))) != len(getattr(self, name)):
@@ -120,15 +107,13 @@ class ExperimentConfig:
         if not self.delta_ref or not all(0.0 < v < math.inf for v in self.delta_ref):
             raise HarnessError("delta_ref values must be finite and > 0")
         if self.experiment != 1 and min(self.delta_ref) <= ORACLE_FLOOR:
-            # the solved box starts at the floor, which needs m = floor/dref < 1
+            # the solved box starts at floor/dref, which must be below 1
             raise HarnessError(f"delta_ref values must exceed the oracle floor "
                                f"{ORACLE_FLOOR:g} in experiments 2 and 3")
         if not self.N or any(v < 1 for v in self.N):
             raise HarnessError("N values must be >= 1")
-        if not (0.0 <= self.m < 1.0 < self.M):
-            raise HarnessError("bounds must satisfy 0 <= m < 1 < M")
-        if self.m and not self.m * min(self.delta_ref) > 0.0:
-            raise HarnessError("m is too small: m*delta_ref underflows to 0")
+        if not self.M > 1.0:
+            raise HarnessError("M must be > 1")
         if not self.seeds or min(self.seeds) < 0:
             raise HarnessError("need at least one seed, and seeds >= 0")
         for name in self.schedules:
@@ -160,9 +145,8 @@ def default_config(experiment: int) -> ExperimentConfig:
     experiment id."""
     if experiment == 1:
         return ExperimentConfig(
-            experiment=1, d=30, n=100, p=10.0, mu=0.0,
-            alpha=100.0, r=1.0, delta_ref=(1e-3,), N=(500,),
-            seeds=(0, 1, 2, 3, 4), schedules=("tunable", "constant"))
+            experiment=1, d=30, n=100, p=10.0, mu=0.0, r=1.0,
+            delta_ref=(1e-3,), N=(500,), seeds=(0, 1, 2, 3, 4), schedules=("tunable", "constant"))
     if experiment == 2:
         return ExperimentConfig(
             experiment=2, d=200, n=100, p=0.2, sigma=1e-3, mu=0.1,
@@ -171,8 +155,7 @@ def default_config(experiment: int) -> ExperimentConfig:
     if experiment == 3:
         return ExperimentConfig(
             experiment=3, d=100, n=50, p=0.2, sigma=3e-3, mu=0.1,
-            r=0.0, delta_ref=(1e-4,), N=(2000,), m=0.0, N_r=50,
-            seeds=(0, 1, 2),
+            r=0.0, delta_ref=(1e-4,), N=(2000,), seeds=(0, 1, 2),
             schedules=("online_tunable", "constant", "poly3", "linear"))
     raise HarnessError(f"unknown experiment {experiment}")
 
@@ -182,7 +165,8 @@ def default_config(experiment: int) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 _LIST_FIELDS = {"delta_ref": float, "N": int, "seeds": int, "schedules": str}
-_INT_FIELDS = {"d", "n", "N_r", "sample_every", "ref_iterations"}
+_INT_FIELDS = {name for name, kind in get_type_hints(ExperimentConfig).items()
+               if kind is int}
 
 
 def _parse_value(key: str, raw: str):
@@ -326,43 +310,44 @@ def _seed_streams(config: ExperimentConfig, seed: int):
     return np.random.default_rng(x0_ss), np.random.default_rng(noise_ss)
 
 
-def _lower_model(f: float, g: np.ndarray, x_hat: np.ndarray, mu: float) -> float:
+def estimate_fstar(f: float, g: np.ndarray, x_hat: np.ndarray, mu: float) -> float:
     """Lower bound on the optimum over the simplex of a mu-strongly convex
     objective with value f and gradient g at x_hat: the minimum of its
-    quadratic (mu > 0) or linear (mu = 0) lower model."""
-    if mu > 0.0:
+    quadratic (mu > 0) or linear (mu = 0) lower model.
+
+    The quadratic minimum exceeds the linear one by at most mu, because
+    ||e_j - x_hat||^2 <= 2. Its minimizer is the projection of x_hat - g/mu,
+    which loses x_hat to rounding as |g|/mu nears 2^52 and then overshoots
+    the optimum. So the quadratic model is used only while |g|/mu keeps at
+    least half the digits of x_hat, mu >= sqrt(eps)*max|g|; below, the
+    linear model gives away at most mu.
+    """
+    if mu > 0.0 and mu >= math.sqrt(math.ulp(1.0)) * float(np.abs(g).max()):
         x_m = project_simplex(x_hat - g / mu)
         diff = x_m - x_hat
         return f + float(g @ diff) + 0.5 * mu * float(diff @ diff)
     return f + float(np.min(g)) - float(g @ x_hat)
 
 
-def estimate_fstar(data: ScenarioData, x_hat: np.ndarray) -> float:
-    """Lower bound on the hull optimum from the lower model at x_hat."""
-    reply = hull_oracle(data, x_hat, FSTAR_PRECISION, InnerState())
-    return _lower_model(reply.value, reply.gradient, x_hat, data.mu)
-
-
 def _reference_fstar_exp1(config: ExperimentConfig, data: ScenarioData,
-                          L: float, n_ref: int) -> float:
-    """Noise-free long run, then the strongly-convex lower model."""
+                          L: float) -> float:
+    """Noise-free run of 4*max(N) steps, then the lower model."""
     rng = np.random.default_rng(0)  # delta = 0: the stream is never drawn from
 
     def oracle(x, _delta):
-        return noisy_oracle(data, x, 0.0, config.alpha, rng)
+        return noisy_oracle(data, x, 0.0, ALPHA, rng)
 
     # once A_k exceeds ~1e18 the bound R^2/A_k is below double resolution of
     # the objective; longer runs only risk certificate overflow
-    A, k = 0.0, 0
-    while k < n_ref and A < 1e18:
+    A, n_ref = 0.0, 0
+    while n_ref < 4 * max(config.N) and A < 1e18:
         A = next_certificate(A, L, config.mu)
-        k += 1
-    n_ref = k
+        n_ref += 1
 
     x0 = np.full(config.d, 1.0 / config.d)
     x_hat, _ = fgm_run(oracle, lambda k, A: 0.0, n_ref, x0, L, config.mu)
     f, g = softmax_value_grad(data, x_hat)
-    return _lower_model(f, g, x_hat, data.mu)
+    return estimate_fstar(f, g, x_hat, data.mu)
 
 
 def _tunable_values(config: ExperimentConfig, a: np.ndarray, delta_ref: float,
@@ -373,9 +358,7 @@ def _tunable_values(config: ExperimentConfig, a: np.ndarray, delta_ref: float,
     ORACLE_FLOOR, so there the solved box starts at the floor.
     """
     kind = POWER if r > 0.0 else LOGARITHMIC
-    m = config.m
-    if config.experiment != 1:
-        m = max(m, ORACLE_FLOOR / delta_ref)
+    m = 0.0 if config.experiment == 1 else ORACLE_FLOOR / delta_ref
     problem = accuracy_problem(a, np.ones_like(a), delta_ref, m, config.M, kind, r)
     return solve_accuracy(problem)[0]
 
@@ -386,14 +369,14 @@ def _family_schedule(config: ExperimentConfig, name: str, delta_ref: float,
     schedule to emit, None for the online family; a failed solve raises
     SolverError."""
     if name == "online_tunable":
-        # bootstrap values for k < N_r, then the online extension rule
-        a, _ = impact_coefficients_fgm(fixed_step_certificates(config.N_r, L, config.mu))
+        # bootstrap values for k < N_R, then the online extension rule
+        a, _ = impact_coefficients_fgm(fixed_step_certificates(N_R, L, config.mu))
         boot = _tunable_values(config, a, delta_ref, r).values
         last = (float(a[-1]), 1.0, float(boot[-1]))
-        box = (max(config.m * delta_ref, ORACLE_FLOOR), config.M * delta_ref)
+        box = (ORACLE_FLOOR, config.M * delta_ref)
 
         def online(k, A_next):
-            if k < config.N_r:
+            if k < N_R:
                 return boot[k]
             return online_extend_accuracy(last, (A_next, 1.0), r, box)
         return online, None
@@ -412,25 +395,17 @@ def _family_schedule(config: ExperimentConfig, name: str, delta_ref: float,
     return (lambda k, _A_next: values[k]), sched
 
 
-def _objective(config: ExperimentConfig, data: ScenarioData, x: np.ndarray,
-               precision: float, state: InnerState | None = None) -> float:
-    """The objective at x; hull values are certified to ``precision``."""
-    if config.experiment == 1:
-        return softmax_value_grad(data, x)[0]
-    return hull_value(data, x, precision, state=state)
-
-
 def _run_one(config: ExperimentConfig, data: ScenarioData, name: str,
              seed: int, N: int, L: float, r: float, schedule_cb):
-    """One (schedule, seed) run; returns (records, terminal x, terminal
-    objective value, total work)."""
+    """One (schedule, seed) run; returns its records and (terminal x,
+    terminal value, terminal gradient, total work)."""
     x0_rng, noise_rng = _seed_streams(config, seed)
     x0 = x0_rng.dirichlet(np.ones(config.d))
 
     state = InnerState()  # the hull oracle's warm start; unused in experiment 1
     if config.experiment == 1:
         def oracle(x, delta):
-            return noisy_oracle(data, x, delta, config.alpha, noise_rng, r=r)
+            return noisy_oracle(data, x, delta, ALPHA, noise_rng, r=r)
     else:
         def oracle(x, delta):
             return hull_oracle(data, x, delta, state)
@@ -439,12 +414,18 @@ def _run_one(config: ExperimentConfig, data: ScenarioData, name: str,
 
     def observer(k, x):
         if k % config.sample_every == 0:
-            samples[k] = _objective(config, data, x, SAMPLE_PRECISION, state)
+            samples[k] = (softmax_value_grad(data, x)[0] if config.experiment == 1
+                          else hull_value(data, x, SAMPLE_PRECISION, state=state))
 
     x_final, traj = fgm_run(oracle, schedule_cb, N, x0, L, config.mu,
                             adaptive=config.experiment == 3, observer=observer)
-    # the terminal value is a cold solve, independent of the run's warm start
-    value = _objective(config, data, x_final, FSTAR_PRECISION)
+    # the terminal value and gradient come from a cold solve, independent of
+    # the run's warm start; the lower model of f* reuses them
+    if config.experiment == 1:
+        value, grad = softmax_value_grad(data, x_final)
+    else:
+        reply = hull_oracle(data, x_final, FSTAR_PRECISION, InnerState())
+        value, grad = reply.value, reply.gradient
 
     records = []
     cum_work = 0.0
@@ -454,7 +435,7 @@ def _run_one(config: ExperimentConfig, data: ScenarioData, name: str,
             experiment=config.experiment, schedule=name, seed=seed, k=rec.k,
             delta=rec.delta, omega=rec.omega, L=rec.L, A=rec.A,
             objective=samples.get(rec.k), cum_work=cum_work))
-    return records, x_final, value, cum_work
+    return records, (x_final, value, grad, cum_work)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -473,12 +454,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     if config.experiment == 1:
         # the noise-free reference depends on max(N) only, so it runs once
-        fstar = _reference_fstar_exp1(config, data, L,
-                                      config.ref_iterations or 4 * max(config.N))
+        fstar = _reference_fstar_exp1(config, data, L)
 
     for delta_ref in config.delta_ref:
         for N in sorted(config.N):
-            # (name, seed) -> (terminal x, terminal objective value, total work)
+            # (name, seed) -> (terminal x, value, gradient, total work)
             terminals: dict[tuple, tuple] = {}
             for name in config.schedules:
                 try:
@@ -492,7 +472,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                     schedules[f"{name}_N{N}_dref{delta_ref:g}"] = sched
                 for seed in sorted(config.seeds):
                     try:
-                        rows, x_final, value, total = _run_one(
+                        rows, terminal = _run_one(
                             config, data, name, seed, N, L, r, schedule_cb)
                     except (OracleError, FgmError, SolverError) as exc:
                         # a numerical failure must not stop the sweep; a
@@ -500,17 +480,17 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                         failures.append((name, seed, N, delta_ref, str(exc)))
                         continue
                     records.extend(rows)
-                    terminals[(name, seed)] = (x_final, value, total)
+                    terminals[(name, seed)] = terminal
 
             # terminal primal gaps against a shared lower bound on F*
             if config.experiment != 1 and terminals:
-                best = min(terminals, key=lambda key: terminals[key][1])
-                fstar = estimate_fstar(data, terminals[best][0])
+                x_best, f_best, g_best, _ = min(terminals.values(), key=lambda t: t[1])
+                fstar = estimate_fstar(f_best, g_best, x_best, data.mu)
 
             for name in config.schedules:
                 runs = [terminals[name, seed] for seed in sorted(config.seeds)
                         if (name, seed) in terminals]
-                gaps = [value - fstar for _, value, _ in runs]
+                gaps = [value - fstar for _, value, _, _ in runs]
                 summaries.append(SummaryRow(
                     experiment=config.experiment, schedule=name, mu=config.mu,
                     r=r, N=N, delta_ref=delta_ref,

@@ -18,19 +18,28 @@ from tunable_oracle.certificates import (
 from tunable_oracle.cli import main as cli_main
 from tunable_oracle.harness import (
     ALL_SCHEDULES,
+    DATA_SEED,
     FSTAR_PRECISION,
+    N_R,
     ORACLE_FLOOR,
     ExperimentConfig,
     HarnessError,
     baseline_schedule,
     default_config,
     emit_outputs,
+    estimate_fstar,
     load_config,
     parse_config_text,
     run_experiment,
     toy_instance,
 )
-from tunable_oracle.problems import InnerSolverExhausted, OracleError
+from tunable_oracle.problems import (
+    InnerSolverExhausted,
+    InnerState,
+    OracleError,
+    generate_scenarios,
+    hull_oracle,
+)
 from tunable_oracle.schedule_solver import (
     SolverError,
     accuracy_problem,
@@ -39,9 +48,9 @@ from tunable_oracle.schedule_solver import (
 )
 
 
-TINY_EXP1 = ExperimentConfig(
-    experiment=1, d=5, n=6, p=1.0, alpha=1.0, r=1.0, mu=0.1,
-    delta_ref=(1e-3,), N=(20,), seeds=(0, 1), ref_iterations=100,
+TINY_EXP1 = replace(
+    default_config(1), d=5, n=6, p=1.0, r=1.0, mu=0.1,
+    delta_ref=(1e-3,), N=(20,), seeds=(0, 1),
     schedules=("tunable", "constant"))
 
 TINY_EXP2 = ExperimentConfig(
@@ -49,9 +58,10 @@ TINY_EXP2 = ExperimentConfig(
     delta_ref=(1e-3,), N=(15,), seeds=(0,),
     schedules=("tunable", "constant"))
 
-TINY_EXP3 = ExperimentConfig(
-    experiment=3, d=8, n=5, p=1.0, sigma=1e-2, mu=0.1, r=0.0,
-    delta_ref=(1e-4,), N=(12,), m=1e-5, N_r=4, seeds=(0,),
+# N > N_R, so the online rule runs past the bootstrap
+TINY_EXP3 = replace(
+    default_config(3), d=8, n=5, p=1.0, sigma=1e-2, mu=0.1, r=0.0,
+    delta_ref=(1e-4,), N=(60,), seeds=(0,),
     schedules=("online_tunable", "constant", "poly3", "linear"))
 
 
@@ -90,7 +100,18 @@ class TestConfigParsing:
         path.write_text("d = 12\nseeds = 7\n")
         cfg = load_config(str(path), experiment=1)
         assert cfg.d == 12 and cfg.seeds == (7,)
-        assert cfg.alpha == default_config(1).alpha
+        assert cfg.n == default_config(1).n
+
+    def test_int_fields_read_as_int(self, tmp_path):
+        # every int-annotated field parses as an int, a new one included
+        names = [f.name for f in ExperimentConfig.__dataclass_fields__.values()
+                 if f.type in ("int", int) and f.name != "experiment"]
+        assert {"d", "n", "sample_every"} <= set(names)
+        path = tmp_path / "cfg.txt"
+        path.write_text("".join(f"{name} = 3\n" for name in names))
+        cfg = load_config(str(path), experiment=2)
+        for name in names:
+            assert type(getattr(cfg, name)) is int, name
 
     def test_load_config_rejects_experiment_key(self, tmp_path):
         # the experiment id comes from the caller only
@@ -107,38 +128,16 @@ class TestConfigParsing:
 
 
 class TestConfigValidation:
-    def test_alpha_only_for_experiment_1(self):
-        with pytest.raises(HarnessError):
-            ExperimentConfig(experiment=2, d=4, n=4, p=1.0, alpha=1.0)
-        with pytest.raises(HarnessError):
-            ExperimentConfig(experiment=1, d=4, n=4, p=1.0, alpha=0.0)
-
-    def test_bootstrap_only_for_experiment_3(self):
-        with pytest.raises(HarnessError):
-            ExperimentConfig(experiment=1, d=4, n=4, p=1.0, alpha=1.0, N_r=10)
-        with pytest.raises(HarnessError):
-            ExperimentConfig(experiment=3, d=4, n=4, p=1.0, N_r=0)
-
     def test_schedule_families_gated(self):
         with pytest.raises(HarnessError):
-            ExperimentConfig(experiment=1, d=4, n=4, p=1.0, alpha=1.0,
+            ExperimentConfig(experiment=1, d=4, n=4, p=1.0,
                              schedules=("online_tunable",))
         with pytest.raises(HarnessError):
-            ExperimentConfig(experiment=3, d=4, n=4, p=1.0, N_r=5,
+            ExperimentConfig(experiment=3, d=4, n=4, p=1.0,
                              schedules=("tunable",))
         with pytest.raises(HarnessError):
-            ExperimentConfig(experiment=1, d=4, n=4, p=1.0, alpha=1.0,
+            ExperimentConfig(experiment=1, d=4, n=4, p=1.0,
                              schedules=("mystery",))
-
-    def test_negative_ref_iterations_rejected(self):
-        # a negative count would close f* at x0 without a run
-        with pytest.raises(HarnessError, match="ref_iterations"):
-            replace(TINY_EXP1, ref_iterations=-1)
-
-    def test_ref_iterations_only_for_experiment_1(self):
-        for cfg in (TINY_EXP2, TINY_EXP3):
-            with pytest.raises(HarnessError, match="0 outside experiment 1"):
-                replace(cfg, ref_iterations=100)
 
     @pytest.mark.parametrize("name, values", [
         ("seeds", (0, 0)), ("N", (15, 15)), ("delta_ref", (1e-3, 1e-3)),
@@ -156,7 +155,7 @@ class TestConfigValidation:
             replace(TINY_EXP2, seeds=seeds)
 
     @pytest.mark.parametrize("name, value", [
-        (name, value) for name in ("p", "sigma", "mu", "alpha", "r", "m", "M")
+        (name, value) for name in ("p", "sigma", "mu", "r", "M")
         for value in (math.nan, math.inf, -math.inf)
         if (name, value) != ("M", math.inf)])  # the power cost admits M = inf
     def test_non_finite_values_rejected(self, name, value):
@@ -174,7 +173,6 @@ class TestConfigValidation:
         (2, {"sigma": 5e-324}, "2/sigma overflows"),
         (1, {"p": 5e-324}, "2/p overflows"),
         (1, {"mu": 5e-324}, "2/mu overflows"),
-        (1, {"m": 5e-324}, "m\\*delta_ref underflows"),
         (2, {"r": 0.0, "M": math.inf}, "M\\*delta_ref < 1"),
         (1, {"r": 0.0, "M": 1e3}, "M\\*delta_ref < 1")])
     def test_values_a_run_cannot_take_rejected_at_construction(
@@ -200,11 +198,8 @@ class TestConfigValidation:
                 replace(cfg, delta_ref=(1e-3, value))
 
     def test_bounds_ordering(self):
-        with pytest.raises(HarnessError):
-            ExperimentConfig(experiment=1, d=4, n=4, p=1.0, alpha=1.0,
-                             m=2.0, M=3.0)
-        with pytest.raises(HarnessError):
-            ExperimentConfig(experiment=1, d=4, n=4, p=1.0, alpha=1.0, M=0.5)
+        with pytest.raises(HarnessError, match="M must be > 1"):
+            ExperimentConfig(experiment=1, d=4, n=4, p=1.0, M=0.5)
 
     def test_linear_without_strong_convexity_rejected_before_any_run(self):
         # the linear baseline needs mu > 0; reject the config up front rather
@@ -239,7 +234,7 @@ class TestConfigValidation:
             run_experiment(cfg)
 
     def test_delta_ref_must_exceed_the_oracle_floor(self):
-        # experiments 2 and 3 solve their box from the floor up, m = floor/dref
+        # experiments 2 and 3 solve their box from floor/dref up
         for cfg in (TINY_EXP2, TINY_EXP3):
             with pytest.raises(HarnessError, match="oracle floor"):
                 replace(cfg, delta_ref=(1e-3, ORACLE_FLOOR))
@@ -266,13 +261,11 @@ def boundary_configs(draw):
     """ExperimentConfig fields: up to four of them at or next to a bound,
     the rest typical; tiny d and n, N = 2 and one seed keep each run short."""
     experiment = draw(st.sampled_from((1, 2, 3)))
-    fields = dict(d=2, n=2, p=1.0, sigma=1e-2, mu=0.1,
-                  alpha=1.0 if experiment == 1 else 0.0, r=-1.0, delta_ref=1e-3,
-                  m=0.0, M=100.0, N_r=1 if experiment == 3 else 0)
+    fields = dict(d=2, n=2, p=1.0, sigma=1e-2, mu=0.1, r=-1.0, delta_ref=1e-3,
+                  M=100.0)
     edges = dict(d=[0, 1], n=[0, 1], p=_around(0.0), sigma=_around(0.0),
-                 mu=_around(0.0), alpha=_around(0.0),
-                 r=_around(-1.0) + _around(0.0), delta_ref=_around(ORACLE_FLOOR),
-                 m=_around(0.0) + _around(1.0), N_r=[0, 1, 2])
+                 mu=_around(0.0), r=_around(-1.0) + _around(0.0),
+                 delta_ref=_around(ORACLE_FLOOR))
     for name in draw(st.lists(st.sampled_from([*edges, "M"]), max_size=4, unique=True)):
         if name == "M":  # M > 1, and M*delta_ref < 1 for the log cost
             fields[name] = draw(st.sampled_from(
@@ -347,7 +340,49 @@ class TestLowerModel:
         f, g = 1.5, np.array([2.0, -1.0, 0.5])
         x_hat = np.array([0.2, 0.3, 0.5])
         vertices = [f + float(g @ (e - x_hat)) for e in np.eye(3)]
-        assert harness._lower_model(f, g, x_hat, 0.0) == pytest.approx(min(vertices))
+        assert estimate_fstar(f, g, x_hat, 0.0) == pytest.approx(min(vertices))
+
+    @pytest.mark.parametrize("mu", [0.1, 1e-6, 1e-9, 1e-12, 1e-15, 1e-17,
+                                    1e-18, 1e-30])
+    def test_between_linear_model_and_mu_above_it(self, mu):
+        # The quadratic minimum lies in [lin, lin + mu], as ||e_j - x||^2 <= 2.
+        # Projecting x - g/mu loses x near |g|/mu ~ 1e16: without the linear
+        # fallback, mu = 1e-17 overshoots lin by 0.153 and mu <= 1e-18
+        # raises FgmError.
+        data = generate_scenarios(2, 2, 1.0, DATA_SEED, sigma=1e-2, mu=mu)
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            x_hat = rng.dirichlet(np.ones(2))
+            reply = hull_oracle(data, x_hat, FSTAR_PRECISION, InnerState())
+            f, g = reply.value, reply.gradient
+            lin = f + float(np.min(g)) - float(g @ x_hat)
+            tol = 1e-12 * (abs(f) + float(np.abs(g).max()))
+            assert lin - tol <= estimate_fstar(f, g, x_hat, mu) <= lin + mu + tol
+
+    def test_random_points_and_gradients(self):
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            d = int(rng.integers(2, 40))
+            x_hat = rng.dirichlet(np.ones(d))
+            g = rng.standard_normal(d) * 10.0 ** rng.uniform(-3, 3)
+            f = float(rng.standard_normal())
+            mu = float(np.abs(g).max()) * 10.0 ** rng.uniform(-30, 1)
+            lin = f + float(np.min(g)) - float(g @ x_hat)
+            tol = 1e-12 * (abs(f) + float(np.abs(g).max()))
+            assert lin - tol <= estimate_fstar(f, g, x_hat, mu) <= lin + mu + tol
+
+    def test_tiny_mu_keeps_the_gaps(self):
+        # the terminal gaps move by at most mu with it, and no run fails
+        def gaps(mu):
+            result = run_experiment(ExperimentConfig(
+                experiment=2, d=2, n=2, p=1.0, sigma=1e-2, mu=mu, N=(2,),
+                seeds=(0,), schedules=("tunable", "constant")))
+            assert not result.failures
+            return [row.median_gap for row in result.summaries]
+        reference = gaps(1e-9)
+        assert reference == pytest.approx([0.36741] * 2, abs=1e-5)
+        for mu in (1e-12, 1e-15, 1e-17, 1e-30):
+            assert gaps(mu) == pytest.approx(reference, abs=1e-6)
 
 
 class TestBaselines:
@@ -410,7 +445,7 @@ class TestRunExperiment:
         assert tun.total_inner_work > 0.0 and con.total_inner_work > 0.0
         assert tun.r == 0.0  # kappa_hat > 0 for n < d selects the log cost
 
-    @pytest.mark.parametrize("horizons", [(12,), (12, 24)],
+    @pytest.mark.parametrize("horizons", [(60,), (60, 120)],
                              ids=["one_N", "two_N"])
     def test_exp3_online_schedule_follows_bootstrap(self, horizons):
         # the bootstrap is solved in each (delta_ref, N) cell; every horizon
@@ -422,20 +457,21 @@ class TestRunExperiment:
         starts = [i for i, rec in enumerate(online) if rec.k == 0] + [len(online)]
         runs = [online[i:j] for i, j in zip(starts, starts[1:])]
         (delta_ref,) = cfg.delta_ref
-        # bootstrap: the log-cost solve over the first N_r fixed-step
-        # certificates at the validity ceiling 1/sigma + mu
-        certs = fixed_step_certificates(cfg.N_r, 1.0 / cfg.sigma + cfg.mu, cfg.mu)
+        # bootstrap: the log-cost solve over the first N_R fixed-step
+        # certificates at the validity ceiling 1/sigma + mu, its box from
+        # the oracle floor up
+        certs = fixed_step_certificates(N_R, 1.0 / cfg.sigma + cfg.mu, cfg.mu)
         a_boot, _ = impact_coefficients_fgm(certs)
         boot = solve_accuracy(accuracy_problem(
-            a_boot, np.ones_like(a_boot), delta_ref, cfg.m, cfg.M,
-            "logarithmic"))[0].values
-        box = (max(cfg.m * delta_ref, ORACLE_FLOOR), cfg.M * delta_ref)
+            a_boot, np.ones_like(a_boot), delta_ref, ORACLE_FLOOR / delta_ref,
+            cfg.M, "logarithmic"))[0].values
+        box = (ORACLE_FLOOR, cfg.M * delta_ref)
         assert [[rec.k for rec in run] for run in runs] == [
             list(range(N)) for N in horizons]
         for run in runs:
-            for rec in run[:cfg.N_r]:
+            for rec in run[:N_R]:
                 assert rec.delta == boot[rec.k]
-            for rec in run[cfg.N_r:]:
+            for rec in run[N_R:]:
                 assert rec.delta == online_extend_accuracy(
                     (float(a_boot[-1]), 1.0, float(boot[-1])), (rec.A, 1.0),
                     0.0, box)
@@ -443,13 +479,13 @@ class TestRunExperiment:
             (name, N) for name in cfg.schedules for N in horizons}
 
     def test_solved_schedule_respects_the_oracle_floor(self):
-        # The experiment-3 bootstrap solve at N_r = 1e4 (log cost, m = 0): a
-        # box starting at 0 puts 977 values below the floor, down to 4.6e-20.
+        # The experiment-3 bootstrap solve over 1e4 steps (log cost): a box
+        # starting at 0 puts 977 values below the floor, down to 4.6e-20.
         # The box starts at the floor, so the oracle can certify every
         # solved value as requested.
-        cfg = replace(default_config(3), N_r=10_000)
+        cfg = default_config(3)
         (delta_ref,) = cfg.delta_ref
-        certs = fixed_step_certificates(cfg.N_r, 1.0 / cfg.sigma + cfg.mu, cfg.mu)
+        certs = fixed_step_certificates(10_000, 1.0 / cfg.sigma + cfg.mu, cfg.mu)
         a, _ = impact_coefficients_fgm(certs)
         values = harness._tunable_values(cfg, a, delta_ref, 0.0).values
         assert values.min() >= ORACLE_FLOOR
@@ -466,13 +502,13 @@ class TestRunExperiment:
         assert base.summaries == flipped.summaries
 
     def test_terminal_value_exhaustion_is_recorded(self, monkeypatch):
-        sample_value = harness.hull_value
+        step_oracle = harness.hull_oracle
 
-        def terminal_exhausts(data, x, precision=1e-10, state=None):
-            if precision == FSTAR_PRECISION:
-                raise InnerSolverExhausted(1.0, precision, 1)
-            return sample_value(data, x, precision, state=state)
-        monkeypatch.setattr(harness, "hull_value", terminal_exhausts)
+        def terminal_exhausts(data, x, delta, state):
+            if delta == FSTAR_PRECISION:
+                raise InnerSolverExhausted(1.0, delta, 1)
+            return step_oracle(data, x, delta, state)
+        monkeypatch.setattr(harness, "hull_oracle", terminal_exhausts)
         result = run_experiment(TINY_EXP2)
         assert [f[0] for f in result.failures] == ["tunable", "constant"]
         assert result.records == []
@@ -672,8 +708,8 @@ class TestCli:
 
     def test_experiment_smoke(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
-        cfg.write_text("d = 5\nn = 6\np = 1\nalpha = 1\nr = 1\nmu = 0.1\n"
-                       "N = 10\nseeds = 0\nref_iterations = 40\n"
+        cfg.write_text("d = 5\nn = 6\np = 1\nr = 1\nmu = 0.1\n"
+                       "N = 10\nseeds = 0\n"
                        "schedules = tunable, constant\n")
         out_dir = tmp_path / "out"
         rc = cli_main(["experiment", "--id", "1", "--config", str(cfg),

@@ -5,7 +5,7 @@ import pytest
 
 from test_fgm import reference_project_simplex
 from tunable_oracle import problems
-from tunable_oracle.harness import estimate_fstar
+from tunable_oracle.harness import FSTAR_PRECISION, estimate_fstar
 from tunable_oracle.problems import (
     InnerResult,
     InnerSolverExhausted,
@@ -498,13 +498,19 @@ class TestHullValue:
             hull_value(data, x, precision=1e-12)
 
 
+def hull_fstar(data, x_hat):
+    """The lower model of the hull objective at x_hat, from a cold solve."""
+    reply = hull_oracle(data, x_hat, FSTAR_PRECISION, InnerState())
+    return estimate_fstar(reply.value, reply.gradient, x_hat, data.mu)
+
+
 class TestEstimateFstar:
     def test_lower_bounds_value_everywhere(self):
         data = generate_scenarios(10, 20, 0.5, seed=13, sigma=1e-2, mu=0.3)
         rng = np.random.default_rng(5)
         for _ in range(5):
             x_hat = rng.dirichlet(np.ones(20))
-            fstar = estimate_fstar(data, x_hat)
+            fstar = hull_fstar(data, x_hat)
             assert fstar <= hull_value(data, x_hat, precision=1e-12) + 1e-10
 
     def test_tight_on_small_problem(self):
@@ -522,6 +528,6 @@ class TestEstimateFstar:
         values = {j: value(j) for j in fine}
         best = min(values, key=values.get)
         x_hat = np.array([ts[best], 1.0 - ts[best]])
-        fstar = estimate_fstar(data, x_hat)
+        fstar = hull_fstar(data, x_hat)
         assert fstar <= values[best] + 1e-12
         assert values[best] - fstar <= 1e-5
