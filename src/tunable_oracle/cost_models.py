@@ -79,9 +79,10 @@ def _hprime_raw(model: CostModel, d):
 def lambert_w0(x):
     """Principal branch of the Lambert W function, w*exp(w) = x, for x >= 0.
 
-    Halley iteration from a piecewise initial guess; relative residual
-    below 1e-12. Accepts scalars and arrays. The iteration runs in place on
-    five work arrays the size of ``x``.
+    Halley iteration from a piecewise initial guess until the relative
+    residual is below 1e-14 or, where rounding alone leaves more (x > ~1e20),
+    below that of a w one ulp from W; CostModelError if 50 steps fall short.
+    Accepts scalars and arrays; iterates in place on work arrays like ``x``.
     """
     xs = np.asarray(x, dtype=float)
     if np.any(xs < 0.0) or not np.all(np.isfinite(xs)):
@@ -98,12 +99,16 @@ def lambert_w0(x):
     w[~large] = xm / (1.0 + xm * np.exp(-xm))
     del lx, xm, large
 
-    tol = np.abs(xv)
-    np.maximum(tol, 1.0, out=tol)
-    tol *= 1e-14
+    # One ulp of w moves w*exp(w) by up to (w+1) ulps of x, past the 1e-14
+    # test above x ~ 1e20; and above 2**1020 the Halley terms overflow unless
+    # x and exp(w) are scaled below it, by one power of two (so exactly).
+    scale = math.ldexp(1.0, min(0, 1020 - math.frexp(xv.max(initial=0.0))[1]))
+    tol = np.maximum((w + 3.0) * 2.2e-16, 1e-14) * np.maximum(xv, 1.0) * scale
+    xv = xv * scale
     ew, f, wp1, corr = (np.empty_like(w) for _ in range(4))
     for _ in range(50):
         np.exp(w, out=ew)
+        ew *= scale
         np.multiply(w, ew, out=f)
         f -= xv
         np.abs(f, out=corr)
@@ -119,4 +124,6 @@ def lambert_w0(x):
         wp1 -= corr                      # the denominator
         np.divide(f, wp1, out=corr)
         w -= corr
+    else:
+        raise CostModelError("lambert_w0 did not converge in 50 Halley steps")
     return w.reshape(xs.shape) if xs.ndim else float(w[0])

@@ -101,21 +101,23 @@ class ExperimentConfig:
         if self.r < 0.0 and self.r != -1.0:
             raise HarnessError("r must be >= 0, or -1 (auto)")
         for name in ("seeds", "N", "delta_ref", "schedules"):
+            if not getattr(self, name):
+                raise HarnessError(f"{name} must list at least one entry")
             # a repeated entry would repeat its runs and double-count them
             if len(set(getattr(self, name))) != len(getattr(self, name)):
                 raise HarnessError(f"{name} lists an entry twice")
-        if not self.delta_ref or not all(0.0 < v < math.inf for v in self.delta_ref):
+        if not all(0.0 < v < math.inf for v in self.delta_ref):
             raise HarnessError("delta_ref values must be finite and > 0")
         if self.experiment != 1 and min(self.delta_ref) <= ORACLE_FLOOR:
             # the solved box starts at floor/dref, which must be below 1
             raise HarnessError(f"delta_ref values must exceed the oracle floor "
                                f"{ORACLE_FLOOR:g} in experiments 2 and 3")
-        if not self.N or any(v < 1 for v in self.N):
+        if min(self.N) < 1:
             raise HarnessError("N values must be >= 1")
         if not self.M > 1.0:
             raise HarnessError("M must be > 1")
-        if not self.seeds or min(self.seeds) < 0:
-            raise HarnessError("need at least one seed, and seeds >= 0")
+        if min(self.seeds) < 0:
+            raise HarnessError("need seeds >= 0")
         for name in self.schedules:
             if name not in ALL_SCHEDULES:
                 raise HarnessError(f"unknown schedule family {name!r}")
@@ -350,49 +352,48 @@ def _reference_fstar_exp1(config: ExperimentConfig, data: ScenarioData,
     return estimate_fstar(f, g, x_hat, data.mu)
 
 
-def _tunable_values(config: ExperimentConfig, a: np.ndarray, delta_ref: float,
-                    r: float) -> Schedule:
-    """The schedule at the modeled cost of constant δ̄ (budget-matched).
+def _box(config: ExperimentConfig, delta_ref: float) -> tuple[float, float]:
+    """The domain of every request: the FISTA oracle of experiments 2 and 3
+    cannot certify below ORACLE_FLOOR, and the cost model ends at M δ̄."""
+    return (0.0 if config.experiment == 1 else ORACLE_FLOOR), config.M * delta_ref
 
-    The FISTA oracle of experiments 2 and 3 cannot certify targets below
-    ORACLE_FLOOR, so there the solved box starts at the floor.
-    """
+
+def _tunable_values(config: ExperimentConfig, steps: int, L: float,
+                    delta_ref: float, r: float,
+                    lo: float) -> tuple[np.ndarray, Schedule]:
+    """The FGM impact row of ``steps`` fixed steps and the schedule solved on
+    it at the modeled cost of constant δ̄ (budget-matched), in the box that
+    starts at ``lo``."""
+    try:
+        a, b = impact_coefficients_fgm(fixed_step_certificates(steps, L, config.mu))
+    except ValueError as exc:  # the certificates overflow or stop growing
+        raise SolverError(f"no FGM impact row of {steps} steps: {exc}") from exc
     kind = POWER if r > 0.0 else LOGARITHMIC
-    m = 0.0 if config.experiment == 1 else ORACLE_FLOOR / delta_ref
-    problem = accuracy_problem(a, np.ones_like(a), delta_ref, m, config.M, kind, r)
-    return solve_accuracy(problem)[0]
+    problem = accuracy_problem(a, b, delta_ref, lo / delta_ref, config.M, kind, r)
+    return a, solve_accuracy(problem)[0]
 
 
 def _family_schedule(config: ExperimentConfig, name: str, delta_ref: float,
                      N: int, L: float, r: float):
-    """The step callback ``(k, A_next) -> delta`` of one family and the
-    schedule to emit, None for the online family; a failed solve raises
-    SolverError."""
+    """The step callback ``(k, A_next) -> delta`` of one family and its
+    schedule to emit (None when online); a failed build raises SolverError."""
+    box = _box(config, delta_ref)
     if name == "online_tunable":
         # bootstrap values for k < N_R, then the online extension rule
-        a, _ = impact_coefficients_fgm(fixed_step_certificates(N_R, L, config.mu))
-        boot = _tunable_values(config, a, delta_ref, r).values
-        last = (float(a[-1]), 1.0, float(boot[-1]))
-        box = (ORACLE_FLOOR, config.M * delta_ref)
+        a, boot = _tunable_values(config, N_R, L, delta_ref, r, box[0])
+        last = (float(a[-1]), 1.0, float(boot.values[-1]))
 
         def online(k, A_next):
             if k < N_R:
-                return boot[k]
+                return boot.values[k]
             return online_extend_accuracy(last, (A_next, 1.0), r, box)
         return online, None
     if name == "tunable":
-        a, _ = impact_coefficients_fgm(fixed_step_certificates(N, L, config.mu))
-        sched = _tunable_values(config, a, delta_ref, r)
-    else:
+        sched = _tunable_values(config, N, L, delta_ref, r, box[0])[1]
+    else:  # baseline requests are clipped into the box
         sched = baseline_schedule(name, delta_ref, config.mu, L, N)
-        if config.experiment != 1:
-            # The FISTA oracle cannot certify gaps near float resolution, and
-            # the cost model is only defined up to M * delta_ref (log costs
-            # need delta < 1); clip baseline requests into the modeled domain.
-            sched = Schedule(np.clip(sched.values, ORACLE_FLOOR,
-                                     config.M * delta_ref), sched.kind)
-    values = sched.values
-    return (lambda k, _A_next: values[k]), sched
+        sched = Schedule(np.clip(sched.values, *box), sched.kind)
+    return (lambda k, _A_next: sched.values[k]), sched
 
 
 def _run_one(config: ExperimentConfig, data: ScenarioData, name: str,
@@ -464,12 +465,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 try:
                     schedule_cb, sched = _family_schedule(config, name, delta_ref, N, L, r)
                 except SolverError as exc:
-                    # a failed solve fails its family's runs, not the sweep
+                    # a failed build fails its family's runs, not the sweep
                     failures += [(name, seed, N, delta_ref, str(exc))
                                  for seed in sorted(config.seeds)]
                     continue
                 if sched is not None:
-                    schedules[f"{name}_N{N}_dref{delta_ref:g}"] = sched
+                    schedules[f"{name}_N{N}_dref{float(delta_ref)!r}"] = sched
                 for seed in sorted(config.seeds):
                     try:
                         rows, terminal = _run_one(

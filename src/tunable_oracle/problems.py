@@ -57,10 +57,6 @@ class ScenarioData:
     def n(self) -> int:
         return self.O.shape[0]
 
-    @property
-    def d(self) -> int:
-        return self.O.shape[1]
-
     @functools.cached_property
     def fista_constants(self) -> tuple[float, float | None]:
         """The inner solver's step 1/(sigma lam_max) and its constant
@@ -236,8 +232,6 @@ def fista_inner(data: ScenarioData, x: np.ndarray, delta_target: float,
 def hull_oracle(data: ScenarioData, x: np.ndarray, delta: float,
                 state: InnerState) -> OracleReply:
     """Inexact value/gradient of the hull objective via the inner solver."""
-    if not delta > 0.0:  # NaN fails too
-        raise OracleError("delta must be > 0")
     result = fista_inner(data, x, delta, warm_start=state)
     if not result.converged:
         raise InnerSolverExhausted(result.gap, delta, result.work)
@@ -252,11 +246,8 @@ def hull_value(data: ScenarioData, x: np.ndarray, precision: float = 1e-10,
                state: InnerState | None = None) -> float:
     """High-precision objective value, for gap reporting only.
 
-    ``state`` is read as a warm start but never written back, so sampling
-    the objective leaves the run's inner iteration counts unchanged.
+    ``state`` is read as a warm start; the oracle updates a fresh state, so
+    sampling leaves the run's inner iteration counts unchanged.
     """
-    result = fista_inner(data, x, precision, warm_start=state)
-    if not result.converged:
-        raise InnerSolverExhausted(result.gap, precision, result.work)
-    return 0.5 * data.mu * float(x @ x) + result.value
-
+    warm = InnerState(None if state is None else state.w)
+    return hull_oracle(data, x, precision, warm).value

@@ -76,6 +76,16 @@ class TestLambertW:
             assert abs(w * math.exp(w) - x) <= 1e-12 * max(1.0, abs(x))
             assert w >= -1.0
 
+    @pytest.mark.parametrize("x", [1e60, 1e200, 1.7e308])
+    def test_converges_up_to_the_largest_doubles(self, x):
+        # beyond ~5e57 rounding in w*exp(w) exceeds the 1e-14 residual test,
+        # and near 1e308 the unscaled Halley terms overflow
+        w = lambert_w0(x)
+        assert abs(w + math.log(w) - math.log(x)) <= 1e-15 * w
+        assert abs(w * math.exp(w) - x) <= 1e-13 * x
+        np.testing.assert_allclose(lambert_w0(np.array([1.0, x])),
+                                   [lambert_w0(1.0), w], rtol=1e-15)
+
     def test_rejects_below_branch(self):
         with pytest.raises(CostModelError):
             lambert_w0(-0.1)

@@ -241,6 +241,15 @@ class TestConfigValidation:
         # experiment 1 has no inner solver and no floor
         assert replace(TINY_EXP1, delta_ref=(ORACLE_FLOOR,)).delta_ref == (ORACLE_FLOOR,)
 
+    def test_empty_schedules_rejected(self, tmp_path):
+        # no family would run and the sweep would report nothing
+        with pytest.raises(HarnessError, match="schedules must list at least one entry"):
+            replace(TINY_EXP1, schedules=())
+        path = tmp_path / "cfg.txt"
+        path.write_text("schedules =\n")
+        with pytest.raises(HarnessError, match="schedules must list at least one entry"):
+            load_config(str(path), experiment=1)
+
     def test_bootstrap_solved_only_for_the_online_family(self):
         # M * delta_ref = 1 is outside the log cost's domain, but no family
         # here solves a schedule, so the sweep runs
@@ -485,9 +494,10 @@ class TestRunExperiment:
         # solved value as requested.
         cfg = default_config(3)
         (delta_ref,) = cfg.delta_ref
-        certs = fixed_step_certificates(10_000, 1.0 / cfg.sigma + cfg.mu, cfg.mu)
-        a, _ = impact_coefficients_fgm(certs)
-        values = harness._tunable_values(cfg, a, delta_ref, 0.0).values
+        a, sched = harness._tunable_values(cfg, 10_000, 1.0 / cfg.sigma + cfg.mu,
+                                           delta_ref, 0.0,
+                                           harness._box(cfg, delta_ref)[0])
+        values = sched.values
         assert values.min() >= ORACLE_FLOOR
         assert np.count_nonzero(values == ORACLE_FLOOR) > 0
         budget = -a.size * math.log(delta_ref)
@@ -544,6 +554,52 @@ class TestRunExperiment:
             assert math.isnan(by[(family, N)])
             assert all(math.isfinite(by[(name, N)]) for name in others
                        if name != "linear")
+
+    @pytest.mark.parametrize("r", [0.0, 1.0])
+    def test_exp1_baselines_stay_in_the_box(self, r):
+        # unclipped, the linear baseline grows past 1, where the log cost
+        # (r = 0) turns negative, and at r = 1 up to 8e56, where the outer
+        # projection fails; clipped at M * delta_ref both run
+        cfg = ExperimentConfig(experiment=1, d=4, n=3, p=1.0, mu=0.5, r=r,
+                               delta_ref=(1e-3,), M=10.0, N=(200,), seeds=(0,),
+                               schedules=("constant", "linear"))
+        result = run_experiment(cfg)
+        assert not result.failures
+        assert {rec.schedule for rec in result.records} == {"constant", "linear"}
+        linear = result.schedules["linear_N200_dref0.001"].values
+        assert linear.max() == cfg.M * 1e-3 and linear.min() == 1e-3
+        assert max(rec.delta for rec in result.records) <= cfg.M * 1e-3
+
+    def test_certificate_overflow_fails_the_build_not_the_sweep(self):
+        # sigma = 1 overflows the fixed-step certificates within 2000 steps:
+        # the constant runs fail in the FGM and the tunable build on its
+        # impact row; both are recorded and the N = 300 results are kept
+        cfg = ExperimentConfig(experiment=2, d=4, n=3, p=1.0, sigma=1.0, mu=0.1,
+                               N=(300, 2000), seeds=(0,),
+                               schedules=("constant", "tunable"))
+        with np.errstate(over="ignore"):
+            result = run_experiment(cfg)
+        assert sorted(f[:3] for f in result.failures) == [
+            ("constant", 0, 2000), ("tunable", 0, 2000)]
+        tunable = next(f for f in result.failures if f[0] == "tunable")
+        assert "certificates must be finite" in tunable[-1]
+        assert {(rec.schedule, rec.k) for rec in result.records} == {
+            (name, k) for name in cfg.schedules for k in range(300)}
+        gaps = {(row.schedule, row.N): row.median_gap for row in result.summaries}
+        assert all(math.isfinite(gaps[name, 300]) for name in cfg.schedules)
+
+    @pytest.mark.parametrize("as_number", [float, np.float64])
+    def test_close_delta_refs_keep_their_own_schedule_files(self, tmp_path,
+                                                            as_number):
+        # 1e-3 and 1.0000001e-3 print alike under :g; the labels use the
+        # repr of the float, also for numpy scalars
+        cfg = replace(TINY_EXP1, seeds=(0,),
+                      delta_ref=(as_number(1e-3), as_number(1.0000001e-3)))
+        written = emit_outputs(run_experiment(cfg), str(tmp_path))
+        names = sorted(Path(path).name for path in written if "schedule_" in path)
+        assert names == [f"schedule_{name}_N20_dref{dref}.csv"
+                         for name in ("constant", "tunable")
+                         for dref in ("0.001", "0.0010000001")]
 
     def test_programming_error_in_oracle_propagates(self, monkeypatch):
         def broken(*_args):
