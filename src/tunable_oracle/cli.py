@@ -44,6 +44,16 @@ def _parse_cost(spec: str) -> tuple[str, float]:
     raise ValueError(f"unknown cost spec {spec!r}; expected power:R, log or logsq")
 
 
+def _solve_and_report(label: str, problem):
+    """Solve an accuracy problem, print its certificate line, return the schedule."""
+    schedule, cert = solve_accuracy(problem)
+    print(f"{label}: N={problem.size} N_plus={cert.n_plus} "
+          f"N_minus={cert.n_minus} lambda_star={cert.lambda_star:.6g} "
+          f"budget={reference_budget(problem):.6g} "
+          f"budget_residual={cert.budget_residual:.3g}")
+    return schedule
+
+
 def _cmd_schedule(args) -> int:
     kind, r = _parse_cost(args.cost)
     a, b = import_coefficients(args.coeffs)
@@ -62,11 +72,7 @@ def _cmd_schedule(args) -> int:
         if args.delta_ref is None or args.m is None or args.M is None:
             raise ValueError("accuracy mode requires --delta-ref, --m and --M")
         problem = accuracy_problem(a, b, args.delta_ref, args.m, args.M, kind, r)
-        schedule, cert = solve_accuracy(problem)
-        print(f"accuracy schedule: N={problem.size} N_plus={cert.n_plus} "
-              f"N_minus={cert.n_minus} lambda_star={cert.lambda_star:.6g} "
-              f"budget={reference_budget(problem):.6g} "
-              f"budget_residual={cert.budget_residual:.3g}")
+        schedule = _solve_and_report("accuracy schedule", problem)
     export_schedule(schedule, args.out)
     print(f"wrote {args.out}")
     return 0
@@ -84,22 +90,17 @@ def _cmd_experiment(args) -> int:
     for summary in sorted(result.summaries,
                           key=lambda s: (s.N, s.delta_ref, s.schedule)):
         print(f"experiment {summary.experiment} schedule={summary.schedule} "
-              f"N={summary.N} delta_ref={summary.delta_ref:g} "
+              f"N={summary.N} delta_ref={float(summary.delta_ref)!r} "
               f"median_gap={summary.median_gap:.6g} "
               f"total_inner_work={summary.total_inner_work:.6g}")
     for name, seed, n_iter, dref, message in result.failures:
         print(f"FAILED run schedule={name} seed={seed} N={n_iter} "
-              f"delta_ref={dref:g}: {message}", file=sys.stderr)
+              f"delta_ref={float(dref)!r}: {message}", file=sys.stderr)
     return 1 if result.failures else 0
 
 
 def _cmd_toy(args) -> int:
-    problem = toy_instance()
-    schedule, cert = solve_accuracy(problem)
-    print(f"toy instance: N={problem.size} N_plus={cert.n_plus} "
-          f"N_minus={cert.n_minus} lambda_star={cert.lambda_star:.6g} "
-          f"budget={reference_budget(problem):.6g} "
-          f"budget_residual={cert.budget_residual:.3g}")
+    schedule = _solve_and_report("toy instance", toy_instance())
     if args.out:
         export_schedule(schedule, args.out)
         print(f"wrote {args.out}")

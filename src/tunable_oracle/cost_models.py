@@ -79,10 +79,11 @@ def _hprime_raw(model: CostModel, d):
 def lambert_w0(x):
     """Principal branch of the Lambert W function, w*exp(w) = x, for x >= 0.
 
-    Halley iteration from a piecewise initial guess until the relative
-    residual is below 1e-14 or, where rounding alone leaves more (x > ~1e20),
-    below that of a w one ulp from W; CostModelError if 50 steps fall short.
-    Accepts scalars and arrays; iterates in place on work arrays like ``x``.
+    Halley iteration on f(w) = w - x*exp(-w) from a piecewise initial guess;
+    each element stops once |f| <= 4*eps*w*(1 + w), a few ulps of w, and
+    keeps that value, so it does not depend on the rest of the array.
+    CostModelError if 50 steps fall short. Accepts scalars and arrays;
+    iterates in place on work arrays like ``x``.
     """
     xs = np.asarray(x, dtype=float)
     if np.any(xs < 0.0) or not np.all(np.isfinite(xs)):
@@ -99,31 +100,29 @@ def lambert_w0(x):
     w[~large] = xm / (1.0 + xm * np.exp(-xm))
     del lx, xm, large
 
-    # One ulp of w moves w*exp(w) by up to (w+1) ulps of x, past the 1e-14
-    # test above x ~ 1e20; and above 2**1020 the Halley terms overflow unless
-    # x and exp(w) are scaled below it, by one power of two (so exactly).
-    scale = math.ldexp(1.0, min(0, 1020 - math.frexp(xv.max(initial=0.0))[1]))
-    tol = np.maximum((w + 3.0) * 2.2e-16, 1e-14) * np.maximum(xv, 1.0) * scale
-    xv = xv * scale
-    ew, f, wp1, corr = (np.empty_like(w) for _ in range(4))
+    u, f, den, tol = (np.empty_like(w) for _ in range(4))
+    done = np.empty(w.shape, dtype=bool)
     for _ in range(50):
-        np.exp(w, out=ew)
-        ew *= scale
-        np.multiply(w, ew, out=f)
-        f -= xv
-        np.abs(f, out=corr)
-        if np.all(corr <= tol):
+        # u = x*exp(-w) <= x while w >= 0, so no term below can overflow
+        np.negative(w, out=u)
+        np.exp(u, out=u)
+        u *= xv
+        np.subtract(w, u, out=f)
+        np.add(w, 1.0, out=tol)
+        tol *= w
+        tol *= 4.0 * 2.0**-52
+        np.less_equal(np.abs(f, out=den), tol, out=done)
+        if done.all():
             break
-        # Halley step f / (ew*(w+1) - (w+2)*f / (2*(w+1))); w + 1 > 0 for x >= 0
-        np.add(w, 1.0, out=wp1)
-        np.add(w, 2.0, out=corr)
-        corr *= f
-        corr /= wp1
-        corr *= 0.5
-        np.multiply(ew, wp1, out=wp1)
-        wp1 -= corr                      # the denominator
-        np.divide(f, wp1, out=corr)
-        w -= corr
+        # Halley step f / ((1 + u) + f*u / (2*(1 + u))), zero where done
+        np.add(u, 1.0, out=den)
+        u *= f
+        u /= den
+        u *= 0.5
+        den += u
+        f /= den
+        f[done] = 0.0
+        w -= f
     else:
         raise CostModelError("lambert_w0 did not converge in 50 Halley steps")
     return w.reshape(xs.shape) if xs.ndim else float(w[0])

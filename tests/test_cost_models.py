@@ -78,13 +78,22 @@ class TestLambertW:
 
     @pytest.mark.parametrize("x", [1e60, 1e200, 1.7e308])
     def test_converges_up_to_the_largest_doubles(self, x):
-        # beyond ~5e57 rounding in w*exp(w) exceeds the 1e-14 residual test,
-        # and near 1e308 the unscaled Halley terms overflow
+        # here rounding in w*exp(w) exceeds 1e-14 relative (past ~5e57) and
+        # forming it can overflow near 1e308, so the iteration must not use it
         w = lambert_w0(x)
         assert abs(w + math.log(w) - math.log(x)) <= 1e-15 * w
         assert abs(w * math.exp(w) - x) <= 1e-13 * x
         np.testing.assert_allclose(lambert_w0(np.array([1.0, x])),
                                    [lambert_w0(1.0), w], rtol=1e-15)
+
+    def test_each_element_is_its_own_scalar_call(self):
+        # an element's result must not depend on the rest of its array
+        rng = np.random.default_rng(3)
+        x = np.concatenate([[0.0, 5e-324, 1e-310, 1.0, 1.7e308],
+                            10.0 ** rng.uniform(-5.0, 300.0, 2000)])
+        w = lambert_w0(x)
+        assert w.tolist() == [lambert_w0(float(xi)) for xi in x]
+        assert lambert_w0(x[::-1]).tolist() == w[::-1].tolist()
 
     def test_rejects_below_branch(self):
         with pytest.raises(CostModelError):

@@ -775,6 +775,33 @@ class TestCli:
         assert "trajectory.csv" in captured and "summary.csv" in captured
         assert (out_dir / "summary.csv").exists()
 
+    def test_experiment_lines_tell_close_delta_refs_apart(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # 1e-3 and 1.0000001e-3 print alike under :g; the summary and FAILED
+        # lines use the repr of the float, like the schedule file labels
+        real_run = harness._run_one
+
+        def tunable_fails(config, data, name, *args):
+            if name == "tunable":
+                raise OracleError("tunable run failed")
+            return real_run(config, data, name, *args)
+        monkeypatch.setattr(harness, "_run_one", tunable_fails)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("d = 5\nn = 6\np = 1\nr = 1\nmu = 0.1\nN = 10\nseeds = 0\n"
+                       "delta_ref = 1e-3, 1.0000001e-3\n"
+                       "schedules = tunable, constant\n")
+        rc = cli_main(["experiment", "--id", "1", "--config", str(cfg),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 1
+        captured = capsys.readouterr()
+        labels = ["delta_ref=0.001", "delta_ref=0.0010000001"]
+        summary = [line for line in captured.out.splitlines()
+                   if line.startswith("experiment ")]
+        assert [line.split()[4] for line in summary] == [
+            lab for lab in labels for _ in ("constant", "tunable")]
+        failed = captured.err.splitlines()
+        assert [line.split()[5] for line in failed] == [f"{lab}:" for lab in labels]
+
     def test_experiment_negative_seed_fails(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("")
