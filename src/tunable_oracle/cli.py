@@ -49,7 +49,7 @@ def _solve_and_report(label: str, problem):
     schedule, cert = solve_accuracy(problem)
     print(f"{label}: N={problem.size} N_plus={cert.n_plus} "
           f"N_minus={cert.n_minus} lambda_star={cert.lambda_star:.6g} "
-          f"budget={reference_budget(problem):.6g} "
+          f"budget={reference_budget(problem):.6g} probes={cert.probes} "
           f"budget_residual={cert.budget_residual:.3g}")
     return schedule
 
@@ -67,7 +67,7 @@ def _cmd_schedule(args) -> int:
         schedule, cert = solve_work(problem)
         print(f"work schedule: N={problem.size} N_plus={cert.n_plus} "
               f"N_minus={cert.n_minus} multiplier={cert.lambda_star:.6g} "
-              f"budget_residual={cert.budget_residual:.3g}")
+              f"probes={cert.probes} budget_residual={cert.budget_residual:.3g}")
     else:
         if args.delta_ref is None or args.m is None or args.M is None:
             raise ValueError("accuracy mode requires --delta-ref, --m and --M")

@@ -11,9 +11,12 @@ multiplier lam. The work-controlled variant allocates a total work budget with
 the same structure.
 
 Both solvers share one kernel, the breakpoint search of Palomar & Fonollosa
-(IEEE TSP 2005): one sort by nu, a binary search over the saturation
-breakpoints for the partition, then one solve of the transient set. It costs
-O(N log N), plus O(log N) Lambert W passes for the log-squared kind.
+(IEEE TSP 2005): one sort by nu, a search over the saturation breakpoints for
+the partition, then one solve of the transient set. The search interpolates
+the clipped budget in log(lam) and takes the same decisions as a binary
+search, in at most ceil(log2 N) + 4 probes per side and usually far fewer. It
+costs O(N log N) for the sort, plus one Lambert W pass per probe and per
+Newton step for the log-squared kind.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .cost_models import (
 
 _REL_TOL = 1e-12
 _NEWTON_STEP_TOL = 1e-14  # log(lam) step at which the log-squared Newton stops
+_SEARCH_SLACK = 2  # probes a partition search may take beyond bisection's
 
 
 class SolverError(RuntimeError):
@@ -136,6 +140,7 @@ class KktCertificate:
     n_minus: int
     lambda_star: float      # NaN when every rank is pinned
     budget_residual: float  # |achieved - budget| / budget of the returned schedule
+    probes: int             # clipped-budget evaluations of the partition search
 
 
 def _descending_order(nu) -> np.ndarray:
@@ -160,38 +165,102 @@ def _span(prefix: np.ndarray, i: int, j: int) -> float:
     return float(prefix[j - 1] - (prefix[i - 1] if i else 0.0)) if j > i else 0.0
 
 
+def _log(lam: float) -> float:
+    """log(lam), with -inf for a breakpoint that underflows to 0."""
+    return math.log(lam) if lam > 0.0 else -math.inf
+
+
 def _saturation_counts(n: int, key, c_hi: float, c_lo: float,
-                       excess) -> tuple[int, int]:
-    """Bound partition (n_plus, n_minus) of a water-filling along its ranking.
+                       excess) -> tuple[int, int, int]:
+    """Bound partition (n_plus, n_minus) of a water-filling along its ranking,
+    and the number of excess probes that found it.
 
     Rank j is loose for multipliers lam <= key(j) * c_hi and tight for
     lam >= key(j) * c_lo, with key non-increasing in j and
     0 <= c_hi < c_lo <= inf. ``excess(lam, i, j)``, the clipped budget minus
     its target with ranks [0, i) loose and [j, n) tight, grows with lam. So
     rank j is loose at the solution iff the excess at its loose breakpoint is
-    >= 0, and tight iff it is <= 0 at its tight breakpoint: one binary search
-    per side. Each search first probes the end that would leave its set empty.
+    >= 0, and tight iff it is <= 0 at its tight breakpoint: one search per
+    side for the first rank where that fails (holds). Each search first probes
+    the end that would leave its set empty, then the far end, where every rank
+    is loose (tight) and no transient solve is needed, then at most
+    ceil(log2 n) + _SEARCH_SLACK ranks in between.
     """
+    probes = 0
+
     def probe(lam):
+        nonlocal probes
+        probes += 1
         i = bisect.bisect_left(range(n), True, key=lambda j: key(j) * c_hi < lam)
         j = bisect.bisect_left(range(n), True, key=lambda j: key(j) * c_lo <= lam)
         return excess(lam, i, max(i, j))
 
+    def first_true(c, holds, lo, hi, lo_sample, hi_sample):
+        """First rank in (lo, hi] whose excess at key * c ``holds``, given
+        (log breakpoint, excess) samples where it fails (at or before rank
+        lo) and holds (at or after rank hi).
+
+        Regula falsi in the log breakpoint, with the Anderson-Bjorck weight
+        on the end a probe does not move, picks each probe's rank by a
+        bisection over the keys, which costs no probe. As in ITP (Oliveira &
+        Takahashi, ACM TOMS 2020) that rank is then projected so that,
+        whatever the probe finds, the bracket still closes within
+        ceil(log2(hi - lo)) + _SEARCH_SLACK probes."""
+        samples = [lo_sample, hi_sample]  # indexed by holds(excess)
+        left = (hi - lo - 1).bit_length() + _SEARCH_SLACK
+        moved = None  # side the last probe moved
+        while hi - lo > 1:
+            left -= 1
+            (t_f, f), (t_t, g) = samples
+            t = t_t + (t_f - t_t) * (g / (g - f)) if g != f else math.nan
+            j = (lo + hi) // 2
+            if t_t < t < t_f:
+                lam = math.exp(t)
+                j = bisect.bisect_left(range(n), True, lo=lo + 1, hi=hi,
+                                       key=lambda k: key(k) * c < lam)
+            room = 1 << left
+            j = max(hi - room, lo + 1, min(j, lo + room, hi - 1))
+            lam = key(j) * c
+            e = probe(lam)
+            side = bool(holds(e))
+            if side == moved:  # the other end stays: shrink its excess
+                prev = samples[side][1]
+                w = 1.0 - e / prev if prev else 0.0
+                t_kept, e_kept = samples[not side]
+                samples[not side] = (t_kept, e_kept * (w if w > 0.0 else 0.5))
+            samples[side] = (_log(lam), e)
+            if side:
+                hi = j
+            else:
+                lo = j
+            moved = side
+        return hi
+
     n_plus = n_minus = 0
-    if c_hi > 0.0 and probe(key(0) * c_hi) >= 0.0:
-        n_plus = bisect.bisect_left(range(n), True, lo=1,
-                                    key=lambda j: probe(key(j) * c_hi) < 0.0)
-    if c_lo < math.inf and n_plus < n and probe(key(n - 1) * c_lo) <= 0.0:
-        n_minus = n - bisect.bisect_left(range(n), True, lo=n_plus, hi=n - 1,
-                                         key=lambda j: probe(key(j) * c_lo) <= 0.0)
-    return n_plus, n_minus
+    if c_hi > 0.0:
+        top, bottom = key(0) * c_hi, key(n - 1) * c_hi
+        e_top = probe(top)
+        if e_top >= 0.0:
+            e_bottom = probe(bottom)
+            n_plus = n if e_bottom >= 0.0 else first_true(
+                c_hi, lambda e: e < 0.0, 0, n - 1,
+                (_log(top), e_top), (_log(bottom), e_bottom))
+    if c_lo < math.inf and n_plus < n:
+        top, bottom = key(0) * c_lo, key(n - 1) * c_lo
+        e_bottom = probe(bottom)
+        if e_bottom <= 0.0:
+            n_minus = n - first_true(
+                c_lo, lambda e: e <= 0.0, n_plus - 1, n - 1,
+                (_log(top), probe(top)), (_log(bottom), e_bottom))
+    return n_plus, n_minus, probes
 
 
-def _degenerate(n_plus: int, n_minus: int, gap: float) -> KktCertificate:
+def _degenerate(n_plus: int, n_minus: int, gap: float,
+                probes: int) -> KktCertificate:
     """Certificate of a partition pinning every rank, at relative budget gap."""
     if abs(gap) > 1e-10:
         raise SolverError("bound saturation exhausted all indices off-budget")
-    return KktCertificate(n_plus, n_minus, math.nan, abs(gap))
+    return KktCertificate(n_plus, n_minus, math.nan, abs(gap), probes)
 
 
 def _budget_residual(achieved: float, target: float) -> float:
@@ -293,7 +362,7 @@ def _transient_accuracy(p: ScheduleProblem, idx_T: np.ndarray, budget_T: float,
             break
         cost /= w + 1.0
         step = gap / (2.0 * float(bT @ cost))
-        if step <= _NEWTON_STEP_TOL:
+        if step <= _NEWTON_STEP_TOL or t - step == t:
             break
         t -= step
     np.negative(w, out=w)
@@ -319,7 +388,7 @@ def solve_accuracy(p: ScheduleProblem) -> tuple[Schedule, KktCertificate]:
     def key(j):
         return nu[order[j]]
 
-    n_plus, n_minus = _saturation_counts(
+    n_plus, n_minus, probes = _saturation_counts(
         n, key, c_hi, c_lo, _accuracy_excess(p, order, budget, h_hi, h_lo))
     idx_plus, idx_minus = order[:n_plus], order[n - n_minus:]
     idx_T = order[n_plus:n - n_minus]
@@ -330,7 +399,7 @@ def solve_accuracy(p: ScheduleProblem) -> tuple[Schedule, KktCertificate]:
     if n_minus:
         budget_T -= h_lo * np.sum(p.b[idx_minus])
     if idx_T.size == 0:
-        cert = _degenerate(n_plus, n_minus, budget_T / budget)
+        cert = _degenerate(n_plus, n_minus, budget_T / budget, probes)
         return Schedule(values, "accuracy"), cert
 
     # below the loose breakpoint of the last loose rank and the tight
@@ -344,7 +413,7 @@ def solve_accuracy(p: ScheduleProblem) -> tuple[Schedule, KktCertificate]:
     values[idx_T] = np.clip(delta_T, lo, hi if finite_hi else None)
     del delta_T
     residual = _budget_residual(float(p.b @ h_eval(cm, values)), budget)
-    cert = KktCertificate(n_plus, n_minus, float(lambda_star), residual)
+    cert = KktCertificate(n_plus, n_minus, float(lambda_star), residual, probes)
     return Schedule(values, "accuracy"), cert
 
 
@@ -361,7 +430,7 @@ def solve_work(p: WorkProblem) -> tuple[Schedule, KktCertificate]:
     nu = 1.0 / (p.a**p.r * p.b)
     order = _descending_order(nu)
     sw = np.cumsum(weights[order])
-    n_plus, n_minus = _saturation_counts(
+    n_plus, n_minus, probes = _saturation_counts(
         n, lambda j: 1.0 / weights[order[j]], p.omega_M, p.omega_m,
         lambda lam, i, j: (i * p.omega_M + (n - j) * p.omega_m
                            + lam * _span(sw, i, j) - p.omega_bar))
@@ -373,7 +442,7 @@ def solve_work(p: WorkProblem) -> tuple[Schedule, KktCertificate]:
     values[idx_minus] = p.omega_m
     residual = p.omega_bar - n_plus * p.omega_M - n_minus * p.omega_m
     if idx_T.size == 0:
-        cert = _degenerate(n_plus, n_minus, residual / p.omega_bar)
+        cert = _degenerate(n_plus, n_minus, residual / p.omega_bar, probes)
         return Schedule(values, "work"), cert
     if residual <= 0.0:
         raise SolverError("non-positive residual work budget")
@@ -386,7 +455,7 @@ def solve_work(p: WorkProblem) -> tuple[Schedule, KktCertificate]:
     values[idx_T] = np.clip(omega_T, p.omega_M, p.omega_m)
     del omega_T
     budget_residual = _budget_residual(float(np.sum(values)), p.omega_bar)
-    cert = KktCertificate(n_plus, n_minus, float(lam_hat), budget_residual)
+    cert = KktCertificate(n_plus, n_minus, float(lam_hat), budget_residual, probes)
     return Schedule(values, "work"), cert
 
 

@@ -716,6 +716,21 @@ class TestCli:
         residual = float(line.rsplit("budget_residual=", 1)[1])
         assert 0.0 <= residual <= 1e-10
 
+    def test_certificate_lines_report_probes(self, tmp_path, capsys):
+        # the partition search's probe count, ahead of budget_residual
+        assert cli_main(["toy"]) == 0
+        coeffs = tmp_path / "coeffs.csv"
+        write_coefficients([1.0, 4.0, 9.0], np.ones(3), str(coeffs))
+        assert cli_main(["schedule", "--coeffs", str(coeffs), "--cost", "power:1",
+                         "--work", "--budget", "6", "--wmin", "0.1", "--wmax", "2.2",
+                         "--out", str(tmp_path / "sched.csv")]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if "N_plus=" in line]
+        assert len(lines) == 2
+        for line in lines:
+            tail = line.split("probes=", 1)[1].split()
+            assert int(tail[0]) > 0 and tail[1].startswith("budget_residual=")
+
     def test_toy_file(self, tmp_path, capsys):
         path = tmp_path / "toy.csv"
         assert cli_main(["toy", "--out", str(path)]) == 0

@@ -4,7 +4,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from witnesses import (
+    bisection_saturation_counts,
     brute_force_error_bound,
     brute_force_oracle,
     closed_form_interior_accuracy,
@@ -14,6 +17,11 @@ from witnesses import (
     write_coefficients,
 )
 
+from tunable_oracle import cost_models, schedule_solver
+from tunable_oracle.certificates import (
+    fixed_step_certificates,
+    impact_coefficients_fgm,
+)
 from tunable_oracle.cost_models import (
     LOG_SQUARED,
     LOGARITHMIC,
@@ -447,6 +455,115 @@ class TestExtremeRange:
         assert cert.n_plus + cert.n_minus < n
         assert_budget_and_box(p, s, cert)
         assert_kkt(p, s, cert)
+
+
+@st.composite
+def kernel_instances(draw):
+    """Every accuracy kind and the work split, m in {0, 0.1}, N in [1, 2000],
+    log-uniform a and b, sometimes in repeated blocks that tie in nu."""
+    kind = draw(st.sampled_from(ALL_KINDS + ("work",)))
+    n = draw(st.integers(1, 2000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    span = draw(st.floats(0.0, 6.0))
+    levels = draw(st.one_of(st.none(), st.integers(1, 6)))
+    size = n if levels is None else levels
+    a, b = 10.0 ** rng.uniform(-span, span, (2, size))
+    if levels is not None:
+        a, b = (np.repeat(v, -(-n // levels))[:n] for v in (a, b))
+        perm = rng.permutation(n)
+        a, b = a[perm], b[perm]
+    m = draw(st.sampled_from((0.0, 0.1)))
+    if kind == "work":
+        return WorkProblem(a, b, float(n), m, draw(st.sampled_from((1.5, 3.0))),
+                           draw(st.sampled_from((0.0, 1.0, 2.5))))
+    return accuracy_problem(a, b, 1e-3, m, draw(st.sampled_from((1.5, 4.0, 100.0))),
+                            kind, draw(st.sampled_from((0.5, 1.0, 2.0))))
+
+
+class TestPartitionSearch:
+    """The kernel's interpolating search against the bisection witness."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_instances())
+    def test_matches_bisection_within_probe_bound(self, p):
+        seen = {}
+        real = schedule_solver._saturation_counts
+
+        def spy(n, key, c_hi, c_lo, excess):
+            lams = []
+
+            def recorded(lam, i, j):
+                lams.append(lam)
+                return excess(lam, i, j)
+            out = real(n, key, c_hi, c_lo, recorded)
+            # the witness runs here: a solver may free what excess reads
+            seen.update(witness=bisection_saturation_counts(n, key, c_hi, c_lo, excess),
+                        n=n, keys=[key(j) for j in range(n)], c=(c_hi, c_lo),
+                        lams=lams, out=out)
+            return out
+        solve = solve_work if isinstance(p, WorkProblem) else solve_accuracy
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(schedule_solver, "_saturation_counts", spy)
+            _, cert = solve(p)
+        assert seen["out"][:2] == seen["witness"]
+        assert (cert.n_plus, cert.n_minus, cert.probes) == seen["out"]
+        assert cert.probes == len(seen["lams"])
+        # a probe sits on a loose (plus search) or a tight (minus search)
+        # breakpoint; one that could be either counts for both sides
+        bound = 2 * (seen["n"] - 1).bit_length() + 4
+        for c in seen["c"]:
+            breakpoints = {k * c for k in seen["keys"]}
+            assert sum(lam in breakpoints for lam in seen["lams"]) <= bound
+
+    @pytest.mark.parametrize("row, partition", [("fgm", (241, 0)),
+                                                ("random", (0, 3811))])
+    def test_log_squared_lambert_w_passes(self, monkeypatch, row, partition):
+        # the two log-squared rows of the solve_sweep benchmark at N = 1e4:
+        # bisecting the breakpoints took 18 Lambert W passes on each
+        n = 10_000
+        if row == "fgm":
+            a, b = impact_coefficients_fgm(fixed_step_certificates(n, 1.0, 0.0))
+            m = 0.0
+        else:
+            rng = np.random.default_rng([0, n])
+            a = np.exp(rng.uniform(-3.0, 3.0, n))
+            b = np.exp(rng.uniform(-3.0, 3.0, n))
+            m = 0.1
+        calls = []
+        real = cost_models.lambert_w0
+
+        def counted(x):
+            calls.append(np.size(x))
+            return real(x)
+        monkeypatch.setattr(cost_models, "lambert_w0", counted)
+        p = accuracy_problem(a, b, 1e-3, m, 100.0, LOG_SQUARED)
+        s, cert = solve_accuracy(p)
+        assert (cert.n_plus, cert.n_minus) == partition
+        assert len(calls) <= 12
+        assert_budget_and_box(p, s, cert)
+
+
+class TestLogSquaredNewtonTerminates:
+    """Newton steps on t = log(lam) below half an ulp of t (|t| >= 64) leave
+    t unchanged; the loop must stop there rather than spin."""
+
+    def test_fgm_row_at_n_20000(self, wall_clock_guard):
+        a, b = impact_coefficients_fgm(
+            fixed_step_certificates(20_000, 1.0 / 3e-3 + 0.1, 0.1))
+        p = accuracy_problem(a, b, 1e-4, 0.0, 100.0, LOG_SQUARED)
+        s, cert = solve_accuracy(p)
+        assert (cert.n_plus, cert.n_minus) == (17_804, 0)
+        assert_budget_and_box(p, s, cert)
+
+    def test_coefficients_over_100_decades(self, wall_clock_guard):
+        rng = np.random.default_rng([5, 30])
+        n = int(rng.integers(3, 1000))
+        a = 10.0 ** rng.uniform(-50.0, 50.0, n)
+        b = 10.0 ** rng.uniform(-50.0, 50.0, n)
+        p = accuracy_problem(a, b, 1e-3, 0.1, 100.0, LOG_SQUARED)
+        s, cert = solve_accuracy(p)
+        assert (n, cert.n_plus, cert.n_minus) == (70, 1, 68)
+        assert_budget_and_box(p, s, cert)
 
 
 class TestOnlineRules:

@@ -7,12 +7,15 @@ with it.
   all-interior closed forms, for instances where no bound binds;
 * ``brute_force_oracle`` / ``brute_force_error_bound`` — a grid search over
   the box for N <= 4 and its objective slack;
+* ``bisection_saturation_counts`` — the water-filling partition by one
+  binary search over the breakpoints per side, the kernel's earlier search;
 * ``read_schedule`` / ``write_coefficients`` — the other side of the
   package's ``export_schedule`` and ``import_coefficients``.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 
@@ -63,6 +66,37 @@ def closed_form_interior_work(p: WorkProblem) -> Schedule | None:
     if np.any(omega < p.omega_M - tol) or np.any(omega > p.omega_m + tol):
         return None
     return Schedule(np.clip(omega, p.omega_M, p.omega_m), "work")
+
+
+# ---------------------------------------------------------------------------
+# bisection partition search (witness of the kernel's search)
+# ---------------------------------------------------------------------------
+
+def bisection_saturation_counts(n: int, key, c_hi: float, c_lo: float,
+                                excess) -> tuple[int, int]:
+    """Bound partition (n_plus, n_minus) of a water-filling along its ranking.
+
+    Rank j is loose for multipliers lam <= key(j) * c_hi and tight for
+    lam >= key(j) * c_lo, with key non-increasing in j and
+    0 <= c_hi < c_lo <= inf. ``excess(lam, i, j)``, the clipped budget minus
+    its target with ranks [0, i) loose and [j, n) tight, grows with lam. So
+    rank j is loose at the solution iff the excess at its loose breakpoint is
+    >= 0, and tight iff it is <= 0 at its tight breakpoint: one binary search
+    per side. Each search first probes the end that would leave its set empty.
+    """
+    def probe(lam):
+        i = bisect.bisect_left(range(n), True, key=lambda j: key(j) * c_hi < lam)
+        j = bisect.bisect_left(range(n), True, key=lambda j: key(j) * c_lo <= lam)
+        return excess(lam, i, max(i, j))
+
+    n_plus = n_minus = 0
+    if c_hi > 0.0 and probe(key(0) * c_hi) >= 0.0:
+        n_plus = bisect.bisect_left(range(n), True, lo=1,
+                                    key=lambda j: probe(key(j) * c_hi) < 0.0)
+    if c_lo < math.inf and n_plus < n and probe(key(n - 1) * c_lo) <= 0.0:
+        n_minus = n - bisect.bisect_left(range(n), True, lo=n_plus, hi=n - 1,
+                                         key=lambda j: probe(key(j) * c_lo) <= 0.0)
+    return n_plus, n_minus
 
 
 # ---------------------------------------------------------------------------
