@@ -29,9 +29,11 @@ def fixed_step_certificates(N: int, L: float, mu: float = 0.0) -> np.ndarray:
     if N < 1:
         raise ValueError("N must be >= 1")
     A = np.empty(N + 1)
-    A[0] = 0.0
-    for k in range(N):
-        A[k + 1] = next_certificate(A[k], L, mu)
+    A[0] = A_k = 0.0
+    # chained on a Python float: the same IEEE arithmetic as on the
+    # np.float64 elements, without numpy's per-scalar overhead
+    for k in range(1, N + 1):
+        A[k] = A_k = next_certificate(A_k, L, mu)
     # inf - inf is NaN and NaN <= 0 is False, so the growth test alone
     # lets repeated infinities through
     if not np.isfinite(A).all():

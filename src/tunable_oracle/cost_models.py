@@ -17,6 +17,7 @@ M*delta_ref < 1 for the logarithmic shapes.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,34 +77,66 @@ def _hprime_raw(model: CostModel, d):
     return 2.0 * np.log(d) / d
 
 
-def lambert_w0(x):
+# W of the largest double is ~703.2 and W(x) <= log(x) for x >= e, so no
+# root of a double argument lies above this
+_W_MAX = math.log(sys.float_info.max)
+
+
+def _w0_start(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Piecewise initial guess for W over x >= 0, written to ``w``."""
+    large = x > math.e
+    # Asymptotic guess for large arguments.
+    lx = np.log(x[large])
+    w[large] = lx - np.log(lx)
+    # A rational guess is plenty on [0, e].
+    xm = x[~large]
+    w[~large] = xm / (1.0 + xm * np.exp(-xm))
+    return w
+
+
+def lambert_w0(x, guess=None):
     """Principal branch of the Lambert W function, w*exp(w) = x, for x >= 0.
 
-    Halley iteration on f(w) = w - x*exp(-w) from a piecewise initial guess;
-    each element stops once |f| <= 4*eps*w*(1 + w), a few ulps of w, and
-    keeps that value, so it does not depend on the rest of the array.
-    CostModelError if 50 steps fall short. Accepts scalars and arrays;
-    iterates in place on work arrays like ``x``.
+    Halley iteration on f(w) = w - x*exp(-w); each element stops once
+    |f| <= 4*eps*w*(1 + w), a few ulps of w, and keeps that value, so it
+    does not depend on the rest of the array. CostModelError if 50 steps
+    fall short. Accepts scalars and arrays; iterates in place on work arrays
+    like ``x``.
+
+    The start is ``guess`` where given (shaped like ``x``, clamped to
+    [0, log(largest double)]) and a piecewise guess where ``guess`` is None
+    or NaN. A float64 array ``guess`` is iterated in place and holds the
+    result on return. Precondition: a guess within 1 of the root converges
+    in a few steps; from farther above, the first step falls near 0 and the
+    iteration climbs about 2 per step, so it can run out of steps.
     """
     xs = np.asarray(x, dtype=float)
     if np.any(xs < 0.0) or not np.all(np.isfinite(xs)):
         raise CostModelError("lambert_w0 requires finite x >= 0")
     xv = np.atleast_1d(xs)
 
-    w = np.empty_like(xv)
-    large = xv > math.e
-    # Asymptotic guess for large arguments.
-    lx = np.log(xv[large])
-    w[large] = lx - np.log(lx)
-    # A rational guess is plenty on [0, e].
-    xm = xv[~large]
-    w[~large] = xm / (1.0 + xm * np.exp(-xm))
-    del lx, xm, large
+    if guess is None:
+        w = _w0_start(xv, np.empty_like(xv))
+    else:
+        w = np.atleast_1d(np.asarray(guess, dtype=float))
+        if w.shape != xv.shape:
+            raise CostModelError("lambert_w0 guess must be shaped like x")
+        # w >= 0 keeps u = x*exp(-w) <= x below; the cap keeps the stop test
+        # from passing far above the root
+        np.clip(w, 0.0, _W_MAX, out=w)
+        cold = np.isnan(w)
+        if cold.all():
+            _w0_start(xv, w)
+        elif cold.any():
+            xc = xv[cold]
+            w[cold] = _w0_start(xc, np.empty_like(xc))
+        del cold
 
     u, f, den, tol = (np.empty_like(w) for _ in range(4))
     done = np.empty(w.shape, dtype=bool)
     for _ in range(50):
-        # u = x*exp(-w) <= x while w >= 0, so no term below can overflow
+        # u = x*exp(-w) <= x while w >= 0, and u ~ w near the root, so no
+        # term below can overflow from a start within the precondition
         np.negative(w, out=u)
         np.exp(u, out=u)
         u *= xv

@@ -17,6 +17,14 @@ the clipped budget in log(lam) and takes the same decisions as a binary
 search, in at most ceil(log2 N) + 4 probes per side and usually far fewer. It
 costs O(N log N) for the sort, plus one Lambert W pass per probe and per
 Newton step for the log-squared kind.
+
+The sort is numpy's default (quick)sort, checked for equal neighbours; only a
+tie, whose order the default sort leaves open, falls back to the stable sort,
+so the ranking is the stable sort's either way. The Lambert W passes of one
+log-squared solve share a cache of W by rank: a pass within 1 of the previous
+one in t = log(lam) starts Halley from the cached W moved to first order in
+t, which leaves few steps where consecutive probes and the Newton steps sit
+close, and takes none when the first Newton point repeats the last probe.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ import numpy as np
 
 from . import cost_models
 from .cost_models import (
+    LOG_SQUARED,
     LOGARITHMIC,
     POWER,
     CostModel,
@@ -144,11 +153,21 @@ class KktCertificate:
 
 
 def _descending_order(nu) -> np.ndarray:
-    """Indices sorting nu in descending order; ties by lower index."""
+    """Indices sorting nu in descending order; ties by lower index.
+
+    Without ties the descending order is unique, so the default (quick)sort
+    finds the stable sort's permutation; the stable sort runs only when the
+    sorted values hold equal neighbours.
+    """
     v = np.asarray(nu, dtype=float)
     if not np.all(np.isfinite(v)):
         raise SolverError("comparison vector must be finite")
-    return np.argsort(-v, kind="stable")
+    neg = -v
+    order = np.argsort(neg)
+    ranked = neg[order]
+    if (ranked[1:] == ranked[:-1]).any():
+        order = np.argsort(neg, kind="stable")
+    return order
 
 
 def reference_budget(p: ScheduleProblem) -> float:
@@ -271,22 +290,55 @@ def _budget_residual(achieved: float, target: float) -> float:
     return residual
 
 
-def _logsq_w(p: ScheduleProblem, idx: np.ndarray, lam: float) -> np.ndarray:
-    """W(lam a_k / (2 b_k)) over idx, so log-squared delta_k(lam) = exp(-W);
-    called through the module so that wrappers of lambert_w0 see it."""
-    x = p.a[idx]
-    x /= p.b[idx]
-    x *= 0.5 * lam
-    return cost_models.lambert_w0(x)
+class _LogSquaredW:
+    """W(lam / (2 nu_k)) = W(lam a_k / (2 b_k)) on rank ranges [i, j) of one
+    log-squared solve, so that delta_k(lam) = exp(-W_k).
+
+    Each pass keeps its W, indexed by rank. A later pass at t = log(lam)
+    within 1 of the last one starts Halley on the ranks both cover from the
+    cached W moved by dt * W / (1 + W) (dW/dt = W / (1 + W) in (0, 1), so
+    the start is within |dt| <= 1 of the root), iterating in place in the
+    cache; every other rank starts cold. One instance serves one solve,
+    so a solve never depends on an earlier one. Calls lambert_w0 through
+    the module so that wrappers of it see every pass.
+    """
+
+    def __init__(self, nu: np.ndarray):
+        self.nu = nu  # in rank order
+        self.w = np.empty_like(nu)
+        self.i = self.j = 0  # ranks holding the last pass's W
+        self.t = math.nan    # and its log(lam)
+
+    def __call__(self, lam: float, i: int, j: int) -> np.ndarray:
+        """W on ranks [i, j), a view into the cache valid until the next pass."""
+        x = np.divide(0.5 * lam, self.nu[i:j])
+        t = _log(lam)
+        dt = t - self.t
+        lo, hi = max(i, self.i), min(j, self.j)
+        w = self.w[i:j]
+        if abs(dt) <= 1.0 and lo < hi:
+            warm = self.w[lo:hi]
+            shift = warm + 1.0
+            np.divide(warm, shift, out=shift)
+            shift *= dt
+            warm += shift
+            del shift
+            self.w[i:lo] = math.nan
+            self.w[hi:j] = math.nan
+        else:
+            w.fill(math.nan)
+        self.i, self.j, self.t = i, j, t
+        return cost_models.lambert_w0(x, w)
 
 
 def _accuracy_excess(p: ScheduleProblem, order: np.ndarray, budget: float,
-                     h_hi: float, h_lo: float):
+                     h_hi: float, h_lo: float, logsq_w: _LogSquaredW | None):
     """``excess(lam, i, j)`` of the accuracy problem for the kernel.
 
     Transient rank k costs b_k h((h')^{-1}(-lam/nu_k)): (b_k a_k^r)^{1/(r+1)}
     (lam/r)^{r/(r+1)} for power, b_k log(lam) + b_k log(a_k/b_k) for log (both
-    O(1) from prefix sums) and b_k W(lam a_k/(2 b_k))^2 for log-squared.
+    O(1) from prefix sums) and b_k W(lam a_k/(2 b_k))^2 for log-squared, one
+    ``logsq_w`` pass.
     """
     cm, n = p.cost_model, p.size
     sb = p.b[order]
@@ -303,9 +355,8 @@ def _accuracy_excess(p: ScheduleProblem, order: np.ndarray, budget: float,
             return math.log(lam) * _span(sb, i, j) + _span(g, i, j)
         if j <= i:
             return 0.0
-        w = _logsq_w(p, order[i:j], lam)
-        w *= w
-        return float(p.b[order[i:j]] @ w)
+        w = logsq_w(lam, i, j)
+        return float(p.b[order[i:j]] @ (w * w))
 
     def excess(lam, i, j):
         pinned = h_hi * _span(sb, 0, i) + (h_lo * _span(sb, j, n) if j < n else 0.0)
@@ -313,14 +364,18 @@ def _accuracy_excess(p: ScheduleProblem, order: np.ndarray, budget: float,
     return excess
 
 
-def _transient_accuracy(p: ScheduleProblem, idx_T: np.ndarray, budget_T: float,
-                        lam_cap: float) -> tuple[np.ndarray, float]:
-    """Interior values on the transient set and the multiplier lambda_star < 0.
+def _transient_accuracy(p: ScheduleProblem, order: np.ndarray, i: int, j: int,
+                        budget_T: float, lam_cap: float,
+                        logsq_w: _LogSquaredW | None) -> tuple[np.ndarray, float]:
+    """Interior values on the transient ranks [i, j) and the multiplier
+    lambda_star < 0.
 
     Closed forms for the power/logarithmic kinds; log-squared takes Newton
-    steps down from ``lam_cap``, an upper bound of the multiplier magnitude.
+    steps down from ``lam_cap``, an upper bound of the multiplier magnitude,
+    one ``logsq_w`` pass each.
     """
     cm = p.cost_model
+    idx_T = order[i:j]
     aT, bT = p.a[idx_T], p.b[idx_T]
     if budget_T <= 0.0:
         raise SolverError("non-positive residual budget on the transient set")
@@ -355,7 +410,7 @@ def _transient_accuracy(p: ScheduleProblem, idx_T: np.ndarray, budget_T: float,
     del aT
     t = math.log(lam_cap)
     while True:
-        w = _logsq_w(p, idx_T, math.exp(t))
+        w = logsq_w(math.exp(t), i, j)
         cost = w * w
         gap = float(bT @ cost) - budget_T
         if gap <= 0.0:
@@ -365,8 +420,8 @@ def _transient_accuracy(p: ScheduleProblem, idx_T: np.ndarray, budget_T: float,
         if step <= _NEWTON_STEP_TOL or t - step == t:
             break
         t -= step
-    np.negative(w, out=w)
-    return np.exp(w, out=w), -math.exp(t)
+    delta = np.negative(w)
+    return np.exp(delta, out=delta), -math.exp(t)
 
 
 def solve_accuracy(p: ScheduleProblem) -> tuple[Schedule, KktCertificate]:
@@ -375,6 +430,7 @@ def solve_accuracy(p: ScheduleProblem) -> tuple[Schedule, KktCertificate]:
     n, cm = p.size, p.cost_model
     nu = p.b / p.a
     order = _descending_order(nu)
+    nu = nu[order]  # in rank order
     lo, hi = p.m * p.delta_ref, p.M * p.delta_ref
     finite_hi = math.isfinite(hi)
     budget = reference_budget(p)
@@ -386,10 +442,11 @@ def solve_accuracy(p: ScheduleProblem) -> tuple[Schedule, KktCertificate]:
     c_lo = -float(_hprime_raw(cm, lo)) if allow_minus else math.inf
 
     def key(j):
-        return nu[order[j]]
+        return nu[j]
 
+    logsq_w = _LogSquaredW(nu) if cm.kind == LOG_SQUARED else None
     n_plus, n_minus, probes = _saturation_counts(
-        n, key, c_hi, c_lo, _accuracy_excess(p, order, budget, h_hi, h_lo))
+        n, key, c_hi, c_lo, _accuracy_excess(p, order, budget, h_hi, h_lo, logsq_w))
     idx_plus, idx_minus = order[:n_plus], order[n - n_minus:]
     idx_T = order[n_plus:n - n_minus]
     values = np.empty(n)
@@ -406,7 +463,8 @@ def solve_accuracy(p: ScheduleProblem) -> tuple[Schedule, KktCertificate]:
     # breakpoint of the last transient rank
     lam_cap = min(key(n_plus - 1) * c_hi if n_plus else math.inf,
                   key(n - n_minus - 1) * c_lo)
-    delta_T, lambda_star = _transient_accuracy(p, idx_T, budget_T, lam_cap)
+    delta_T, lambda_star = _transient_accuracy(
+        p, order, n_plus, n - n_minus, budget_T, lam_cap, logsq_w)
     if ((finite_hi and np.any(delta_T > hi * (1.0 + _REL_TOL)))
             or (allow_minus and np.any(delta_T < lo * (1.0 - _REL_TOL)))):
         raise SolverError("transient values leave the box: partition search failed")

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from witnesses import float64_certificates
 
 from tunable_oracle.certificates import (
     fixed_step_certificates,
@@ -82,6 +83,15 @@ class TestFixedStep:
     def test_validation(self):
         with pytest.raises(ValueError):
             fixed_step_certificates(0, 1.0)
+
+    @pytest.mark.parametrize("N, L, mu", [(100_000, 1.0, 0.0),
+                                          (20_000, 1.0 / 3e-3 + 0.1, 0.1)])
+    def test_same_bytes_as_float64_chain(self, N, L, mu):
+        # the chain runs on a Python float; the bench's N = 1e5 row and the
+        # longest experiment-3 row that does not overflow
+        with np.errstate(over="ignore"):
+            witness = float64_certificates(N, L, mu)
+        assert fixed_step_certificates(N, L, mu).tobytes() == witness.tobytes()
 
     def test_overflow_raises(self):
         # experiment-3 constants (L = 1/sigma + mu, sigma = 3e-3, mu = 0.1):

@@ -105,6 +105,72 @@ class TestLambertW:
         np.testing.assert_allclose(ws * np.exp(ws), xs, rtol=1e-12, atol=1e-14)
 
 
+class TestLambertWGuess:
+    """``lambert_w0(x, guess)``: Halley from the caller's start."""
+
+    @staticmethod
+    def draws(seed, n):
+        # x over the range the log-squared solver meets, and a guess within 1
+        # of the root on either side, kept >= 0
+        rng = np.random.default_rng(seed)
+        x = 10.0 ** rng.uniform(-5.0, 300.0, n)
+        guess = np.maximum(lambert_w0(x) + rng.uniform(-1.0, 1.0, n), 0.0)
+        return x, guess
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.sampled_from([0.0, 5e-324, 1e-310, 1.0, math.e, 1.7e308]),
+                     st.floats(-5.0, 300.0).map(lambda e: 10.0 ** e)))
+    def test_converged_guess_keeps_its_bits(self, x):
+        w = lambert_w0(x)
+        assert math.copysign(1.0, w) == 1.0
+        assert lambert_w0(x, w) == w
+        again = lambert_w0(np.array([x]), np.array([w]))
+        assert again.tobytes() == np.array([w]).tobytes()
+
+    def test_guess_within_one_of_the_root_matches_cold_call(self):
+        x, guess = self.draws(11, 20_000)
+        cold = lambert_w0(x)
+        warm = lambert_w0(x, guess)
+        assert np.max(np.abs(warm - cold) / cold) <= 4e-15
+
+    def test_array_and_scalar_calls_agree(self):
+        x, guess = self.draws(12, 500)
+        warm = lambert_w0(x, guess.copy())
+        assert warm.tolist() == [lambert_w0(float(xi), float(gi))
+                                 for xi, gi in zip(x, guess)]
+
+    def test_array_guess_iterates_in_place(self):
+        x, guess = self.draws(13, 100)
+        out = lambert_w0(x, guess)
+        assert np.shares_memory(out, guess)
+        assert guess.tobytes() == out.tobytes()
+
+    def test_nan_guess_starts_cold(self):
+        x, guess = self.draws(14, 1000)
+        guess[::3] = math.nan
+        warm = lambert_w0(x, guess)
+        cold = lambert_w0(x)
+        assert warm[::3].tobytes() == cold[::3].tobytes()
+        assert lambert_w0(x, np.full_like(x, math.nan)).tobytes() == cold.tobytes()
+
+    def test_guess_is_clamped(self):
+        # below 0, and far above any root of a double: the stop test alone
+        # would accept a start this large
+        for x in (1e-3, 1.0, 10.0):
+            for guess in (-5.0, 1e16, math.inf):
+                assert lambert_w0(x, guess) == pytest.approx(lambert_w0(x), rel=4e-15)
+
+    def test_far_guess_fails_loudly(self):
+        # from far above the first step lands near 0, then each step climbs
+        # about 2: W(1e100) ~ 225 is out of reach in 50 steps
+        with pytest.raises(CostModelError, match="did not converge"):
+            lambert_w0(1e100, 700.0)
+
+    def test_guess_shape_must_match(self):
+        with pytest.raises(CostModelError, match="shaped like x"):
+            lambert_w0(np.ones(3), np.ones(2))
+
+
 class TestDomainValidation:
     def test_log_kind_requires_hi_below_one(self):
         # the box belongs to the problem, which alone rejects M*delta_ref >= 1

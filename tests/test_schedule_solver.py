@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -33,6 +34,7 @@ from tunable_oracle.harness import (
     _read_csv,
     export_schedule,
     import_coefficients,
+    toy_instance,
 )
 from tunable_oracle.schedule_solver import (
     Schedule,
@@ -118,6 +120,28 @@ class TestDescendingRank:
             order = _descending_order(nu)
             assert sorted(order) == list(range(nu.size))
             assert np.all(np.diff(nu[order]) <= 0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        # few distinct values: ties, in repeated blocks or scattered
+        st.lists(st.sampled_from([0.5, 1.0, 2.0, 1e-300, 1e300, 0.0, -0.0, -1.0]),
+                 min_size=1, max_size=60),
+        st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=40).flatmap(
+            lambda block: st.integers(1, 4).map(lambda reps: block * reps)),
+        st.lists(st.floats(1e-300, 1e300), min_size=1, max_size=200)),
+        st.sampled_from(["as drawn", "ascending", "descending", "constant"]))
+    def test_matches_stable_sort(self, values, layout):
+        # the quicksort with a tie check must give the stable sort's
+        # permutation, index for index
+        v = np.array(values)
+        if layout == "ascending":
+            v = np.sort(v)
+        elif layout == "descending":
+            v = np.sort(v)[::-1]
+        elif layout == "constant":
+            v = np.full_like(v, v[0])
+        expected = np.argsort(-v, kind="stable")
+        assert _descending_order(v).tobytes() == expected.tobytes()
 
 
 class TestReferenceBudget:
@@ -532,15 +556,98 @@ class TestPartitionSearch:
         calls = []
         real = cost_models.lambert_w0
 
-        def counted(x):
+        def counted(x, guess=None):
             calls.append(np.size(x))
-            return real(x)
+            return real(x, guess)
         monkeypatch.setattr(cost_models, "lambert_w0", counted)
         p = accuracy_problem(a, b, 1e-3, m, 100.0, LOG_SQUARED)
         s, cert = solve_accuracy(p)
         assert (cert.n_plus, cert.n_minus) == partition
         assert len(calls) <= 12
         assert_budget_and_box(p, s, cert)
+
+
+class TestLogSquaredWPasses:
+    """The per-solve W cache of the log-squared kind: warm starts only where
+    the previous pass is within |dt| <= 1 in t = log(lam)."""
+
+    @staticmethod
+    def cache(monkeypatch, n=400):
+        rng = np.random.default_rng(21)
+        a = np.exp(rng.uniform(-3.0, 3.0, n))
+        b = np.exp(rng.uniform(-3.0, 3.0, n))
+        p = accuracy_problem(a, b, 1e-3, 0.1, 100.0, LOG_SQUARED)
+        guesses = []
+        real = cost_models.lambert_w0
+
+        def spy(x, guess=None):
+            guesses.append(np.array(guess, copy=True))
+            return real(x, guess)
+        monkeypatch.setattr(cost_models, "lambert_w0", spy)
+        nu = p.b / p.a
+        nu = nu[_descending_order(nu)]
+        cold = lambda lam, i, j: real(0.5 * lam / nu[i:j])
+        return schedule_solver._LogSquaredW(nu), guesses, cold
+
+    def test_pass_beyond_unit_dt_starts_cold(self, monkeypatch):
+        w_of, guesses, cold = self.cache(monkeypatch)
+        w_of(1e3, 0, 300)
+        w = w_of(1e3 * math.exp(1.5), 50, 350)
+        assert np.isnan(guesses[0]).all() and np.isnan(guesses[1]).all()
+        assert w.tobytes() == cold(1e3 * math.exp(1.5), 50, 350).tobytes()
+
+    def test_pass_within_unit_dt_starts_on_the_overlap(self, monkeypatch):
+        w_of, guesses, cold = self.cache(monkeypatch)
+        prev = w_of(1e3, 0, 300).copy()
+        lam = 1e3 * math.exp(-0.75)
+        w = w_of(lam, 50, 350)
+        dt = math.log(lam) - math.log(1e3)
+        expected = prev[50:] + dt * (prev[50:] / (prev[50:] + 1.0))
+        np.testing.assert_allclose(guesses[1][:250], expected, rtol=1e-15)
+        assert np.isnan(guesses[1][250:]).all()
+        np.testing.assert_allclose(w, cold(lam, 50, 350), rtol=4e-15)
+
+    def test_same_multiplier_takes_no_halley_step(self, monkeypatch):
+        w_of, guesses, _ = self.cache(monkeypatch)
+        first = w_of(1e3, 0, 300).copy()
+        assert w_of(1e3, 0, 300).tobytes() == first.tobytes()
+        assert guesses[1].tobytes() == first.tobytes()
+
+
+class TestSolveSweepJobs:
+    def test_bytes_and_partitions(self):
+        # the schedule bytes of the power, log and work jobs of the
+        # solve_sweep benchmark (seed 0) and the log-squared partitions, as
+        # before warm starts and the tie-checked sort; the log-squared
+        # objectives to 1e-12
+        n = 100_000
+        a_fgm, b_fgm = impact_coefficients_fgm(fixed_step_certificates(n, 1.0, 0.0))
+        rng = np.random.default_rng([0, n])
+        a_rnd = np.exp(rng.uniform(-3.0, 3.0, n))
+        b_rnd = np.exp(rng.uniform(-3.0, 3.0, n))
+        expected = {
+            (POWER, "fgm"): (496, 0, "a97887c784813e16f89f8cf85859e81acd261e974bdd1e7106134e1ba4c3cdab"),
+            (POWER, "rnd"): (0, 8188, "805c00365199c792223feca30ab001036a63f77322ffdfd07494671348535680"),
+            (LOGARITHMIC, "fgm"): (3818, 0, "6d03db4d5f34b838f7179eca744a7b70fd7851ac947745214884de1da4a787ed"),
+            (LOGARITHMIC, "rnd"): (0, 47506, "1bba47f009747c98c2690bc4b7852eec77d12c079d9be237ebaa63e582d6ee03"),
+            (LOG_SQUARED, "fgm"): (2437, 0, 43395111042.1299),
+            (LOG_SQUARED, "rnd"): (0, 38170, 69.77983234098747),
+        }
+        for (kind, row), (n_plus, n_minus, pin) in expected.items():
+            a, b, m = (a_fgm, b_fgm, 0.0) if row == "fgm" else (a_rnd, b_rnd, 0.1)
+            p = accuracy_problem(a, b, 1e-3, m, 100.0, kind, 1.0)
+            s, cert = solve_accuracy(p)
+            assert (cert.n_plus, cert.n_minus) == (n_plus, n_minus)
+            if kind == LOG_SQUARED:
+                assert float(p.a @ s.values) == pytest.approx(pin, rel=1e-12)
+            else:
+                assert hashlib.sha256(s.values.tobytes()).hexdigest() == pin
+        s, cert = solve_work(WorkProblem(a_rnd, b_rnd, float(n), 0.1, 2.2, 1.0))
+        assert (cert.n_plus, cert.n_minus) == (5524, 20371)
+        assert hashlib.sha256(s.values.tobytes()).hexdigest() == (
+            "2585fde46dfa48f69f77322d2e634e57b8f3078f025d036e3287172f23a5ff4c")
+        _, cert = solve_accuracy(toy_instance())
+        assert (cert.n_plus, cert.n_minus) == (10, 0)
 
 
 class TestLogSquaredNewtonTerminates:

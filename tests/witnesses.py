@@ -9,6 +9,8 @@ with it.
   the box for N <= 4 and its objective slack;
 * ``bisection_saturation_counts`` — the water-filling partition by one
   binary search over the breakpoints per side, the kernel's earlier search;
+* ``float64_certificates`` — the certificate chain stepped on the array's
+  np.float64 elements, the package's earlier loop;
 * ``read_schedule`` / ``write_coefficients`` — the other side of the
   package's ``export_schedule`` and ``import_coefficients``.
 """
@@ -21,6 +23,7 @@ import math
 
 import numpy as np
 
+from tunable_oracle.certificates import next_certificate
 from tunable_oracle.cost_models import POWER, CostModel, _check_delta, _hprime_raw, h_eval
 from tunable_oracle.schedule_solver import (
     _REL_TOL,
@@ -97,6 +100,19 @@ def bisection_saturation_counts(n: int, key, c_hi: float, c_lo: float,
         n_minus = n - bisect.bisect_left(range(n), True, lo=n_plus, hi=n - 1,
                                          key=lambda j: probe(key(j) * c_lo) <= 0.0)
     return n_plus, n_minus
+
+
+# ---------------------------------------------------------------------------
+# certificate chain on np.float64 elements (witness of its bytes)
+# ---------------------------------------------------------------------------
+
+def float64_certificates(N: int, L: float, mu: float = 0.0) -> np.ndarray:
+    """A_0..A_N, each step reading A_k back from the array as np.float64."""
+    A = np.empty(N + 1)
+    A[0] = 0.0
+    for k in range(N):
+        A[k + 1] = next_certificate(A[k], L, mu)
+    return A
 
 
 # ---------------------------------------------------------------------------
