@@ -11,16 +11,20 @@ Three experiments are supported:
    solver as the costly oracle, fixed stepsize;
 3. the hull problem with an adaptive stepsize and an online schedule extended
    from a short bootstrap solve.
+
+Each sweep resolves its experiment once, into one record; ``_experiment``,
+which builds it, is the only function on the run path that reads the id.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import os
 import statistics
 from dataclasses import dataclass, fields, replace
-from typing import get_type_hints
+from typing import Callable, get_type_hints
 
 import numpy as np
 
@@ -290,21 +294,6 @@ class ExperimentResult:
 # experiment execution
 # ---------------------------------------------------------------------------
 
-def _resolve_r(config: ExperimentConfig, data: ScenarioData) -> float:
-    if config.r >= 0.0:
-        return config.r
-    # Linearly converging inner solver (kappa_hat > 0) matches the r = 0 cost
-    # shape; the sublinear regime matches the square-root shape.
-    return 0.0 if kappa_hat(data) > 0.0 else 0.5
-
-def _fixed_L(config: ExperimentConfig, data: ScenarioData) -> float:
-    if config.experiment == 1:
-        return data.lam_max + config.mu
-    if config.experiment == 2:
-        return 2.0 / config.sigma + config.mu
-    return 1.0 / config.sigma + config.mu  # experiment 3 validity ceiling
-
-
 def _seed_streams(config: ExperimentConfig, seed: int):
     """Per-seed RNG streams shared by every schedule family (paired runs)."""
     root = np.random.SeedSequence([config.experiment, DATA_SEED, seed])
@@ -331,105 +320,125 @@ def estimate_fstar(f: float, g: np.ndarray, x_hat: np.ndarray, mu: float) -> flo
     return f + float(np.min(g)) - float(g @ x_hat)
 
 
-def _reference_fstar_exp1(config: ExperimentConfig, data: ScenarioData,
-                          L: float) -> float:
+@dataclass(frozen=True)
+class _Experiment:
+    """What the run path needs of one experiment, resolved once per sweep.
+    Its callables look each oracle up in the module globals when called, so
+    a wrapper swapped in there sees every call."""
+    r: float               # the resolved cost exponent
+    L: float               # the fixed step, or the adaptive search's ceiling
+    lo: float              # low end of every request box (the oracle's floor)
+    adaptive: bool
+    fstar: float | None    # shared f*; None: the best end point of each cell
+    oracle: Callable       # (inner state, noise rng, x, delta) -> OracleReply
+    sample: Callable       # (x, inner state) -> sampled objective value
+    terminal: Callable     # x -> (value, gradient) of a run's end point
+
+
+def _experiment(config: ExperimentConfig, data: ScenarioData) -> _Experiment:
+    """The sweep's record: the one reader of the experiment id on the run
+    path. Every domain check runs here, before the f* reference and any run."""
+    # auto r: a linearly converging inner solver (kappa_hat > 0) matches the
+    # r = 0 cost shape, the sublinear regime the square-root shape
+    r = config.r if config.r >= 0.0 else (0.0 if kappa_hat(data) > 0.0 else 0.5)
+    _check_log_domain(config, r)
+    softmax = config.experiment == 1
+    # experiment 3's L is the validity ceiling of its adaptive search
+    L = (data.lam_max if softmax else
+         (2.0 if config.experiment == 2 else 1.0) / config.sigma) + config.mu
+    if "linear" in config.schedules:
+        _linear_base(config.mu, L)  # fail before any run, not mid-sweep
+    if softmax:
+        exp = _Experiment(
+            r=r, L=L, lo=0.0, adaptive=False, fstar=None,
+            oracle=lambda _state, rng, x, delta: noisy_oracle(
+                data, x, delta, ALPHA, rng, r=r),
+            sample=lambda x, _state: softmax_value_grad(data, x)[0],
+            terminal=lambda x: softmax_value_grad(data, x))
+        # the noise-free reference depends on max(N) only, so it runs once
+        return replace(exp, fstar=_reference_fstar_exp1(config, exp))
+
+    def terminal(x):  # a cold solve, apart from the run's warm start
+        reply = hull_oracle(data, x, FSTAR_PRECISION, InnerState())
+        return reply.value, reply.gradient
+    return _Experiment(
+        r=r, L=L, lo=ORACLE_FLOOR, adaptive=config.experiment == 3, fstar=None,
+        oracle=lambda state, _rng, x, delta: hull_oracle(data, x, delta, state),
+        sample=lambda x, state: hull_value(data, x, SAMPLE_PRECISION, state=state),
+        terminal=terminal)
+
+
+def _reference_fstar_exp1(config: ExperimentConfig, exp: _Experiment) -> float:
     """Noise-free run of 4*max(N) steps, then the lower model."""
-    rng = np.random.default_rng(0)  # delta = 0: the stream is never drawn from
-
-    def oracle(x, _delta):
-        return noisy_oracle(data, x, 0.0, ALPHA, rng)
-
     # once A_k exceeds ~1e18 the bound R^2/A_k is below double resolution of
     # the objective; longer runs only risk certificate overflow
     A, n_ref = 0.0, 0
     while n_ref < 4 * max(config.N) and A < 1e18:
-        A = next_certificate(A, L, config.mu)
+        A = next_certificate(A, exp.L, config.mu)
         n_ref += 1
-
-    x0 = np.full(config.d, 1.0 / config.d)
-    x_hat, _ = fgm_run(oracle, lambda k, A: 0.0, n_ref, x0, L, config.mu)
-    f, g = softmax_value_grad(data, x_hat)
-    return estimate_fstar(f, g, x_hat, data.mu)
-
-
-def _box(config: ExperimentConfig, delta_ref: float) -> tuple[float, float]:
-    """The domain of every request: the FISTA oracle of experiments 2 and 3
-    cannot certify below ORACLE_FLOOR, and the cost model ends at M δ̄."""
-    return (0.0 if config.experiment == 1 else ORACLE_FLOOR), config.M * delta_ref
+    # delta = 0 draws no noise: the oracle needs no inner state and no stream
+    x_hat, _ = fgm_run(functools.partial(exp.oracle, None, None), lambda k, A: 0.0,
+                       n_ref, np.full(config.d, 1.0 / config.d), exp.L, config.mu)
+    f, g = exp.terminal(x_hat)
+    return estimate_fstar(f, g, x_hat, config.mu)
 
 
-def _tunable_values(config: ExperimentConfig, steps: int, L: float,
-                    delta_ref: float, r: float,
-                    lo: float) -> tuple[np.ndarray, Schedule]:
+def _tunable_values(config: ExperimentConfig, steps: int, delta_ref: float,
+                    exp: _Experiment) -> tuple[np.ndarray, Schedule]:
     """The FGM impact row of ``steps`` fixed steps and the schedule solved on
-    it at the modeled cost of constant δ̄ (budget-matched), in the box that
-    starts at ``lo``."""
+    it, from ``exp.lo`` up, at the modeled cost of constant δ̄ (budget-matched)."""
     try:
-        a, b = impact_coefficients_fgm(fixed_step_certificates(steps, L, config.mu))
+        a, b = impact_coefficients_fgm(fixed_step_certificates(steps, exp.L, config.mu))
     except ValueError as exc:  # the certificates overflow or stop growing
         raise SolverError(f"no FGM impact row of {steps} steps: {exc}") from exc
-    kind = POWER if r > 0.0 else LOGARITHMIC
-    problem = accuracy_problem(a, b, delta_ref, lo / delta_ref, config.M, kind, r)
+    kind = POWER if exp.r > 0.0 else LOGARITHMIC
+    problem = accuracy_problem(a, b, delta_ref, exp.lo / delta_ref, config.M, kind, exp.r)
     return a, solve_accuracy(problem)[0]
 
 
 def _family_schedule(config: ExperimentConfig, name: str, delta_ref: float,
-                     N: int, L: float, r: float):
+                     N: int, exp: _Experiment):
     """The step callback ``(k, A_next) -> delta`` of one family and its
     schedule to emit (None when online); a failed build raises SolverError."""
-    box = _box(config, delta_ref)
+    box = (exp.lo, config.M * delta_ref)  # the cost model ends at M δ̄
     if name == "online_tunable":
         # bootstrap values for k < N_R, then the online extension rule
-        a, boot = _tunable_values(config, N_R, L, delta_ref, r, box[0])
+        a, boot = _tunable_values(config, N_R, delta_ref, exp)
         last = (float(a[-1]), 1.0, float(boot.values[-1]))
 
         def online(k, A_next):
             if k < N_R:
                 return boot.values[k]
-            return online_extend_accuracy(last, (A_next, 1.0), r, box)
+            return online_extend_accuracy(last, (A_next, 1.0), exp.r, box)
         return online, None
     if name == "tunable":
-        sched = _tunable_values(config, N, L, delta_ref, r, box[0])[1]
+        sched = _tunable_values(config, N, delta_ref, exp)[1]
     else:  # baseline requests are clipped into the box
-        sched = baseline_schedule(name, delta_ref, config.mu, L, N)
+        sched = baseline_schedule(name, delta_ref, config.mu, exp.L, N)
         sched = Schedule(np.clip(sched.values, *box), sched.kind)
     return (lambda k, _A_next: sched.values[k]), sched
 
 
-def _run_one(config: ExperimentConfig, data: ScenarioData, name: str,
-             seed: int, N: int, L: float, r: float, schedule_cb):
+def _run_one(config: ExperimentConfig, exp: _Experiment, name: str,
+             seed: int, N: int, schedule_cb):
     """One (schedule, seed) run; returns its records and (terminal x,
     terminal value, terminal gradient, total work)."""
     x0_rng, noise_rng = _seed_streams(config, seed)
     x0 = x0_rng.dirichlet(np.ones(config.d))
-
     state = InnerState()  # the hull oracle's warm start; unused in experiment 1
-    if config.experiment == 1:
-        def oracle(x, delta):
-            return noisy_oracle(data, x, delta, ALPHA, noise_rng, r=r)
-    else:
-        def oracle(x, delta):
-            return hull_oracle(data, x, delta, state)
-
     samples: dict[int, float] = {}
 
     def observer(k, x):
         if k % config.sample_every == 0:
-            samples[k] = (softmax_value_grad(data, x)[0] if config.experiment == 1
-                          else hull_value(data, x, SAMPLE_PRECISION, state=state))
+            samples[k] = exp.sample(x, state)
 
-    x_final, traj = fgm_run(oracle, schedule_cb, N, x0, L, config.mu,
-                            adaptive=config.experiment == 3, observer=observer)
-    # the terminal value and gradient come from a cold solve, independent of
-    # the run's warm start; the lower model of f* reuses them
-    if config.experiment == 1:
-        value, grad = softmax_value_grad(data, x_final)
-    else:
-        reply = hull_oracle(data, x_final, FSTAR_PRECISION, InnerState())
-        value, grad = reply.value, reply.gradient
+    x_final, traj = fgm_run(functools.partial(exp.oracle, state, noise_rng),
+                            schedule_cb, N, x0, exp.L, config.mu,
+                            adaptive=exp.adaptive, observer=observer)
+    # the lower model of f* reuses the terminal value and gradient
+    value, grad = exp.terminal(x_final)
 
-    records = []
-    cum_work = 0.0
+    records, cum_work = [], 0.0
     for rec in traj:
         cum_work += rec.omega
         records.append(RunRecord(
@@ -440,22 +449,12 @@ def _run_one(config: ExperimentConfig, data: ScenarioData, name: str,
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    data = generate_scenarios(config.n, config.d, config.p, DATA_SEED,
-                              sigma=config.sigma, mu=config.mu)
-    r = _resolve_r(config, data)
-    _check_log_domain(config, r)
-    L = _fixed_L(config, data)
-    if "linear" in config.schedules:
-        _linear_base(config.mu, L)  # fail before any run, not mid-sweep
-
+    exp = _experiment(config, generate_scenarios(
+        config.n, config.d, config.p, DATA_SEED, sigma=config.sigma, mu=config.mu))
     records: list[RunRecord] = []
     summaries: list[SummaryRow] = []
     schedules: dict[str, Schedule] = {}
     failures: list[tuple] = []
-
-    if config.experiment == 1:
-        # the noise-free reference depends on max(N) only, so it runs once
-        fstar = _reference_fstar_exp1(config, data, L)
 
     for delta_ref in config.delta_ref:
         for N in sorted(config.N):
@@ -463,7 +462,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             terminals: dict[tuple, tuple] = {}
             for name in config.schedules:
                 try:
-                    schedule_cb, sched = _family_schedule(config, name, delta_ref, N, L, r)
+                    schedule_cb, sched = _family_schedule(config, name, delta_ref, N, exp)
                 except SolverError as exc:
                     # a failed build fails its family's runs, not the sweep
                     failures += [(name, seed, N, delta_ref, str(exc))
@@ -473,8 +472,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                     schedules[f"{name}_N{N}_dref{float(delta_ref)!r}"] = sched
                 for seed in sorted(config.seeds):
                     try:
-                        rows, terminal = _run_one(
-                            config, data, name, seed, N, L, r, schedule_cb)
+                        rows, terminal = _run_one(config, exp, name, seed, N, schedule_cb)
                     except (OracleError, FgmError, SolverError) as exc:
                         # a numerical failure must not stop the sweep; a
                         # programming error still raises
@@ -484,9 +482,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                     terminals[(name, seed)] = terminal
 
             # terminal primal gaps against a shared lower bound on F*
-            if config.experiment != 1 and terminals:
+            fstar = exp.fstar
+            if fstar is None and terminals:
                 x_best, f_best, g_best, _ = min(terminals.values(), key=lambda t: t[1])
-                fstar = estimate_fstar(f_best, g_best, x_best, data.mu)
+                fstar = estimate_fstar(f_best, g_best, x_best, config.mu)
 
             for name in config.schedules:
                 runs = [terminals[name, seed] for seed in sorted(config.seeds)
@@ -494,7 +493,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 gaps = [value - fstar for _, value, _, _ in runs]
                 summaries.append(SummaryRow(
                     experiment=config.experiment, schedule=name, mu=config.mu,
-                    r=r, N=N, delta_ref=delta_ref,
+                    r=exp.r, N=N, delta_ref=delta_ref,
                     median_gap=statistics.median(gaps) if gaps else math.nan,
                     mean_gap=statistics.fmean(gaps) if gaps else math.nan,
                     total_inner_work=sum((total for *_, total in runs), 0.0)))

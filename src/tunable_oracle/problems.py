@@ -125,6 +125,9 @@ def noisy_oracle(data: ScenarioData, x: np.ndarray, delta: float, alpha: float,
     """
     if not (delta >= 0.0 and alpha > 0.0):  # NaN fails too
         raise OracleError("need delta >= 0 and alpha > 0")
+    if r <= 0.0 and delta > 1.0:  # -log(delta) would be a negative charge
+        raise OracleError(f"the logarithmic cost -log(delta) needs delta <= 1, "
+                          f"got delta = {delta!r}")
     value, grad = softmax_value_grad(data, x)
     if delta > 0.0:
         u = rng.standard_normal(x.size)
@@ -242,7 +245,7 @@ def hull_oracle(data: ScenarioData, x: np.ndarray, delta: float,
                        inner_work=result.work)
 
 
-def hull_value(data: ScenarioData, x: np.ndarray, precision: float = 1e-10,
+def hull_value(data: ScenarioData, x: np.ndarray, precision: float,
                state: InnerState | None = None) -> float:
     """High-precision objective value, for gap reporting only.
 

@@ -13,6 +13,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from tunable_oracle import certificates, harness, schedule_solver
 
@@ -76,3 +77,29 @@ def test_layer_metrics_of_every_workload(monkeypatch):
     assert metrics["fgm.steps"] > runs
     assert np.isclose(sum(metrics[f"{layer}.self_s"] for layer in tracer.LAYERS),
                       sum(tr.self_s(key) for key in tr.stats))
+
+
+# the call counts of each tiny config under its own tracer; a collaborator
+# bound when the module is imported, rather than looked up at call time,
+# hides its calls from the tracer and shows up here
+CALLS = (
+    {"problems.noisy_oracle": 160, "problems.softmax_value_grad": 173,
+     "fgm.fgm_run": 5, "problems.estimate_fstar": 1,
+     "certificates.next_certificate": 260},
+    {"problems.hull_oracle": 36, "problems.hull_value": 4, "fgm.fgm_run": 2,
+     "problems.estimate_fstar": 1},
+    {"problems.hull_oracle": 768, "problems.hull_value": 24,
+     "schedule_solver.online_extend_accuracy": 15, "fgm.fgm_run": 4,
+     "problems.estimate_fstar": 1},
+)
+
+
+@pytest.mark.parametrize("cfg, calls", zip(CONFIGS, CALLS),
+                         ids=[f"exp{cfg.experiment}" for cfg in CONFIGS])
+def test_exact_call_counts_of_every_experiment(monkeypatch, cfg, calls):
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracer = importlib.import_module("tracer")
+    tr = tracer.Tracer()
+    with tr:
+        harness.run_experiment(cfg)
+    assert {key: tr.calls(key) for key in calls} == calls

@@ -494,9 +494,12 @@ class TestRunExperiment:
         # solved value as requested.
         cfg = default_config(3)
         (delta_ref,) = cfg.delta_ref
-        a, sched = harness._tunable_values(cfg, 10_000, 1.0 / cfg.sigma + cfg.mu,
-                                           delta_ref, 0.0,
-                                           harness._box(cfg, delta_ref)[0])
+        data = generate_scenarios(cfg.n, cfg.d, cfg.p, DATA_SEED,
+                                  sigma=cfg.sigma, mu=cfg.mu)
+        exp = harness._experiment(cfg, data)
+        assert (exp.r, exp.L, exp.lo) == (0.0, 1.0 / cfg.sigma + cfg.mu,
+                                          ORACLE_FLOOR)
+        a, sched = harness._tunable_values(cfg, 10_000, delta_ref, exp)
         values = sched.values
         assert values.min() >= ORACLE_FLOOR
         assert np.count_nonzero(values == ORACLE_FLOOR) > 0
@@ -510,6 +513,21 @@ class TestRunExperiment:
                                    for f in TINY_EXP1.__dataclass_fields__.values()},
                                "seeds": (1, 0)}))
         assert base.summaries == flipped.summaries
+
+    def test_exp1_log_cost_request_above_one_is_named(self):
+        # a baseline clipped to M*delta_ref > 1 asks the log cost for delta > 1;
+        # the recorded failure names the cost and the request
+        linear = ExperimentConfig(
+            experiment=1, d=4, n=3, p=1.0, mu=0.5, r=0.0, delta_ref=(1e-3,),
+            M=2000.0, N=(200,), seeds=(0,), schedules=("constant", "linear"))
+        above = replace(linear, delta_ref=(2.0,), M=2.0, N=(20,),
+                        schedules=("constant", "poly3"))
+        for cfg, failed in ((linear, ["linear"]), (above, ["constant", "poly3"])):
+            failures = run_experiment(cfg).failures
+            assert [f[0] for f in failures] == failed
+            for *_, message in failures:
+                assert "logarithmic cost" in message
+                assert float(message.split("delta = ")[1]) > 1.0
 
     def test_terminal_value_exhaustion_is_recorded(self, monkeypatch):
         step_oracle = harness.hull_oracle

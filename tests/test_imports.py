@@ -3,7 +3,8 @@ module-level ``_private`` name is referenced somewhere in the package, every
 dataclass field the package declares is read somewhere in the repo, every
 public module-level function and class of the package is reached from the
 package or the benchmark, every import site the benchmark's tracer wraps
-exists, and only the harness imports ``csv``.
+exists, only the harness imports ``csv``, and only the harness's experiment
+record and config validation branch on the experiment id.
 
 No lint tool is part of the toolchain, so these tests walk each module's
 syntax tree with the standard-library ``ast`` module. The import guard skips
@@ -264,3 +265,74 @@ def test_detects_an_unresolved_site():
               "    ('harness', 'ALL_SCHEDULES', 'harness.ALL_SCHEDULES'),\n)\n")
     assert unresolved_sites(tracer_sites(source)) == ["harness.FgmConfig",
                                                       "harness.ALL_SCHEDULES"]
+
+
+def _is_experiment_id(node: ast.AST) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "experiment"
+
+
+def _reads_experiment_id(node: ast.AST) -> bool:
+    """A comparison with ``.experiment``, or a lookup keyed on it: a
+    subscript, a ``.get`` call or a ``match`` subject."""
+    if isinstance(node, ast.Compare):
+        return any(map(_is_experiment_id, [node.left, *node.comparators]))
+    if isinstance(node, ast.Subscript):
+        return _is_experiment_id(node.slice)
+    if isinstance(node, ast.Match):
+        return _is_experiment_id(node.subject)
+    if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "get":
+        return bool(node.args) and _is_experiment_id(node.args[0])
+    return False
+
+
+def experiment_id_branches(source: str, allowed: set[str]) -> list[str]:
+    """Where ``source`` compares or keys a lookup on ``.experiment`` outside
+    the functions named in ``allowed`` (qualified, ``Class.method``) and the
+    functions nested in them."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            elif _reads_experiment_id(child) and not any(
+                    scope == name or scope.startswith(f"{name}.") for name in allowed):
+                found.append(f"{scope or '<module>'} (line {child.lineno})")
+            visit(child, inner)
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_only_the_record_reads_the_experiment_id():
+    # one record per sweep describes the experiment; the run path reads the
+    # record's fields, not the id, so adding an experiment touches one place
+    source = (PACKAGE / "harness.py").read_text()
+    assert experiment_id_branches(
+        source, {"ExperimentConfig.__post_init__", "_experiment"}) == []
+
+
+def test_detects_an_experiment_id_branch():
+    allowed = {"Config.__post_init__", "_experiment"}
+    source = ("class Config:\n"
+              "    def __post_init__(self):\n        assert self.experiment in (1, 2)\n"
+              "    def other(self):\n        return self.experiment != 1\n"
+              "def _experiment(config):\n"
+              "    def nested():\n        return config.experiment == 3\n"
+              "    return {1: 0}[config.experiment]\n"
+              "def _run(config, table):\n"
+              "    if config.experiment == 2:\n        pass\n"
+              "    row = table.get(config.experiment)\n"
+              "    match config.experiment:\n        case 1:\n            pass\n"
+              "    return [config.experiment], table[config.experiment]\n"
+              "FLAG = Config().experiment > 1\n")
+    assert experiment_id_branches(source, allowed) == [
+        "Config.other (line 5)", "_run (line 11)", "_run (line 13)",
+        "_run (line 14)", "_run (line 17)", "<module> (line 18)"]
+    # a branch planted in the real harness is found, and only it
+    harness = (PACKAGE / "harness.py").read_text()
+    planted = harness + "\n\ndef _planted(config):\n    if config.experiment == 2:\n        pass\n"
+    line = len(harness.splitlines()) + 4
+    assert experiment_id_branches(
+        planted, {"ExperimentConfig.__post_init__", "_experiment"}) == [
+            f"_planted (line {line})"]

@@ -137,6 +137,8 @@ class TestNoisyOracle:
             == pytest.approx(10.0)
         assert noisy_oracle(data, x, 1e-2, 1.0, rng, r=0.0).inner_work \
             == pytest.approx(math.log(100.0))
+        # the log cost is 0 at delta = 1, the top of its domain
+        assert noisy_oracle(data, x, 1.0, 1.0, rng, r=0.0).inner_work == 0.0
 
     def test_noise_mean_vanishes(self):
         data = generate_scenarios(3, 4, 1.0, seed=0)
@@ -171,6 +173,9 @@ class TestNoisyOracle:
         with pytest.raises(OracleError):
             noisy_oracle(data, np.array([0.5, 0.5]), 0.1, math.nan,
                          np.random.default_rng(0))
+        with pytest.raises(OracleError, match=r"logarithmic cost.*delta = 1\.5"):
+            noisy_oracle(data, np.array([0.5, 0.5]), 1.5, 1.0,
+                         np.random.default_rng(0), r=0.0)
         with pytest.raises(OracleError):
             OracleReply(value=0.0, gradient=np.zeros(2), delta=-0.1,
                         inner_work=0.0)
