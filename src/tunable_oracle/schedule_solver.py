@@ -10,13 +10,16 @@ first, the tight bound last, and the transient middle is pinned by a scalar
 multiplier lam. The work-controlled variant allocates a total work budget with
 the same structure.
 
-Both solvers share one kernel, the breakpoint search of Palomar & Fonollosa
-(IEEE TSP 2005): one sort by nu, a search over the saturation breakpoints for
-the partition, then one solve of the transient set. The search interpolates
-the clipped budget in log(lam) and takes the same decisions as a binary
-search, in at most ceil(log2 N) + 4 probes per side and usually far fewer. It
-costs O(N log N) for the sort, plus one Lambert W pass per probe and per
-Newton step for the log-squared kind.
+Both solvers are front ends of one water-filling driver, ``_water_fill``,
+after Palomar & Fonollosa (IEEE TSP 2005): one sort, a search over the
+saturation breakpoints for the partition, the pinned budget, one solve of the
+transient set, a box check and a clip. A front end gives only its ranking
+keys, bounds, budget and residual rule. Each accuracy cost kind is one
+function, ``_transient``; the work split is the linear case, lam * sum w. The
+search interpolates the clipped budget in log(lam) and takes the same
+decisions as a binary search, in at most ceil(log2 N) + 4 probes per side and
+usually far fewer. It costs O(N log N) for the sort, plus one Lambert W pass
+per probe and per Newton step for the log-squared kind.
 
 The sort is numpy's default (quick)sort, checked for equal neighbours; only a
 tie, whose order the default sort leaves open, falls back to the stable sort,
@@ -32,18 +35,12 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import cost_models
-from .cost_models import (
-    LOG_SQUARED,
-    LOGARITHMIC,
-    POWER,
-    CostModel,
-    h_eval,
-    _hprime_raw,
-)
+from .cost_models import LOGARITHMIC, POWER, CostModel, _hprime_raw, h_eval
 
 _REL_TOL = 1e-12
 _NEWTON_STEP_TOL = 1e-14  # log(lam) step at which the log-squared Newton stops
@@ -54,33 +51,42 @@ class SolverError(RuntimeError):
     """Numerical failure or invalid instance in a schedule solve."""
 
 
-def _as_positive_vector(v, name: str) -> np.ndarray:
-    arr = np.asarray(v, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise SolverError(f"{name} must be a nonempty 1-d sequence")
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-        raise SolverError(f"{name} entries must be finite and > 0")
-    return arr
-
-
 @dataclass(frozen=True)
-class ScheduleProblem:
-    """Accuracy-controlled instance: coefficients, reference level and box."""
+class _Coefficients:
+    """Impact coefficients a and cost distortions b of an instance: nonempty,
+    1-d, of one length, finite and > 0."""
 
     a: np.ndarray
     b: np.ndarray
+
+    def __post_init__(self):
+        a, b = (np.asarray(v, dtype=float) for v in (self.a, self.b))
+        for name, v in (("a", a), ("b", b)):
+            if v.ndim != 1 or v.size == 0:
+                raise SolverError(f"{name} must be a nonempty 1-d sequence")
+            if not np.all(np.isfinite(v)) or np.any(v <= 0.0):
+                raise SolverError(f"{name} entries must be finite and > 0")
+        if a.size != b.size:
+            raise SolverError("a and b must have the same length")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+
+    @property
+    def size(self) -> int:
+        return self.a.size
+
+
+@dataclass(frozen=True)
+class ScheduleProblem(_Coefficients):
+    """Accuracy-controlled instance: coefficients, reference level and box."""
+
     delta_ref: float
     m: float
     M: float
     cost_model: CostModel
 
     def __post_init__(self):
-        a = _as_positive_vector(self.a, "a")
-        b = _as_positive_vector(self.b, "b")
-        if a.size != b.size:
-            raise SolverError("a and b must have the same length")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        super().__post_init__()
         if not (0.0 <= self.m < 1.0 < self.M):
             raise SolverError("bounds must satisfy 0 <= m < 1 < M")
         if not (self.delta_ref > 0.0 and math.isfinite(self.delta_ref)):
@@ -90,10 +96,6 @@ class ScheduleProblem:
         # non-positive there, so their box must end below 1
         if cm.kind != POWER and not self.M * self.delta_ref < 1.0:
             raise SolverError(f"the {cm.kind} kind needs M*delta_ref < 1")
-
-    @property
-    def size(self) -> int:
-        return self.a.size
 
 
 def accuracy_problem(a, b, delta_ref: float, m: float, M: float,
@@ -105,33 +107,24 @@ def accuracy_problem(a, b, delta_ref: float, m: float, M: float,
 
 
 @dataclass(frozen=True)
-class WorkProblem:
+class WorkProblem(_Coefficients):
     """Work-controlled instance under the power-family cost h_r (r >= 0)."""
 
-    a: np.ndarray
-    b: np.ndarray
     omega_bar: float
     omega_M: float  # per-iteration lower work bound
     omega_m: float  # per-iteration upper work bound
     r: float
 
     def __post_init__(self):
-        a = _as_positive_vector(self.a, "a")
-        b = _as_positive_vector(self.b, "b")
-        if a.size != b.size:
-            raise SolverError("a and b must have the same length")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        super().__post_init__()
         if not (self.omega_bar > 0.0 and math.isfinite(self.omega_bar)):
             raise SolverError("omega_bar must be finite and > 0")
-        if not (0.0 <= self.omega_M < self.omega_bar / a.size < self.omega_m):
+        if not (0.0 <= self.omega_M < self.omega_bar / self.size < self.omega_m):
             raise SolverError("need omega_M < omega_bar/N < omega_m")
+        if not math.isfinite(self.r):
+            raise SolverError(f"cost exponent r must be finite, got {self.r!r}")
         if self.r < 0.0:
             raise SolverError("cost exponent r must be >= 0")
-
-    @property
-    def size(self) -> int:
-        return self.a.size
 
 
 @dataclass(frozen=True)
@@ -274,17 +267,9 @@ def _saturation_counts(n: int, key, c_hi: float, c_lo: float,
     return n_plus, n_minus, probes
 
 
-def _degenerate(n_plus: int, n_minus: int, gap: float,
-                probes: int) -> KktCertificate:
-    """Certificate of a partition pinning every rank, at relative budget gap."""
-    if abs(gap) > 1e-10:
-        raise SolverError("bound saturation exhausted all indices off-budget")
-    return KktCertificate(n_plus, n_minus, math.nan, abs(gap), probes)
-
-
 def _budget_residual(achieved: float, target: float) -> float:
     residual = abs(achieved - target) / target
-    if residual > 1e-8:
+    if not residual <= 1e-8:  # NaN included
         raise SolverError(
             f"budget equation violated: achieved {achieved!r} vs target {target!r}")
     return residual
@@ -331,189 +316,176 @@ class _LogSquaredW:
         return cost_models.lambert_w0(x, w)
 
 
-def _accuracy_excess(p: ScheduleProblem, order: np.ndarray, budget: float,
-                     h_hi: float, h_lo: float, logsq_w: _LogSquaredW | None):
-    """``excess(lam, i, j)`` of the accuracy problem for the kernel.
+def _transient(cm: CostModel, a: np.ndarray, b: np.ndarray, nu: np.ndarray):
+    """``cost(lam, i, j)`` and ``solve(budget_T, i, j, lam_cap)`` of the
+    transient ranks [i, j) under ``cm``, on rank-ordered a, b and nu = b / a.
 
     Transient rank k costs b_k h((h')^{-1}(-lam/nu_k)): (b_k a_k^r)^{1/(r+1)}
-    (lam/r)^{r/(r+1)} for power, b_k log(lam) + b_k log(a_k/b_k) for log (both
-    O(1) from prefix sums) and b_k W(lam a_k/(2 b_k))^2 for log-squared, one
-    ``logsq_w`` pass.
+    (lam/r)^{r/(r+1)} for power, b_k log(lam) - b_k log(nu_k) for log (both
+    O(1) from prefix sums) and b_k W(lam/(2 nu_k))^2 for log-squared, one
+    ``_LogSquaredW`` pass. ``solve`` returns the values at transient budget
+    ``budget_T`` and the multiplier lambda_star < 0: closed forms for power
+    and log; log-squared takes Newton steps down from ``lam_cap``, an upper
+    bound of the multiplier magnitude, one pass each.
     """
-    cm, n = p.cost_model, p.size
-    sb = p.b[order]
-    if cm.kind == POWER:
-        g = np.cumsum((sb * p.a[order] ** cm.r) ** (1.0 / (cm.r + 1.0)))
-    elif cm.kind == LOGARITHMIC:
-        g = np.cumsum(sb * np.log(p.a[order] / sb))
-    np.cumsum(sb, out=sb)
-
-    def transient(lam, i, j):
-        if cm.kind == POWER:
-            return (lam / cm.r) ** (cm.r / (cm.r + 1.0)) * _span(g, i, j)
-        if cm.kind == LOGARITHMIC:
-            return math.log(lam) * _span(sb, i, j) + _span(g, i, j)
-        if j <= i:
-            return 0.0
-        w = logsq_w(lam, i, j)
-        return float(p.b[order[i:j]] @ (w * w))
-
-    def excess(lam, i, j):
-        pinned = h_hi * _span(sb, 0, i) + (h_lo * _span(sb, j, n) if j < n else 0.0)
-        return pinned + transient(lam, i, j) - budget
-    return excess
-
-
-def _transient_accuracy(p: ScheduleProblem, order: np.ndarray, i: int, j: int,
-                        budget_T: float, lam_cap: float,
-                        logsq_w: _LogSquaredW | None) -> tuple[np.ndarray, float]:
-    """Interior values on the transient ranks [i, j) and the multiplier
-    lambda_star < 0.
-
-    Closed forms for the power/logarithmic kinds; log-squared takes Newton
-    steps down from ``lam_cap``, an upper bound of the multiplier magnitude,
-    one ``logsq_w`` pass each.
-    """
-    cm = p.cost_model
-    idx_T = order[i:j]
-    aT, bT = p.a[idx_T], p.b[idx_T]
-    if budget_T <= 0.0:
-        raise SolverError("non-positive residual budget on the transient set")
-
     if cm.kind == POWER:
         r = cm.r
-        w = (bT * aT**r) ** (1.0 / (r + 1.0))
-        lam_hat = (budget_T / np.sum(w)) ** (-1.0 / r)
-        delta = lam_hat * (bT / aT) ** (1.0 / (r + 1.0))
-        lambda_star = -r * lam_hat ** (-(r + 1.0))
-        return delta, lambda_star
+        w = (b * a**r) ** (1.0 / (r + 1.0))
+        g = np.cumsum(w)
+
+        def solve(budget_T, i, j, lam_cap):
+            lam_hat = (budget_T / np.sum(w[i:j])) ** (-1.0 / r)
+            delta = lam_hat * nu[i:j] ** (1.0 / (r + 1.0))
+            return delta, -r * lam_hat ** (-(r + 1.0))
+        return (lambda lam, i, j: (lam / r) ** (r / (r + 1.0)) * _span(g, i, j)), solve
 
     if cm.kind == LOGARITHMIC:
-        # Solved in log domain: the raw product over (b_k/a_k)^{-b_k} overflows.
-        log_ratio = np.log(bT) - np.log(aT)
-        log_lam_hat = -(budget_T + np.sum(bT * log_ratio)) / np.sum(bT)
-        delta = np.exp(log_lam_hat + log_ratio)
-        lambda_star = -math.exp(-log_lam_hat)
-        return delta, lambda_star
+        # in the log domain: the raw product over nu_k^{-b_k} overflows
+        log_nu = np.log(b) - np.log(a)
+        g = np.cumsum(b * log_nu)
+        sb = np.cumsum(b)
 
-    # log_squared: with W_k = W(lam a_k / (2 b_k)), the transient cost
-    # R(t) = sum b_k W_k^2 at t = log(lam) is increasing and convex
-    # (R' = sum 2 b_k W_k^2 / (1 + W_k)), so Newton steps from an upper bound
-    # descend monotonically onto the root. The mean cost H = budget_T / sum b_k
-    # gives a bound too: some delta_k >= h^{-1}(H) = exp(-sqrt(H)), so
-    # lam <= max nu_k * -h'(exp(-sqrt(H))) = max nu_k * 2 sqrt(H) exp(sqrt(H)).
-    root_h = math.sqrt(budget_T / float(np.sum(bT)))
-    with np.errstate(over="ignore"):
-        lam_cap = min(lam_cap, float(bT[0] / aT[0] * 2.0 * root_h * np.exp(root_h)))
-    if not lam_cap < math.inf:
-        raise SolverError("no finite bound on the log-squared multiplier")
-    del aT
-    t = math.log(lam_cap)
-    while True:
-        w = logsq_w(math.exp(t), i, j)
-        cost = w * w
-        gap = float(bT @ cost) - budget_T
-        if gap <= 0.0:
-            break
-        cost /= w + 1.0
-        step = gap / (2.0 * float(bT @ cost))
-        if step <= _NEWTON_STEP_TOL or t - step == t:
-            break
-        t -= step
-    delta = np.negative(w)
-    return np.exp(delta, out=delta), -math.exp(t)
+        def solve(budget_T, i, j, lam_cap):
+            bT, log_nuT = b[i:j], log_nu[i:j]
+            log_lam_hat = -(budget_T + np.sum(bT * log_nuT)) / np.sum(bT)
+            return np.exp(log_lam_hat + log_nuT), -math.exp(-log_lam_hat)
+        return lambda lam, i, j: math.log(lam) * _span(sb, i, j) - _span(g, i, j), solve
+
+    w_of = _LogSquaredW(nu)
+
+    def cost(lam, i, j):
+        if j <= i:
+            return 0.0
+        w = w_of(lam, i, j)
+        return float(b[i:j] @ (w * w))
+
+    def solve(budget_T, i, j, lam_cap):
+        # with W_k = W(lam a_k / (2 b_k)), the transient cost R(t) = sum
+        # b_k W_k^2 at t = log(lam) is increasing and convex (R' = sum
+        # 2 b_k W_k^2 / (1 + W_k)), so Newton steps from an upper bound
+        # descend monotonically onto the root. The mean cost H = budget_T /
+        # sum b_k gives a bound too: some delta_k >= h^{-1}(H) = exp(-sqrt(H)),
+        # so lam <= max nu_k * -h'(exp(-sqrt(H))) = max nu_k * 2 sqrt(H) exp(sqrt(H)).
+        bT = b[i:j]
+        root_h = math.sqrt(budget_T / float(np.sum(bT)))
+        with np.errstate(over="ignore"):
+            lam_cap = min(lam_cap, float(nu[i] * 2.0 * root_h * np.exp(root_h)))
+        if not lam_cap < math.inf:
+            raise SolverError("no finite bound on the log-squared multiplier")
+        t = math.log(lam_cap)
+        while True:
+            w = w_of(math.exp(t), i, j)
+            cost = w * w
+            gap = float(bT @ cost) - budget_T
+            if gap <= 0.0:
+                break
+            cost /= w + 1.0
+            step = gap / (2.0 * float(bT @ cost))
+            if step <= _NEWTON_STEP_TOL or t - step == t:
+                break
+            t -= step
+        delta = np.negative(w)
+        return np.exp(delta, out=delta), -math.exp(t)
+    return cost, solve
+
+
+def _water_fill(nu: np.ndarray, weight, transient, loose, tight, budget: float,
+                limits, achieved) -> tuple[np.ndarray, KktCertificate]:
+    """Values in input order and certificate of a water-filling along nu.
+
+    Ranks sort nu in descending order. ``loose`` and ``tight`` are the
+    (value, cost per unit weight, breakpoint scale c) of a pinned rank: rank
+    j is loose for multipliers lam <= nu_j * c_loose and tight for
+    lam >= nu_j * c_tight, a scale of 0 (inf) pinning no rank. ``weight``
+    (input order) weighs the pinned costs, and
+    ``transient(order, nu, weight)`` returns ``cost`` and ``solve`` of the
+    transient ranks (see ``_transient``) on the rank-ordered data. Transient
+    values outside ``limits`` fail the solve; inside, they are clipped to the
+    box. The budget residual compares ``achieved(values)`` with ``budget``.
+    """
+    n = nu.size
+    order = _descending_order(nu)
+    nu = nu[order]
+    (v_hi, h_hi, c_hi), (v_lo, h_lo, c_lo) = loose, tight
+    weight = weight[order]
+    span = partial(_span, np.cumsum(weight))
+    total = lambda i, j: float(np.sum(weight[i:j]))
+    cost, solve = transient(order, nu, weight)
+
+    def excess(lam, i, j):
+        pinned = h_hi * span(0, i) + (h_lo * span(j, n) if j < n else 0.0)
+        return pinned + cost(lam, i, j) - budget
+    n_plus, n_minus, probes = _saturation_counts(n, nu.__getitem__, c_hi, c_lo, excess)
+    i, j = n_plus, n - n_minus
+    budget_T = budget - h_hi * total(0, i) - (h_lo * total(j, n) if n_minus else 0.0)
+    del excess, cost, span, total, weight
+    values = np.empty(n)
+    values[order[:i]] = v_hi
+    values[order[j:]] = v_lo
+    lam = math.nan
+    if i == j and abs(budget_T / budget) > 1e-10:
+        raise SolverError("bound saturation exhausted all indices off-budget")
+    if i < j:
+        if budget_T <= 0.0:
+            raise SolverError("non-positive residual budget on the transient set")
+        # below the loose breakpoint of the last loose rank and the tight
+        # breakpoint of the last transient rank
+        lam_cap = min(nu[i - 1] * c_hi if i else math.inf, nu[j - 1] * c_lo)
+        vals, lam = solve(budget_T, i, j, lam_cap)
+        if np.any(vals < limits[0]) or np.any(vals > limits[1]):
+            raise SolverError("transient values leave the box: partition search failed")
+        values[order[i:j]] = np.clip(vals, min(v_hi, v_lo), max(v_hi, v_lo))
+        del vals
+    residual = _budget_residual(achieved(values), budget)
+    return values, KktCertificate(n_plus, n_minus, float(lam), residual, probes)
 
 
 def solve_accuracy(p: ScheduleProblem) -> tuple[Schedule, KktCertificate]:
     """Water-filling solve of the accuracy-controlled problem: rank j is
-    loose for lam <= nu_j * -h'(hi) and tight for lam >= nu_j * -h'(lo)."""
-    n, cm = p.size, p.cost_model
-    nu = p.b / p.a
-    order = _descending_order(nu)
-    nu = nu[order]  # in rank order
+    loose (M * delta_ref) for lam <= nu_j * -h'(hi) and tight (m * delta_ref)
+    for lam >= nu_j * -h'(lo)."""
+    cm = p.cost_model
     lo, hi = p.m * p.delta_ref, p.M * p.delta_ref
-    finite_hi = math.isfinite(hi)
-    budget = reference_budget(p)
-    h_hi = h_eval(cm, hi) if finite_hi else 0.0
-    # h blows up at 0 for every supported kind, so m = 0 forbids pinning below.
-    allow_minus = p.m > 0.0
-    h_lo = h_eval(cm, lo) if allow_minus else math.inf
-    c_hi = -float(_hprime_raw(cm, hi)) if finite_hi else 0.0
-    c_lo = -float(_hprime_raw(cm, lo)) if allow_minus else math.inf
-
-    def key(j):
-        return nu[j]
-
-    logsq_w = _LogSquaredW(nu) if cm.kind == LOG_SQUARED else None
-    n_plus, n_minus, probes = _saturation_counts(
-        n, key, c_hi, c_lo, _accuracy_excess(p, order, budget, h_hi, h_lo, logsq_w))
-    idx_plus, idx_minus = order[:n_plus], order[n - n_minus:]
-    idx_T = order[n_plus:n - n_minus]
-    values = np.empty(n)
-    values[idx_plus] = hi
-    values[idx_minus] = lo
-    budget_T = budget - h_hi * np.sum(p.b[idx_plus])
-    if n_minus:
-        budget_T -= h_lo * np.sum(p.b[idx_minus])
-    if idx_T.size == 0:
-        cert = _degenerate(n_plus, n_minus, budget_T / budget, probes)
-        return Schedule(values, "accuracy"), cert
-
-    # below the loose breakpoint of the last loose rank and the tight
-    # breakpoint of the last transient rank
-    lam_cap = min(key(n_plus - 1) * c_hi if n_plus else math.inf,
-                  key(n - n_minus - 1) * c_lo)
-    delta_T, lambda_star = _transient_accuracy(
-        p, order, n_plus, n - n_minus, budget_T, lam_cap, logsq_w)
-    if ((finite_hi and np.any(delta_T > hi * (1.0 + _REL_TOL)))
-            or (allow_minus and np.any(delta_T < lo * (1.0 - _REL_TOL)))):
-        raise SolverError("transient values leave the box: partition search failed")
-    values[idx_T] = np.clip(delta_T, lo, hi if finite_hi else None)
-    del delta_T
-    residual = _budget_residual(float(p.b @ h_eval(cm, values)), budget)
-    cert = KktCertificate(n_plus, n_minus, float(lambda_star), residual, probes)
+    # h blows up at 0 for every supported kind, so m = 0 forbids pinning
+    # below; M = inf pins nothing above.
+    loose = ((hi, h_eval(cm, hi), -float(_hprime_raw(cm, hi))) if math.isfinite(hi)
+             else (hi, 0.0, 0.0))
+    tight = ((lo, h_eval(cm, lo), -float(_hprime_raw(cm, lo))) if p.m > 0.0
+             else (lo, math.inf, math.inf))
+    values, cert = _water_fill(
+        p.b / p.a, p.b, lambda order, nu, b: _transient(cm, p.a[order], b, nu),
+        loose, tight, reference_budget(p),
+        (lo * (1.0 - _REL_TOL), hi * (1.0 + _REL_TOL)),  # slack _REL_TOL * bound
+        lambda values: float(p.b @ h_eval(cm, values)))
     return Schedule(values, "accuracy"), cert
 
 
 def solve_work(p: WorkProblem) -> tuple[Schedule, KktCertificate]:
     """Water-filling solve of the work-controlled problem.
 
-    The kernel of ``solve_accuracy`` after a change of variables: the
+    The driver of ``solve_accuracy`` after a change of variables: the
     interior split is omega_k = lam * w_k, w_k = (b_k a_k^r)^{1/(r+1)}, so
     rank j is loose (omega_M) for lam <= omega_M / w_j, tight (omega_m) for
     lam >= omega_m / w_j, and the transient ranks take lam * sum w_k.
     """
-    n = p.size
-    weights = (p.b * p.a**p.r) ** (1.0 / (p.r + 1.0))
-    nu = 1.0 / (p.a**p.r * p.b)
-    order = _descending_order(nu)
-    sw = np.cumsum(weights[order])
-    n_plus, n_minus, probes = _saturation_counts(
-        n, lambda j: 1.0 / weights[order[j]], p.omega_M, p.omega_m,
-        lambda lam, i, j: (i * p.omega_M + (n - j) * p.omega_m
-                           + lam * _span(sw, i, j) - p.omega_bar))
-    del sw
-    idx_plus, idx_minus = order[:n_plus], order[n - n_minus:]
-    idx_T = order[n_plus:n - n_minus]
-    values = np.empty(n)
-    values[idx_plus] = p.omega_M
-    values[idx_minus] = p.omega_m
-    residual = p.omega_bar - n_plus * p.omega_M - n_minus * p.omega_m
-    if idx_T.size == 0:
-        cert = _degenerate(n_plus, n_minus, residual / p.omega_bar, probes)
-        return Schedule(values, "work"), cert
-    if residual <= 0.0:
-        raise SolverError("non-positive residual work budget")
-    omega_T = weights[idx_T]
-    lam_hat = residual / float(np.sum(omega_T))
-    omega_T *= lam_hat
+    w = (p.b * p.a**p.r) ** (1.0 / (p.r + 1.0))
+
+    def linear(order, nu, _):
+        ws = w[order]
+        g = np.cumsum(ws)
+
+        def solve(budget_T, i, j, lam_cap):
+            lam_hat = budget_T / float(np.sum(ws[i:j]))
+            return ws[i:j] * lam_hat, lam_hat
+        return lambda lam, i, j: lam * _span(g, i, j), solve
+
+    # a pinned rank's value, its cost per unit weight and its breakpoint
+    # scale are all the bound; the box check's slack is _REL_TOL * omega_bar
     tol = _REL_TOL * p.omega_bar
-    if np.any(omega_T < p.omega_M - tol) or np.any(omega_T > p.omega_m + tol):
-        raise SolverError("transient values leave the box: partition search failed")
-    values[idx_T] = np.clip(omega_T, p.omega_M, p.omega_m)
-    del omega_T
-    budget_residual = _budget_residual(float(np.sum(values)), p.omega_bar)
-    cert = KktCertificate(n_plus, n_minus, float(lam_hat), budget_residual, probes)
+    values, cert = _water_fill(
+        1.0 / w, np.ones(p.size), linear, (p.omega_M,) * 3, (p.omega_m,) * 3,
+        p.omega_bar, (p.omega_M - tol, p.omega_m + tol),
+        lambda values: float(np.sum(values)))
     return Schedule(values, "work"), cert
 
 

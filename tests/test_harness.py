@@ -779,6 +779,20 @@ class TestCli:
         np.testing.assert_allclose(sched.values, [1.6, 2.2, 2.2], rtol=1e-9)
         assert sched.kind == "work"
 
+    def test_schedule_work_mode_without_upper_bound(self, tmp_path, capsys):
+        # --wmax inf turns the upper work bound off; no bound binds, so the
+        # budget splits in proportion to the weights (1, 2, 3, 4)
+        coeffs = tmp_path / "coeffs.csv"
+        write_coefficients([1.0, 4.0, 9.0, 16.0], np.ones(4), str(coeffs))
+        out = tmp_path / "sched.csv"
+        rc = cli_main(["schedule", "--coeffs", str(coeffs), "--cost", "power:1",
+                       "--work", "--budget", "4", "--wmin", "0", "--wmax", "inf",
+                       "--out", str(out)])
+        assert rc == 0
+        assert "N_plus=0 N_minus=0" in capsys.readouterr().out
+        sched = read_schedule(str(out))
+        np.testing.assert_allclose(sched.values, [0.4, 0.8, 1.2, 1.6], rtol=1e-14)
+
     def test_schedule_missing_args_fails(self, tmp_path, capsys):
         coeffs = tmp_path / "coeffs.csv"
         write_coefficients([1.0], [1.0], str(coeffs))

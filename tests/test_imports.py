@@ -3,8 +3,9 @@ module-level ``_private`` name is referenced somewhere in the package, every
 dataclass field the package declares is read somewhere in the repo, every
 public module-level function and class of the package is reached from the
 package or the benchmark, every import site the benchmark's tracer wraps
-exists, only the harness imports ``csv``, and only the harness's experiment
-record and config validation branch on the experiment id.
+exists, only the harness imports ``csv``, only the harness's experiment
+record and config validation branch on the experiment id, and only the
+schedule solver's validation and ``_transient`` branch on the cost kind.
 
 No lint tool is part of the toolchain, so these tests walk each module's
 syntax tree with the standard-library ``ast`` module. The import guard skips
@@ -267,27 +268,25 @@ def test_detects_an_unresolved_site():
                                                       "harness.ALL_SCHEDULES"]
 
 
-def _is_experiment_id(node: ast.AST) -> bool:
-    return isinstance(node, ast.Attribute) and node.attr == "experiment"
-
-
-def _reads_experiment_id(node: ast.AST) -> bool:
-    """A comparison with ``.experiment``, or a lookup keyed on it: a
-    subscript, a ``.get`` call or a ``match`` subject."""
+def _reads_attribute(node: ast.AST, attr: str) -> bool:
+    """A comparison with ``.<attr>``, or a lookup keyed on it: a subscript, a
+    ``.get`` call or a ``match`` subject."""
+    def is_attr(n):
+        return isinstance(n, ast.Attribute) and n.attr == attr
     if isinstance(node, ast.Compare):
-        return any(map(_is_experiment_id, [node.left, *node.comparators]))
+        return any(map(is_attr, [node.left, *node.comparators]))
     if isinstance(node, ast.Subscript):
-        return _is_experiment_id(node.slice)
+        return is_attr(node.slice)
     if isinstance(node, ast.Match):
-        return _is_experiment_id(node.subject)
+        return is_attr(node.subject)
     if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "get":
-        return bool(node.args) and _is_experiment_id(node.args[0])
+        return bool(node.args) and is_attr(node.args[0])
     return False
 
 
-def experiment_id_branches(source: str, allowed: set[str]) -> list[str]:
-    """Where ``source`` compares or keys a lookup on ``.experiment`` outside
-    the functions named in ``allowed`` (qualified, ``Class.method``) and the
+def attribute_branches(source: str, attr: str, allowed: set[str]) -> list[str]:
+    """Where ``source`` compares or keys a lookup on ``.<attr>`` outside the
+    functions named in ``allowed`` (qualified, ``Class.method``) and the
     functions nested in them."""
     found = []
 
@@ -296,7 +295,7 @@ def experiment_id_branches(source: str, allowed: set[str]) -> list[str]:
             inner = scope
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = f"{scope}.{child.name}" if scope else child.name
-            elif _reads_experiment_id(child) and not any(
+            elif _reads_attribute(child, attr) and not any(
                     scope == name or scope.startswith(f"{name}.") for name in allowed):
                 found.append(f"{scope or '<module>'} (line {child.lineno})")
             visit(child, inner)
@@ -308,8 +307,8 @@ def test_only_the_record_reads_the_experiment_id():
     # one record per sweep describes the experiment; the run path reads the
     # record's fields, not the id, so adding an experiment touches one place
     source = (PACKAGE / "harness.py").read_text()
-    assert experiment_id_branches(
-        source, {"ExperimentConfig.__post_init__", "_experiment"}) == []
+    assert attribute_branches(
+        source, "experiment", {"ExperimentConfig.__post_init__", "_experiment"}) == []
 
 
 def test_detects_an_experiment_id_branch():
@@ -326,13 +325,37 @@ def test_detects_an_experiment_id_branch():
               "    match config.experiment:\n        case 1:\n            pass\n"
               "    return [config.experiment], table[config.experiment]\n"
               "FLAG = Config().experiment > 1\n")
-    assert experiment_id_branches(source, allowed) == [
+    assert attribute_branches(source, "experiment", allowed) == [
         "Config.other (line 5)", "_run (line 11)", "_run (line 13)",
         "_run (line 14)", "_run (line 17)", "<module> (line 18)"]
     # a branch planted in the real harness is found, and only it
     harness = (PACKAGE / "harness.py").read_text()
     planted = harness + "\n\ndef _planted(config):\n    if config.experiment == 2:\n        pass\n"
     line = len(harness.splitlines()) + 4
-    assert experiment_id_branches(
-        planted, {"ExperimentConfig.__post_init__", "_experiment"}) == [
+    assert attribute_branches(
+        planted, "experiment", {"ExperimentConfig.__post_init__", "_experiment"}) == [
             f"_planted (line {line})"]
+
+
+KIND_READERS = {"ScheduleProblem.__post_init__", "accuracy_problem", "_transient"}
+
+
+def test_only_the_transient_reads_the_cost_kind():
+    # each accuracy cost kind lives in one function; the water-filling driver
+    # and both front ends run one path whatever the kind
+    source = (PACKAGE / "schedule_solver.py").read_text()
+    assert attribute_branches(source, "kind", KIND_READERS) == []
+
+
+def test_detects_a_cost_kind_branch():
+    # a branch planted in the real solve_accuracy is found, and only it
+    source = (PACKAGE / "schedule_solver.py").read_text()
+    head, tail = source.split("def solve_accuracy(", 1)
+    body, rest = tail.split("    cm = p.cost_model\n", 1)
+    planted = (f"{head}def solve_accuracy({body}    cm = p.cost_model\n"
+               f"    if cm.kind == POWER:\n        pass\n{rest}")
+    line = len(f"{head}def solve_accuracy({body}".splitlines()) + 2
+    assert attribute_branches(planted, "kind", KIND_READERS) == [
+        f"solve_accuracy (line {line})"]
+    assert attribute_branches("def f(cm):\n    return {1: 2}.get(cm.kind)\n",
+                              "kind", KIND_READERS) == ["f (line 2)"]

@@ -322,6 +322,18 @@ class TestWork:
         assert cert.n_minus == 2
         assert np.sum(s.values) == pytest.approx(6.0, rel=1e-12)
 
+    def test_unbounded_upper_work_bound(self):
+        # omega_m = inf turns the tight bound off, as m = 0 does for accuracy;
+        # weights (1, 2, 3, 4) with omega_M = 1.5 pin the first two and split
+        # the remaining 5 as 5/7 * (3, 4)
+        p = WorkProblem(np.array([1.0, 4.0, 9.0, 16.0]), np.ones(4), 8.0, 1.5,
+                        math.inf, 1.0)
+        s, cert = solve_work(p)
+        np.testing.assert_allclose(s.values, [1.5, 1.5, 15 / 7, 20 / 7], rtol=1e-14)
+        assert (cert.n_plus, cert.n_minus) == (2, 0)
+        assert cert.lambda_star == pytest.approx(5 / 7, rel=1e-14)
+        assert cert.budget_residual <= 1e-15
+
     def test_budget_equality_random(self):
         rng = np.random.default_rng(19)
         for _ in range(100):
@@ -484,7 +496,8 @@ class TestExtremeRange:
 @st.composite
 def kernel_instances(draw):
     """Every accuracy kind and the work split, m in {0, 0.1}, N in [1, 2000],
-    log-uniform a and b, sometimes in repeated blocks that tie in nu."""
+    log-uniform a and b, sometimes in repeated blocks that tie in nu; the
+    upper bound is sometimes off (M = inf for power, omega_m = inf for work)."""
     kind = draw(st.sampled_from(ALL_KINDS + ("work",)))
     n = draw(st.integers(1, 2000))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -498,9 +511,11 @@ def kernel_instances(draw):
         a, b = a[perm], b[perm]
     m = draw(st.sampled_from((0.0, 0.1)))
     if kind == "work":
-        return WorkProblem(a, b, float(n), m, draw(st.sampled_from((1.5, 3.0))),
+        return WorkProblem(a, b, float(n), m,
+                           draw(st.sampled_from((1.5, 3.0, math.inf))),
                            draw(st.sampled_from((0.0, 1.0, 2.5))))
-    return accuracy_problem(a, b, 1e-3, m, draw(st.sampled_from((1.5, 4.0, 100.0))),
+    uppers = (1.5, 4.0, 100.0) + ((math.inf,) if kind == POWER else ())
+    return accuracy_problem(a, b, 1e-3, m, draw(st.sampled_from(uppers)),
                             kind, draw(st.sampled_from((0.5, 1.0, 2.0))))
 
 
@@ -862,6 +877,16 @@ class TestValidation:
                 WorkProblem(np.ones(2), np.ones(2), omega_bar, 0.0, 5.0, 1.0)
         with pytest.raises(SolverError, match="r must be >= 0"):
             WorkProblem(np.ones(2), np.ones(2), 4.0, 0.0, 5.0, -0.5)
+        for r in (math.nan, math.inf):
+            with pytest.raises(SolverError, match="exponent r must be finite"):
+                WorkProblem(np.ones(2), np.ones(2), 4.0, 0.0, 5.0, r)
+
+    def test_budget_residual_rejects_nan(self):
+        # a NaN residual fails every comparison, so the check must not
+        # pass it as within tolerance
+        with pytest.raises(SolverError, match="budget equation violated"):
+            schedule_solver._budget_residual(math.nan, 1.0)
+        assert schedule_solver._budget_residual(1.0, 1.0) == 0.0
 
     def test_nonpositive_coefficients(self):
         with pytest.raises(SolverError):
