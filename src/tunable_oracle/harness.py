@@ -328,6 +328,7 @@ class _Experiment:
     r: float               # the resolved cost exponent
     L: float               # the fixed step, or the adaptive search's ceiling
     lo: float              # low end of every request box (the oracle's floor)
+    hi: float              # largest request the oracle's cost admits
     adaptive: bool
     fstar: float | None    # shared f*; None: the best end point of each cell
     oracle: Callable       # (inner state, noise rng, x, delta) -> OracleReply
@@ -350,7 +351,9 @@ def _experiment(config: ExperimentConfig, data: ScenarioData) -> _Experiment:
         _linear_base(config.mu, L)  # fail before any run, not mid-sweep
     if softmax:
         exp = _Experiment(
-            r=r, L=L, lo=0.0, adaptive=False, fstar=None,
+            # -log(delta) would be a negative charge above 1
+            r=r, L=L, lo=0.0, hi=1.0 if r == 0.0 else math.inf,
+            adaptive=False, fstar=None,
             oracle=lambda _state, rng, x, delta: noisy_oracle(
                 data, x, delta, ALPHA, rng, r=r),
             sample=lambda x, _state: softmax_value_grad(data, x)[0],
@@ -362,7 +365,8 @@ def _experiment(config: ExperimentConfig, data: ScenarioData) -> _Experiment:
         reply = hull_oracle(data, x, FSTAR_PRECISION, InnerState())
         return reply.value, reply.gradient
     return _Experiment(
-        r=r, L=L, lo=ORACLE_FLOOR, adaptive=config.experiment == 3, fstar=None,
+        r=r, L=L, lo=ORACLE_FLOOR, hi=math.inf, adaptive=config.experiment == 3,
+        fstar=None,
         oracle=lambda state, _rng, x, delta: hull_oracle(data, x, delta, state),
         sample=lambda x, state: hull_value(data, x, SAMPLE_PRECISION, state=state),
         terminal=terminal)
@@ -416,6 +420,11 @@ def _family_schedule(config: ExperimentConfig, name: str, delta_ref: float,
     else:  # baseline requests are clipped into the box
         sched = baseline_schedule(name, delta_ref, config.mu, exp.L, N)
         sched = Schedule(np.clip(sched.values, *box), sched.kind)
+    over = np.flatnonzero(sched.values > exp.hi)
+    if over.size:  # only experiment 1's log cost caps a request, at 1
+        k = int(over[0])
+        raise SolverError(f"the {name} schedule asks the logarithmic cost -log(delta) "
+                          f"for delta > 1 at k = {k}: delta = {float(sched.values[k])!r}")
     return (lambda k, _A_next: sched.values[k]), sched
 
 

@@ -18,8 +18,17 @@ keys, bounds, budget and residual rule. Each accuracy cost kind is one
 function, ``_transient``; the work split is the linear case, lam * sum w. The
 search interpolates the clipped budget in log(lam) and takes the same
 decisions as a binary search, in at most ceil(log2 N) + 4 probes per side and
-usually far fewer. It costs O(N log N) for the sort, plus one Lambert W pass
-per probe and per Newton step for the log-squared kind.
+usually far fewer. It costs O(N log N) for the sort, plus, for the
+log-squared kind, one Lambert W pass per Newton step and per probe whose sign
+its block bounds leave open.
+
+A log-squared probe needs only the sign of its excess. On a transient range
+of at least _BOUND_MIN_RANKS ranks it first evaluates W at the ends of
+_BOUND_BLOCKS blocks, where W rises along the ranks: the block sums of b
+times the squared W at the first and last rank of each block bound the
+transient cost. Where both bounds, widened by a margin derived from the
+rounding of the full pass (``_transient``), fall on one side of the
+remaining budget, the probe returns their midpoint without a pass.
 
 The sort is numpy's default (quick)sort, checked for equal neighbours; only a
 tie, whose order the default sort leaves open, falls back to the stable sort,
@@ -34,6 +43,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from dataclasses import dataclass
 from functools import partial
 
@@ -45,6 +55,10 @@ from .cost_models import LOGARITHMIC, POWER, CostModel, _hprime_raw, h_eval
 _REL_TOL = 1e-12
 _NEWTON_STEP_TOL = 1e-14  # log(lam) step at which the log-squared Newton stops
 _SEARCH_SLACK = 2  # probes a partition search may take beyond bisection's
+_BOUND_BLOCKS = 256  # blocks of a log-squared probe's bounds on its cost
+_BOUND_MIN_RANKS = 16 * _BOUND_BLOCKS  # smaller transient ranges take the full pass
+_W_REL = 16 * 2.0**-52  # relative error of a lambert_w0 value, see _transient
+_TINY, _HUGE = sys.float_info.min, sys.float_info.max
 
 
 class SolverError(RuntimeError):
@@ -152,15 +166,24 @@ def _descending_order(nu) -> np.ndarray:
     finds the stable sort's permutation; the stable sort runs only when the
     sorted values hold equal neighbours.
     """
-    v = np.asarray(nu, dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise SolverError("comparison vector must be finite")
-    neg = -v
+    neg = -np.asarray(nu, dtype=float)
     order = np.argsort(neg)
     ranked = neg[order]
     if (ranked[1:] == ranked[:-1]).any():
         order = np.argsort(neg, kind="stable")
     return order
+
+
+def _ranking_key(num, den: np.ndarray, name: str) -> np.ndarray:
+    """num / den, a ranking key whose entries must stay in the normal doubles;
+    else SolverError naming ``name`` and the first index where it overflowed
+    or underflowed."""
+    with np.errstate(over="ignore", divide="ignore"):
+        key = num / den
+    if not (key.min() >= _TINY and key.max() <= _HUGE):
+        k = int(np.flatnonzero(~((key >= _TINY) & (key <= _HUGE)))[0])
+        raise SolverError(f"{name} leaves the doubles at index {k}")
+    return key
 
 
 def reference_budget(p: ScheduleProblem) -> float:
@@ -317,16 +340,21 @@ class _LogSquaredW:
 
 
 def _transient(cm: CostModel, a: np.ndarray, b: np.ndarray, nu: np.ndarray):
-    """``cost(lam, i, j)`` and ``solve(budget_T, i, j, lam_cap)`` of the
-    transient ranks [i, j) under ``cm``, on rank-ordered a, b and nu = b / a.
+    """``cost(lam, i, j, need)`` and ``solve(budget_T, i, j, lam_cap)`` of
+    the transient ranks [i, j) under ``cm``, on rank-ordered a, b and
+    nu = b / a.
 
     Transient rank k costs b_k h((h')^{-1}(-lam/nu_k)): (b_k a_k^r)^{1/(r+1)}
     (lam/r)^{r/(r+1)} for power, b_k log(lam) - b_k log(nu_k) for log (both
     O(1) from prefix sums) and b_k W(lam/(2 nu_k))^2 for log-squared, one
-    ``_LogSquaredW`` pass. ``solve`` returns the values at transient budget
-    ``budget_T`` and the multiplier lambda_star < 0: closed forms for power
-    and log; log-squared takes Newton steps down from ``lam_cap``, an upper
-    bound of the multiplier magnitude, one pass each.
+    ``_LogSquaredW`` pass. ``need`` is the budget left to the transient
+    ranks. Only the side of ``need`` the cost falls on must be exact: where
+    its block bounds settle that side, log-squared returns an estimate on it
+    without the pass, and the closed forms ignore ``need``. ``solve``
+    returns the values at transient budget ``budget_T`` and the multiplier
+    lambda_star < 0: closed forms for power and log; log-squared takes
+    Newton steps down from ``lam_cap``, an upper bound of the multiplier
+    magnitude, one pass each.
     """
     if cm.kind == POWER:
         r = cm.r
@@ -337,7 +365,7 @@ def _transient(cm: CostModel, a: np.ndarray, b: np.ndarray, nu: np.ndarray):
             lam_hat = (budget_T / np.sum(w[i:j])) ** (-1.0 / r)
             delta = lam_hat * nu[i:j] ** (1.0 / (r + 1.0))
             return delta, -r * lam_hat ** (-(r + 1.0))
-        return (lambda lam, i, j: (lam / r) ** (r / (r + 1.0)) * _span(g, i, j)), solve
+        return (lambda lam, i, j, _need: (lam / r) ** (r / (r + 1.0)) * _span(g, i, j)), solve
 
     if cm.kind == LOGARITHMIC:
         # in the log domain: the raw product over nu_k^{-b_k} overflows
@@ -349,13 +377,50 @@ def _transient(cm: CostModel, a: np.ndarray, b: np.ndarray, nu: np.ndarray):
             bT, log_nuT = b[i:j], log_nu[i:j]
             log_lam_hat = -(budget_T + np.sum(bT * log_nuT)) / np.sum(bT)
             return np.exp(log_lam_hat + log_nuT), -math.exp(-log_lam_hat)
-        return lambda lam, i, j: math.log(lam) * _span(sb, i, j) - _span(g, i, j), solve
+        return (lambda lam, i, j, _need: math.log(lam) * _span(sb, i, j) - _span(g, i, j)), solve
 
     w_of = _LogSquaredW(nu)
 
-    def cost(lam, i, j):
+    def cost(lam, i, j, need):
         if j <= i:
             return 0.0
+        n = j - i
+        if n >= _BOUND_MIN_RANKS:
+            # W rises along the ranks (x_k = lam / (2 nu_k), computed as the
+            # full pass computes it), so W at a block's first and last rank
+            # bound every W_k in it, and with the block sums S of b,
+            # lower = sum S W_first^2 <= sum b_k W_k^2 <= sum S W_last^2 = upper.
+            # The full pass's computed sum C differs from the exact one by
+            # rounding, which ``margin`` covers:
+            # - lambert_w0 stops each W once |f| <= 4 eps w (1 + w) on
+            #   f = w - x e^-w, whose slope is ~1 + W; with exp good to 4
+            #   ulps, each W is within 8.5 eps of the root, relative, to first
+            #   order; _W_REL = 16 eps leaves room for the second-order terms.
+            #   W^2 of the full pass and of a block end then differ by a
+            #   factor within 1 + 4 _W_REL;
+            # - the squares, products and sums of positive terms in
+            #   b @ (w * w), the block sums and both bound sums each stay
+            #   within a factor 1 + gamma_n of exact, gamma_n = n u / (1 - n u)
+            #   (u = 2^-53); three such factors, the roundings of the tests
+            #   below and every second-order term fit in 4 gamma_n, since
+            #   n >= _BOUND_MIN_RANKS makes gamma_n >= 4096 u;
+            # - a product that underflows errs by up to 2^-1075 absolute, not
+            #   relative; ``tiny`` allows 8 n of them, more than both sums
+            #   hold (W >= -log(M delta_ref) > 0 keeps the squares normal).
+            # So C lies in [lower (1 - margin) - tiny, upper (1 + margin) +
+            # tiny]; where that interval is clear of ``need``, the midpoint
+            # of [lower, upper] lies on C's side of it and no pass is run.
+            blocks = i + np.arange(_BOUND_BLOCKS) * n // _BOUND_BLOCKS
+            ends = np.concatenate((blocks, np.append(blocks[1:], j) - 1))
+            w = cost_models.lambert_w0(np.divide(0.5 * lam, nu[ends]))
+            w *= w
+            sums = np.add.reduceat(b[i:j], blocks - i)
+            lower = float(sums @ w[:_BOUND_BLOCKS])
+            upper = float(sums @ w[_BOUND_BLOCKS:])
+            gamma = n * 2.0**-53 / (1.0 - n * 2.0**-53)
+            margin, tiny = 4.0 * _W_REL + 4.0 * gamma, 4.0 * n * 2.0**-1074
+            if upper * (1.0 + margin) + tiny < need or lower * (1.0 - margin) - tiny > need:
+                return 0.5 * (lower + upper)
         w = w_of(lam, i, j)
         return float(b[i:j] @ (w * w))
 
@@ -413,8 +478,10 @@ def _water_fill(nu: np.ndarray, weight, transient, loose, tight, budget: float,
     cost, solve = transient(order, nu, weight)
 
     def excess(lam, i, j):
-        pinned = h_hi * span(0, i) + (h_lo * span(j, n) if j < n else 0.0)
-        return pinned + cost(lam, i, j) - budget
+        # a float subtraction keeps the sign of the exact difference, so a
+        # cost estimate on the full cost's side of need gives its sign
+        need = budget - (h_hi * span(0, i) + (h_lo * span(j, n) if j < n else 0.0))
+        return cost(lam, i, j, need) - need
     n_plus, n_minus, probes = _saturation_counts(n, nu.__getitem__, c_hi, c_lo, excess)
     i, j = n_plus, n - n_minus
     budget_T = budget - h_hi * total(0, i) - (h_lo * total(j, n) if n_minus else 0.0)
@@ -453,7 +520,7 @@ def solve_accuracy(p: ScheduleProblem) -> tuple[Schedule, KktCertificate]:
     tight = ((lo, h_eval(cm, lo), -float(_hprime_raw(cm, lo))) if p.m > 0.0
              else (lo, math.inf, math.inf))
     values, cert = _water_fill(
-        p.b / p.a, p.b, lambda order, nu, b: _transient(cm, p.a[order], b, nu),
+        _ranking_key(p.b, p.a, "the accuracy key nu = b/a"), p.b, lambda order, nu, b: _transient(cm, p.a[order], b, nu),
         loose, tight, reference_budget(p),
         (lo * (1.0 - _REL_TOL), hi * (1.0 + _REL_TOL)),  # slack _REL_TOL * bound
         lambda values: float(p.b @ h_eval(cm, values)))
@@ -468,7 +535,8 @@ def solve_work(p: WorkProblem) -> tuple[Schedule, KktCertificate]:
     rank j is loose (omega_M) for lam <= omega_M / w_j, tight (omega_m) for
     lam >= omega_m / w_j, and the transient ranks take lam * sum w_k.
     """
-    w = (p.b * p.a**p.r) ** (1.0 / (p.r + 1.0))
+    with np.errstate(over="ignore"):  # an inf weight fails in _ranking_key
+        w = (p.b * p.a**p.r) ** (1.0 / (p.r + 1.0))
 
     def linear(order, nu, _):
         ws = w[order]
@@ -477,14 +545,14 @@ def solve_work(p: WorkProblem) -> tuple[Schedule, KktCertificate]:
         def solve(budget_T, i, j, lam_cap):
             lam_hat = budget_T / float(np.sum(ws[i:j]))
             return ws[i:j] * lam_hat, lam_hat
-        return lambda lam, i, j: lam * _span(g, i, j), solve
+        return lambda lam, i, j, _need: lam * _span(g, i, j), solve
 
     # a pinned rank's value, its cost per unit weight and its breakpoint
     # scale are all the bound; the box check's slack is _REL_TOL * omega_bar
     tol = _REL_TOL * p.omega_bar
     values, cert = _water_fill(
-        1.0 / w, np.ones(p.size), linear, (p.omega_M,) * 3, (p.omega_m,) * 3,
-        p.omega_bar, (p.omega_M - tol, p.omega_m + tol),
+        _ranking_key(1.0, w, "the work weight (b*a^r)^(1/(r+1))"), np.ones(p.size),
+        linear, (p.omega_M,) * 3, (p.omega_m,) * 3, p.omega_bar, (p.omega_M - tol, p.omega_m + tol),
         lambda values: float(np.sum(values)))
     return Schedule(values, "work"), cert
 

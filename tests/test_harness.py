@@ -529,6 +529,28 @@ class TestRunExperiment:
                 assert "logarithmic cost" in message
                 assert float(message.split("delta = ")[1]) > 1.0
 
+    def test_exp1_log_cost_baseline_above_one_fails_at_build(self, monkeypatch):
+        # the linear family's clipped requests pass 1 at k = 33 of 200: the
+        # family fails when its schedule is built, before any oracle call
+        requests = []
+        noisy = harness.noisy_oracle
+
+        def counted(data, x, delta, *args, **kwargs):
+            requests.append(delta)
+            return noisy(data, x, delta, *args, **kwargs)
+        monkeypatch.setattr(harness, "noisy_oracle", counted)
+        cfg = ExperimentConfig(
+            experiment=1, d=4, n=3, p=1.0, mu=0.5, r=0.0, delta_ref=(1e-3,),
+            M=2000.0, N=(200,), seeds=(0,), schedules=("linear",))
+        failures = run_experiment(cfg).failures
+        assert [f[:4] for f in failures] == [("linear", 0, 200, 1e-3)]
+        message = failures[0][4]
+        assert message.startswith("the linear schedule asks the logarithmic cost")
+        assert "at k = 33: delta = " in message
+        assert float(message.split("delta = ")[1]) == pytest.approx(1.18, abs=5e-3)
+        # only the noise-free f* reference ran
+        assert requests and set(requests) == {0.0}
+
     def test_terminal_value_exhaustion_is_recorded(self, monkeypatch):
         step_oracle = harness.hull_oracle
 

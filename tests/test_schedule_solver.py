@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -558,27 +559,122 @@ class TestPartitionSearch:
                                                 ("random", (0, 3811))])
     def test_log_squared_lambert_w_passes(self, monkeypatch, row, partition):
         # the two log-squared rows of the solve_sweep benchmark at N = 1e4:
-        # bisecting the breakpoints took 18 Lambert W passes on each
+        # bisecting the breakpoints took 18 full-range Lambert W passes on
+        # each; with a full pass for every probe and Newton step, the W
+        # elements evaluated totalled 95 440 and 58 866
+        full_pass_elements = {"fgm": 95_440, "random": 58_866}[row]
         n = 10_000
-        if row == "fgm":
-            a, b = impact_coefficients_fgm(fixed_step_certificates(n, 1.0, 0.0))
-            m = 0.0
-        else:
-            rng = np.random.default_rng([0, n])
-            a = np.exp(rng.uniform(-3.0, 3.0, n))
-            b = np.exp(rng.uniform(-3.0, 3.0, n))
-            m = 0.1
-        calls = []
-        real = cost_models.lambert_w0
-
-        def counted(x, guess=None):
-            calls.append(np.size(x))
-            return real(x, guess)
-        monkeypatch.setattr(cost_models, "lambert_w0", counted)
+        a, b, m = log_squared_row(row, n)
+        calls = record_w_calls(monkeypatch)
         p = accuracy_problem(a, b, 1e-3, m, 100.0, LOG_SQUARED)
         s, cert = solve_accuracy(p)
         assert (cert.n_plus, cert.n_minus) == partition
-        assert len(calls) <= 12
+        full = [(size, transient) for size, transient, _ in calls if transient is not None]
+        assert all(size == transient for size, transient in full)
+        assert len(full) <= 12
+        # every other call is one probe's block ends
+        assert all(size == 2 * schedule_solver._BOUND_BLOCKS
+                   for size, transient, _ in calls if transient is None)
+        assert sum(size for size, _, _ in calls) <= 0.6 * full_pass_elements
+        assert_budget_and_box(p, s, cert)
+
+
+def log_squared_row(row, n):
+    """a, b and m of a solve_sweep log-squared job at N = n (seed 0)."""
+    if row == "fgm":
+        return (*impact_coefficients_fgm(fixed_step_certificates(n, 1.0, 0.0)), 0.0)
+    rng = np.random.default_rng([0, n])
+    return np.exp(rng.uniform(-3.0, 3.0, n)), np.exp(rng.uniform(-3.0, 3.0, n)), 0.1
+
+
+def record_w_calls(monkeypatch):
+    """(size, transient range or None, in the partition search) of every
+    lambert_w0 call; the range is given for a call made by a full-range
+    ``_LogSquaredW`` pass, None for any other."""
+    calls, state = [], {"range": None, "search": False}
+    real_w = cost_models.lambert_w0
+    real_pass = schedule_solver._LogSquaredW.__call__
+    real_search = schedule_solver._saturation_counts
+
+    def w(x, guess=None):
+        calls.append((np.size(x), state["range"], state["search"]))
+        return real_w(x, guess)
+
+    def full_pass(self, lam, i, j):
+        state["range"] = j - i
+        try:
+            return real_pass(self, lam, i, j)
+        finally:
+            state["range"] = None
+
+    def search(*args):
+        state["search"] = True
+        try:
+            return real_search(*args)
+        finally:
+            state["search"] = False
+    monkeypatch.setattr(cost_models, "lambert_w0", w)
+    monkeypatch.setattr(schedule_solver._LogSquaredW, "__call__", full_pass)
+    monkeypatch.setattr(schedule_solver, "_saturation_counts", search)
+    return calls
+
+
+def differential_instances():
+    """Seeded log-squared instances of N 4097 to 40 000 on FGM rows and on
+    log-uniform rows (a, b over up to 10^+-8), m in {0, 0.1, 0.5}; the last
+    one repeats 7 coefficient pairs, so its nu tie in blocks."""
+    rng = np.random.default_rng(20)
+    out = []
+    for case in range(12):
+        n = int(rng.integers(4097, 40_001))
+        m = (0.0, 0.1, 0.5)[case % 3]
+        dref = 10.0 ** rng.uniform(-6.0, -3.0)
+        if case % 2:
+            span = rng.uniform(1.0, 8.0)
+            a, b = 10.0 ** rng.uniform(-span, span, (2, n))
+        else:
+            certs = fixed_step_certificates(n, 10.0 ** rng.uniform(-2.0, 2.0), 0.0)
+            a, b = impact_coefficients_fgm(certs)
+        if case == 11:
+            perm = rng.permutation(n)
+            a, b = (np.repeat(v[:7], -(-n // 7))[:n][perm] for v in (a, b))
+        out.append(accuracy_problem(a, b, dref, m, float(rng.choice((4.0, 100.0))),
+                                    LOG_SQUARED))
+    return out
+
+
+class TestLogSquaredBlockBounds:
+    """A log-squared probe settles the sign of its excess from block bounds
+    where it can, and runs the full-range W pass only where it cannot."""
+
+    def test_same_partitions_as_full_passes(self, monkeypatch):
+        settled = 0
+        for p in differential_instances():
+            calls = record_w_calls(monkeypatch)
+            s, cert = solve_accuracy(p)
+            settled += sum(transient is None for _, transient, _ in calls)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(schedule_solver, "_BOUND_MIN_RANKS", math.inf)
+                s_full, cert_full = solve_accuracy(p)
+            assert (cert.n_plus, cert.n_minus) == (cert_full.n_plus, cert_full.n_minus)
+            assert float(p.a @ s.values) == pytest.approx(float(p.a @ s_full.values),
+                                                          rel=1e-12)
+            bound = 2 * ((p.size - 1).bit_length() + 2 + schedule_solver._SEARCH_SLACK)
+            for c in (cert, cert_full):
+                assert c.budget_residual <= 1e-8
+                assert c.probes <= bound
+        assert settled > 0
+
+    @pytest.mark.parametrize("row, partition", [("fgm", (24_414, 0)),
+                                                ("random", (0, 383_188))])
+    def test_solve_sweep_rows_at_n_1e6(self, monkeypatch, wall_clock_guard,
+                                       row, partition):
+        a, b, m = log_squared_row(row, 1_000_000)
+        calls = record_w_calls(monkeypatch)
+        p = accuracy_problem(a, b, 1e-3, m, 100.0, LOG_SQUARED)
+        s, cert = solve_accuracy(p)
+        assert (cert.n_plus, cert.n_minus) == partition
+        assert sum(transient is not None and search for _, transient, search in calls) <= 4
         assert_budget_and_box(p, s, cert)
 
 
@@ -891,3 +987,22 @@ class TestValidation:
     def test_nonpositive_coefficients(self):
         with pytest.raises(SolverError):
             accuracy_problem([1.0, -1.0], [1.0, 1.0], 0.01, 0.0, 2.0, POWER, 1.0)
+
+    @pytest.mark.parametrize("solve, problem, message", [
+        # (b a^r)^(1/(r+1)) underflows to 0 (a^2 = 1e-400), then overflows
+        (solve_work, WorkProblem([1e-200, 1.0, 2.0], np.ones(3), 3.0, 0.1, 2.0, 2.0),
+         r"the work weight \(b\*a\^r\)\^\(1/\(r\+1\)\) leaves the doubles at index 0"),
+        (solve_work, WorkProblem([1.0, 1e200, 2.0], np.ones(3), 3.0, 0.1, 2.0, 2.0),
+         r"the work weight .* leaves the doubles at index 1"),
+        (solve_accuracy, accuracy_problem([1.0, 1e-200, 1.0], [1.0, 1e200, 1.0],
+                                          1e-3, 0.1, 10.0, POWER),
+         r"the accuracy key nu = b/a leaves the doubles at index 1"),
+        (solve_accuracy, accuracy_problem([1.0, 1.0, 1e200], [1.0, 1.0, 1e-200],
+                                          1e-3, 0.1, 10.0, LOG_SQUARED),
+         r"the accuracy key nu = b/a leaves the doubles at index 2"),
+    ])
+    def test_ranking_keys_outside_the_doubles_are_named(self, solve, problem, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError, match=message):
+                solve(problem)
