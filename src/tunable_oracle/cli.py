@@ -15,32 +15,30 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .cost_models import LOG_SQUARED, LOGARITHMIC, POWER
+from .cost_models import LOG_SQUARED, LOGARITHMIC, POWER, CostModel
 from .harness import (emit_outputs, export_schedule, import_coefficients,
                       load_config, run_experiment, toy_instance)
 from .schedule_solver import (
+    ScheduleProblem,
     WorkProblem,
-    accuracy_problem,
     reference_budget,
     solve_accuracy,
     solve_work,
 )
 
 
-def _parse_cost(spec: str) -> tuple[str, float]:
-    """``power:R`` | ``log`` | ``logsq`` -> (kind, exponent)."""
+def _parse_cost(spec: str) -> CostModel:
+    """``power:R`` | ``log`` | ``logsq`` -> the cost model, which checks R."""
     if spec == "log":
-        return LOGARITHMIC, 0.0
+        return CostModel(LOGARITHMIC)
     if spec == "logsq":
-        return LOG_SQUARED, 0.0
+        return CostModel(LOG_SQUARED)
     if spec.startswith("power:"):
         try:
             r = float(spec.split(":", 1)[1])
         except ValueError:
             raise ValueError(f"bad power exponent in cost spec {spec!r}")
-        if r <= 0.0:
-            raise ValueError("power cost exponent must be > 0")
-        return POWER, r
+        return CostModel(POWER, r)
     raise ValueError(f"unknown cost spec {spec!r}; expected power:R, log or logsq")
 
 
@@ -55,15 +53,15 @@ def _solve_and_report(label: str, problem):
 
 
 def _cmd_schedule(args) -> int:
-    kind, r = _parse_cost(args.cost)
+    cost = _parse_cost(args.cost)
     a, b = import_coefficients(args.coeffs)
     if args.work:
         if args.budget is None or args.wmin is None or args.wmax is None:
             raise ValueError("--work requires --budget, --wmin and --wmax")
-        if kind == LOG_SQUARED:
+        if cost.kind == LOG_SQUARED:
             raise ValueError("the work-controlled solver covers power and log costs only")
         problem = WorkProblem(a, b, omega_bar=args.budget, omega_M=args.wmin,
-                              omega_m=args.wmax, r=r)
+                              omega_m=args.wmax, r=cost.r)
         schedule, cert = solve_work(problem)
         print(f"work schedule: N={problem.size} N_plus={cert.n_plus} "
               f"N_minus={cert.n_minus} multiplier={cert.lambda_star:.6g} "
@@ -71,7 +69,7 @@ def _cmd_schedule(args) -> int:
     else:
         if args.delta_ref is None or args.m is None or args.M is None:
             raise ValueError("accuracy mode requires --delta-ref, --m and --M")
-        problem = accuracy_problem(a, b, args.delta_ref, args.m, args.M, kind, r)
+        problem = ScheduleProblem(a, b, args.delta_ref, args.m, args.M, cost)
         schedule = _solve_and_report("accuracy schedule", problem)
     export_schedule(schedule, args.out)
     print(f"wrote {args.out}")

@@ -9,9 +9,10 @@ motivate them:
 
 All shapes are positive, strictly decreasing and convex for 0 < delta < 1
 (power: for every delta > 0), with h' strictly negative and strictly
-increasing there. The admissible interval [m*delta_ref, M*delta_ref] is not
-part of a cost model: ``ScheduleProblem`` owns it, and it alone requires
-M*delta_ref < 1 for the logarithmic shapes.
+increasing there. ``CostModel.delta_max`` is the largest delta a model
+admits. ``ScheduleProblem`` owns the admissible interval [m*delta_ref,
+M*delta_ref] and, like the harness, requires its top below delta_max; the
+noisy oracle charges a single request up to delta_max itself.
 """
 
 from __future__ import annotations
@@ -46,6 +47,12 @@ class CostModel:
         if self.kind == POWER and not (self.r > 0.0 and math.isfinite(self.r)):
             raise CostModelError("power kind requires a finite exponent r > 0")
 
+    @property
+    def delta_max(self) -> float:
+        """The largest delta the cost admits: 1 for the logarithmic kinds,
+        whose cost is 0 there and negative above, inf for power."""
+        return math.inf if self.kind == POWER else 1.0
+
 
 def _check_delta(delta) -> np.ndarray:
     d = np.asarray(delta, dtype=float)
@@ -55,7 +62,20 @@ def _check_delta(delta) -> np.ndarray:
 
 
 def h_eval(model: CostModel, delta):
-    """Cost h(delta); delta may be a scalar or an array, finite and > 0."""
+    """Cost h(delta); delta may be a scalar or an array, finite and > 0.
+    A Python or numpy float takes Python-float arithmetic, ~30x faster than
+    a 0-d array; numpy's power and log can differ from it in the last bit."""
+    if isinstance(delta, float):  # np.float64 is a float subclass
+        d = float(delta)
+        if not 0.0 < d < math.inf:  # NaN fails too
+            raise CostModelError("delta must be finite and > 0")
+        if model.kind == POWER:
+            try:
+                return d ** -model.r
+            except OverflowError:  # tiny delta with large r: the cost is inf
+                return math.inf
+        log_d = math.log(d)
+        return -log_d if model.kind == LOGARITHMIC else log_d * log_d
     d = _check_delta(delta)
     if model.kind == POWER:
         # tiny delta with large r overflows to inf, which is the right answer

@@ -33,7 +33,7 @@ from .certificates import (
     impact_coefficients_fgm,
     next_certificate,
 )
-from .cost_models import LOGARITHMIC, POWER
+from .cost_models import LOGARITHMIC, POWER, CostModel
 from .fgm import FgmError, fgm_run, project_simplex
 from .problems import (
     InnerState,
@@ -48,6 +48,7 @@ from .problems import (
 )
 from .schedule_solver import (
     Schedule,
+    ScheduleProblem,
     SolverError,
     accuracy_problem,
     online_extend_accuracy,
@@ -133,17 +134,24 @@ class ExperimentConfig:
                 raise HarnessError("the linear baseline degenerates when mu = 0")
         if self.sample_every < 1:
             raise HarnessError("sample_every must be >= 1")
-        _check_log_domain(self, self.r)  # r = -1 (auto) waits for the data
+        if self.r >= 0.0:  # auto (-1) waits for the data
+            _cost_model(self)
 
 
-def _check_log_domain(config: ExperimentConfig, r: float):
-    """The log cost (r = 0) is defined for delta < 1 only: fail before any
-    run rather than abort the sweep in the middle."""
+def _cost_model(config: ExperimentConfig, data: ScenarioData | None = None) -> CostModel:
+    """The config's cost model, the one reader of its exponent r: power
+    delta^-r for r > 0, log for r = 0, and for auto (-1) log where the inner
+    solver converges linearly (kappa_hat(data) > 0), else power r = 0.5. A
+    solved family's box must end below its delta_max: fail before any run."""
+    r = config.r if config.r >= 0.0 else (0.0 if kappa_hat(data) > 0.0 else 0.5)
+    cost = CostModel(POWER, r) if r > 0.0 else CostModel(LOGARITHMIC)
     solved = {"tunable", "online_tunable"}.intersection(config.schedules)
-    if r == 0.0 and solved and config.M * max(config.delta_ref) >= 1.0:
-        raise HarnessError(f"the logarithmic cost of {sorted(solved)} needs "
-                           f"M*delta_ref < 1, got M = {config.M:g} and "
+    top = cost.delta_max
+    if solved and top < math.inf and not config.M * max(config.delta_ref) < top:
+        raise HarnessError(f"the {cost.kind} cost of {sorted(solved)} needs "
+                           f"M*delta_ref < {top:g}, got M = {config.M:g} and "
                            f"delta_ref = {max(config.delta_ref):g}")
+    return cost
 
 
 def default_config(experiment: int) -> ExperimentConfig:
@@ -325,7 +333,7 @@ class _Experiment:
     """What the run path needs of one experiment, resolved once per sweep.
     Its callables look each oracle up in the module globals when called, so
     a wrapper swapped in there sees every call."""
-    r: float               # the resolved cost exponent
+    cost: CostModel        # the oracle cost model the schedules are solved for
     L: float               # the fixed step, or the adaptive search's ceiling
     lo: float              # low end of every request box (the oracle's floor)
     hi: float              # largest request the oracle's cost admits
@@ -339,10 +347,7 @@ class _Experiment:
 def _experiment(config: ExperimentConfig, data: ScenarioData) -> _Experiment:
     """The sweep's record: the one reader of the experiment id on the run
     path. Every domain check runs here, before the f* reference and any run."""
-    # auto r: a linearly converging inner solver (kappa_hat > 0) matches the
-    # r = 0 cost shape, the sublinear regime the square-root shape
-    r = config.r if config.r >= 0.0 else (0.0 if kappa_hat(data) > 0.0 else 0.5)
-    _check_log_domain(config, r)
+    cost = _cost_model(config, data)
     softmax = config.experiment == 1
     # experiment 3's L is the validity ceiling of its adaptive search
     L = (data.lam_max if softmax else
@@ -351,11 +356,10 @@ def _experiment(config: ExperimentConfig, data: ScenarioData) -> _Experiment:
         _linear_base(config.mu, L)  # fail before any run, not mid-sweep
     if softmax:
         exp = _Experiment(
-            # -log(delta) would be a negative charge above 1
-            r=r, L=L, lo=0.0, hi=1.0 if r == 0.0 else math.inf,
+            cost=cost, L=L, lo=0.0, hi=cost.delta_max,
             adaptive=False, fstar=None,
             oracle=lambda _state, rng, x, delta: noisy_oracle(
-                data, x, delta, ALPHA, rng, r=r),
+                data, x, delta, ALPHA, rng, cost),
             sample=lambda x, _state: softmax_value_grad(data, x)[0],
             terminal=lambda x: softmax_value_grad(data, x))
         # the noise-free reference depends on max(N) only, so it runs once
@@ -365,7 +369,8 @@ def _experiment(config: ExperimentConfig, data: ScenarioData) -> _Experiment:
         reply = hull_oracle(data, x, FSTAR_PRECISION, InnerState())
         return reply.value, reply.gradient
     return _Experiment(
-        r=r, L=L, lo=ORACLE_FLOOR, hi=math.inf, adaptive=config.experiment == 3,
+        # the hull oracle charges its measured inner iterations, not the model
+        cost=cost, L=L, lo=ORACLE_FLOOR, hi=math.inf, adaptive=config.experiment == 3,
         fstar=None,
         oracle=lambda state, _rng, x, delta: hull_oracle(data, x, delta, state),
         sample=lambda x, state: hull_value(data, x, SAMPLE_PRECISION, state=state),
@@ -395,8 +400,7 @@ def _tunable_values(config: ExperimentConfig, steps: int, delta_ref: float,
         a, b = impact_coefficients_fgm(fixed_step_certificates(steps, exp.L, config.mu))
     except ValueError as exc:  # the certificates overflow or stop growing
         raise SolverError(f"no FGM impact row of {steps} steps: {exc}") from exc
-    kind = POWER if exp.r > 0.0 else LOGARITHMIC
-    problem = accuracy_problem(a, b, delta_ref, exp.lo / delta_ref, config.M, kind, exp.r)
+    problem = ScheduleProblem(a, b, delta_ref, exp.lo / delta_ref, config.M, exp.cost)
     return a, solve_accuracy(problem)[0]
 
 
@@ -413,7 +417,7 @@ def _family_schedule(config: ExperimentConfig, name: str, delta_ref: float,
         def online(k, A_next):
             if k < N_R:
                 return boot.values[k]
-            return online_extend_accuracy(last, (A_next, 1.0), exp.r, box)
+            return online_extend_accuracy(last, (A_next, 1.0), exp.cost.r, box)
         return online, None
     if name == "tunable":
         sched = _tunable_values(config, N, delta_ref, exp)[1]
@@ -423,8 +427,8 @@ def _family_schedule(config: ExperimentConfig, name: str, delta_ref: float,
     over = np.flatnonzero(sched.values > exp.hi)
     if over.size:  # only experiment 1's log cost caps a request, at 1
         k = int(over[0])
-        raise SolverError(f"the {name} schedule asks the logarithmic cost -log(delta) "
-                          f"for delta > 1 at k = {k}: delta = {float(sched.values[k])!r}")
+        raise SolverError(f"the {name} schedule asks the {exp.cost.kind} cost for delta > "
+                          f"{exp.hi:g} at k = {k}: delta = {float(sched.values[k])!r}")
     return (lambda k, _A_next: sched.values[k]), sched
 
 
@@ -502,7 +506,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 gaps = [value - fstar for _, value, _, _ in runs]
                 summaries.append(SummaryRow(
                     experiment=config.experiment, schedule=name, mu=config.mu,
-                    r=exp.r, N=N, delta_ref=delta_ref,
+                    r=exp.cost.r, N=N, delta_ref=delta_ref,
                     median_gap=statistics.median(gaps) if gaps else math.nan,
                     mean_gap=statistics.fmean(gaps) if gaps else math.nan,
                     total_inner_work=sum((total for *_, total in runs), 0.0)))

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cost_models import POWER, CostModel, h_eval
 from .fgm import project_simplex
 
 
@@ -116,24 +117,26 @@ def softmax_value_grad(data: ScenarioData, x: np.ndarray) -> tuple[float, np.nda
 
 
 def noisy_oracle(data: ScenarioData, x: np.ndarray, delta: float, alpha: float,
-                 rng: np.random.Generator, r: float = 1.0) -> OracleReply:
+                 rng: np.random.Generator,
+                 cost: CostModel = CostModel(POWER, 1.0)) -> OracleReply:
     """Exact value, gradient corrupted on a sphere of radius alpha*delta.
 
     The certified inexactness of the resulting information tuple is
-    4*alpha*delta; the simulated work charged is the power/logarithmic cost
-    of the requested delta (zero for an exact request).
+    4*alpha*delta; the simulated work charged is ``h_eval(cost, delta)``,
+    zero for an exact request. A request above ``cost.delta_max`` is refused:
+    the log cost would charge a negative amount there.
     """
     if not (delta >= 0.0 and alpha > 0.0):  # NaN fails too
         raise OracleError("need delta >= 0 and alpha > 0")
-    if r <= 0.0 and delta > 1.0:  # -log(delta) would be a negative charge
-        raise OracleError(f"the logarithmic cost -log(delta) needs delta <= 1, "
+    if delta > cost.delta_max:
+        raise OracleError(f"the {cost.kind} cost needs delta <= {cost.delta_max:g}, "
                           f"got delta = {delta!r}")
     value, grad = softmax_value_grad(data, x)
     if delta > 0.0:
         u = rng.standard_normal(x.size)
         u /= np.linalg.norm(u)
         grad = grad + alpha * delta * u
-        work = delta ** (-r) if r > 0.0 else -math.log(delta)
+        work = h_eval(cost, delta)
     else:
         work = 0.0
     return OracleReply(value=value, gradient=grad, delta=4.0 * alpha * delta,

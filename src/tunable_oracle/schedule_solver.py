@@ -105,11 +105,12 @@ class ScheduleProblem(_Coefficients):
             raise SolverError("bounds must satisfy 0 <= m < 1 < M")
         if not (self.delta_ref > 0.0 and math.isfinite(self.delta_ref)):
             raise SolverError("delta_ref must be finite and > 0")
-        cm = self.cost_model
-        # h' of log-squared vanishes at 1 and both log costs turn
-        # non-positive there, so their box must end below 1
-        if cm.kind != POWER and not self.M * self.delta_ref < 1.0:
-            raise SolverError(f"the {cm.kind} kind needs M*delta_ref < 1")
+        # h' of log-squared vanishes at delta_max = 1 and both log costs
+        # reach 0 there; M = inf stays legal for power
+        top = self.cost_model.delta_max
+        if top < math.inf and not self.M * self.delta_ref < top:
+            raise SolverError(f"the {self.cost_model.kind} kind needs "
+                              f"M*delta_ref < {top:g}")
 
 
 def accuracy_problem(a, b, delta_ref: float, m: float, M: float,
@@ -298,6 +299,18 @@ def _budget_residual(achieved: float, target: float) -> float:
     return residual
 
 
+def _w_argument(lam: float, nu: np.ndarray, ranks) -> np.ndarray:
+    """lam / (2 nu) on ``ranks``; SolverError at the first that overflows."""
+    with np.errstate(over="ignore"):
+        x = np.divide(0.5 * lam, nu)
+    # x rises along the ranks, and every caller's last rank is its highest
+    if not x[-1] < math.inf:
+        k = int(ranks[int(np.flatnonzero(x == math.inf)[0])])
+        raise SolverError(f"the log-squared W argument lam/(2 nu) leaves the "
+                          f"doubles at rank {k}")
+    return x
+
+
 class _LogSquaredW:
     """W(lam / (2 nu_k)) = W(lam a_k / (2 b_k)) on rank ranges [i, j) of one
     log-squared solve, so that delta_k(lam) = exp(-W_k).
@@ -319,7 +332,7 @@ class _LogSquaredW:
 
     def __call__(self, lam: float, i: int, j: int) -> np.ndarray:
         """W on ranks [i, j), a view into the cache valid until the next pass."""
-        x = np.divide(0.5 * lam, self.nu[i:j])
+        x = _w_argument(lam, self.nu[i:j], range(i, j))
         t = _log(lam)
         dt = t - self.t
         lo, hi = max(i, self.i), min(j, self.j)
@@ -412,7 +425,7 @@ def _transient(cm: CostModel, a: np.ndarray, b: np.ndarray, nu: np.ndarray):
             # of [lower, upper] lies on C's side of it and no pass is run.
             blocks = i + np.arange(_BOUND_BLOCKS) * n // _BOUND_BLOCKS
             ends = np.concatenate((blocks, np.append(blocks[1:], j) - 1))
-            w = cost_models.lambert_w0(np.divide(0.5 * lam, nu[ends]))
+            w = cost_models.lambert_w0(_w_argument(lam, nu[ends], ends))
             w *= w
             sums = np.add.reduceat(b[i:j], blocks - i)
             lower = float(sums @ w[:_BOUND_BLOCKS])
@@ -499,7 +512,11 @@ def _water_fill(nu: np.ndarray, weight, transient, loose, tight, budget: float,
         # breakpoint of the last transient rank
         lam_cap = min(nu[i - 1] * c_hi if i else math.inf, nu[j - 1] * c_lo)
         vals, lam = solve(budget_T, i, j, lam_cap)
-        if np.any(vals < limits[0]) or np.any(vals > limits[1]):
+        low, high = vals.min(), vals.max()
+        if not (low > 0.0 and high < math.inf):  # NaN fails too
+            k = i + int(np.flatnonzero(~((vals > 0.0) & (vals < math.inf)))[0])
+            raise SolverError(f"the transient values leave the doubles at rank {k}")
+        if low < limits[0] or high > limits[1]:
             raise SolverError("transient values leave the box: partition search failed")
         values[order[i:j]] = np.clip(vals, min(v_hi, v_lo), max(v_hi, v_lo))
         del vals

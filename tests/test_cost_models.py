@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -41,6 +42,48 @@ class TestEval:
             h_eval(POWER1, 0.0)
         with pytest.raises(CostModelError):
             h_eval(LOG, math.inf)
+
+
+class TestEvalPaths:
+    """A Python or numpy float takes Python-float arithmetic, an array the
+    numpy path; the noisy oracle's charges depend on the scalar path's bits."""
+
+    KINDS = [CostModel("power", 0.5), POWER1, CostModel("power", 2.0), LOG, LOGSQ]
+
+    @staticmethod
+    def draws(seed):
+        return 10.0 ** np.random.default_rng(seed).uniform(-12.0, 0.0, 2000)
+
+    @pytest.mark.parametrize("scalar", [float, np.float64], ids=["float", "float64"])
+    def test_scalar_keeps_the_python_float_bits(self, scalar):
+        for d in map(float, self.draws(5)):
+            for r in (0.5, 1.0, 2.0):
+                assert h_eval(CostModel("power", r), scalar(d)) == d ** -r
+            assert h_eval(LOG, scalar(d)) == -math.log(d)
+            assert h_eval(LOGSQ, scalar(d)) == math.log(d) * math.log(d)
+        assert type(h_eval(LOG, np.float64(0.5))) is float
+
+    @pytest.mark.parametrize("model", KINDS, ids=lambda m: f"{m.kind}-{m.r}")
+    def test_scalar_and_array_paths_agree_within_two_ulp(self, model):
+        d = self.draws(6)
+        array = h_eval(model, d)
+        scalar = np.array([h_eval(model, float(x)) for x in d])
+        assert np.all(np.abs(scalar - array) <= 2.0 * np.spacing(array))
+
+    def test_power_overflow_is_inf_on_both_paths(self):
+        model = CostModel("power", 3.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert h_eval(model, 1e-200) == math.inf
+            assert h_eval(model, np.float64(1e-200)) == math.inf
+            assert h_eval(model, np.array([1e-200, 0.5])).tolist() == [math.inf, 8.0]
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("model", [POWER1, LOG, LOGSQ], ids=lambda m: m.kind)
+    def test_rejects_out_of_domain_on_both_paths(self, model, bad):
+        for delta in (bad, np.float64(bad), np.array([0.5, bad])):
+            with pytest.raises(CostModelError, match="finite and > 0"):
+                h_eval(model, delta)
 
 
 class TestDerivative:
@@ -173,12 +216,17 @@ class TestLambertWGuess:
 
 class TestDomainValidation:
     def test_log_kind_requires_hi_below_one(self):
-        # the box belongs to the problem, which alone rejects M*delta_ref >= 1
+        # the box belongs to the problem, which rejects M*delta_ref >= delta_max
         for model in (LOG, LOGSQ):
             for M in (2.0, 1.0):
                 with pytest.raises(SolverError, match="M\\*delta_ref < 1"):
                     ScheduleProblem(np.ones(2), np.ones(2), 0.5, 0.0, 2.0 * M,
                                     model)
+
+    def test_delta_max(self):
+        # the largest delta each cost admits: the log costs reach 0 at 1
+        assert POWER1.delta_max == math.inf
+        assert LOG.delta_max == LOGSQ.delta_max == 1.0
 
     def test_power_requires_positive_r(self):
         with pytest.raises(CostModelError):

@@ -16,6 +16,7 @@ from tunable_oracle.certificates import (
     impact_coefficients_fgm,
 )
 from tunable_oracle.cli import main as cli_main
+from tunable_oracle.cost_models import CostModel
 from tunable_oracle.harness import (
     ALL_SCHEDULES,
     DATA_SEED,
@@ -497,8 +498,8 @@ class TestRunExperiment:
         data = generate_scenarios(cfg.n, cfg.d, cfg.p, DATA_SEED,
                                   sigma=cfg.sigma, mu=cfg.mu)
         exp = harness._experiment(cfg, data)
-        assert (exp.r, exp.L, exp.lo) == (0.0, 1.0 / cfg.sigma + cfg.mu,
-                                          ORACLE_FLOOR)
+        assert (exp.cost, exp.L, exp.lo) == (CostModel("logarithmic"),
+                                             1.0 / cfg.sigma + cfg.mu, ORACLE_FLOOR)
         a, sched = harness._tunable_values(cfg, 10_000, delta_ref, exp)
         values = sched.values
         assert values.min() >= ORACLE_FLOOR
@@ -908,7 +909,11 @@ class TestCli:
         (["--cost", "power:x", "--delta-ref", "1e-3", "--m", "0", "--M", "10"],
          "bad power exponent"),
         (["--cost", "power:0", "--delta-ref", "1e-3", "--m", "0", "--M", "10"],
-         "exponent must be > 0"),
+         "finite exponent r > 0"),
+        (["--cost", "power:nan", "--delta-ref", "1e-3", "--m", "0", "--M", "10"],
+         "finite exponent r > 0"),
+        (["--cost", "power:inf", "--work", "--budget", "2", "--wmin", "0.1",
+          "--wmax", "2"], "finite exponent r > 0"),
         (["--cost", "power:1", "--work", "--budget", "2"],
          "--work requires --budget, --wmin and --wmax"),
         (["--cost", "logsq", "--work", "--budget", "2", "--wmin", "0.1",

@@ -4,8 +4,10 @@ dataclass field the package declares is read somewhere in the repo, every
 public module-level function and class of the package is reached from the
 package or the benchmark, every import site the benchmark's tracer wraps
 exists, only the harness imports ``csv``, only the harness's experiment
-record and config validation branch on the experiment id, and only the
-schedule solver's validation and ``_transient`` branch on the cost kind.
+record and config validation branch on the experiment id, only
+``accuracy_problem`` and ``_transient`` branch on the cost kind in the
+schedule solver, and the harness and the oracles test neither a cost kind
+nor the exponent r outside the harness's one r -> cost model function.
 
 No lint tool is part of the toolchain, so these tests walk each module's
 syntax tree with the standard-library ``ast`` module. The import guard skips
@@ -337,7 +339,7 @@ def test_detects_an_experiment_id_branch():
             f"_planted (line {line})"]
 
 
-KIND_READERS = {"ScheduleProblem.__post_init__", "accuracy_problem", "_transient"}
+KIND_READERS = {"accuracy_problem", "_transient"}
 
 
 def test_only_the_transient_reads_the_cost_kind():
@@ -359,3 +361,34 @@ def test_detects_a_cost_kind_branch():
         f"solve_accuracy (line {line})"]
     assert attribute_branches("def f(cm):\n    return {1: 2}.get(cm.kind)\n",
                               "kind", KIND_READERS) == ["f (line 2)"]
+
+
+R_READERS = {"ExperimentConfig.__post_init__", "_cost_model"}
+
+
+def test_one_cost_model_from_config_to_oracle():
+    # the harness resolves the config's exponent into one CostModel; the run
+    # path and the oracle read that model, and cost_models answers its domain
+    harness, problems = ((PACKAGE / name).read_text() for name in ("harness.py", "problems.py"))
+    # export_schedule reads a Schedule's kind (accuracy or work), not a cost's
+    assert attribute_branches(harness, "kind", {"export_schedule"}) == []
+    assert attribute_branches(problems, "kind", set()) == []
+    assert attribute_branches(harness, "r", R_READERS) == []
+    assert attribute_branches(problems, "r", set()) == []
+    oracle = next(node for node in ast.parse(problems).body
+                  if getattr(node, "name", None) == "noisy_oracle")
+    # a bare parameter r is invisible to attribute_branches
+    assert "r" not in [arg.arg for arg in oracle.args.args + oracle.args.kwonlyargs]
+
+
+def test_detects_a_cost_model_branch():
+    # a test of r planted in the real harness run path is found, and only it
+    harness = (PACKAGE / "harness.py").read_text()
+    head, tail = harness.split("def _tunable_values(", 1)
+    body, rest = tail.split("    problem = ScheduleProblem(", 1)
+    planted = (f"{head}def _tunable_values({body}    if config.r == 0.0:\n        pass\n"
+               f"    problem = ScheduleProblem({rest}")
+    line = len(f"{head}def _tunable_values({body}".splitlines()) + 1
+    assert attribute_branches(planted, "r", R_READERS) == [f"_tunable_values (line {line})"]
+    assert attribute_branches("def f(exp):\n    return exp.cost.kind == 'power'\n",
+                              "kind", set()) == ["f (line 2)"]

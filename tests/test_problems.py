@@ -5,6 +5,7 @@ import pytest
 
 from test_fgm import reference_project_simplex
 from tunable_oracle import problems
+from tunable_oracle.cost_models import CostModel
 from tunable_oracle.harness import FSTAR_PRECISION, estimate_fstar
 from tunable_oracle.problems import (
     InnerResult,
@@ -22,6 +23,9 @@ from tunable_oracle.problems import (
     noisy_oracle,
     softmax_value_grad,
 )
+
+
+LOG = CostModel("logarithmic")
 
 
 def make_data(O, sigma=0.1, mu=0.0):
@@ -131,14 +135,14 @@ class TestNoisyOracle:
         data = generate_scenarios(2, 2, 1.0, seed=0)
         x = np.array([0.5, 0.5])
         rng = np.random.default_rng(0)
-        assert noisy_oracle(data, x, 1e-2, 1.0, rng, r=1.0).inner_work \
+        assert noisy_oracle(data, x, 1e-2, 1.0, rng, cost=CostModel("power", 1.0)).inner_work \
             == pytest.approx(100.0)
-        assert noisy_oracle(data, x, 1e-2, 1.0, rng, r=0.5).inner_work \
+        assert noisy_oracle(data, x, 1e-2, 1.0, rng, cost=CostModel("power", 0.5)).inner_work \
             == pytest.approx(10.0)
-        assert noisy_oracle(data, x, 1e-2, 1.0, rng, r=0.0).inner_work \
+        assert noisy_oracle(data, x, 1e-2, 1.0, rng, cost=LOG).inner_work \
             == pytest.approx(math.log(100.0))
         # the log cost is 0 at delta = 1, the top of its domain
-        assert noisy_oracle(data, x, 1.0, 1.0, rng, r=0.0).inner_work == 0.0
+        assert noisy_oracle(data, x, 1.0, 1.0, rng, cost=LOG).inner_work == 0.0
 
     def test_noise_mean_vanishes(self):
         data = generate_scenarios(3, 4, 1.0, seed=0)
@@ -175,7 +179,7 @@ class TestNoisyOracle:
                          np.random.default_rng(0))
         with pytest.raises(OracleError, match=r"logarithmic cost.*delta = 1\.5"):
             noisy_oracle(data, np.array([0.5, 0.5]), 1.5, 1.0,
-                         np.random.default_rng(0), r=0.0)
+                         np.random.default_rng(0), cost=LOG)
         with pytest.raises(OracleError):
             OracleReply(value=0.0, gradient=np.zeros(2), delta=-0.1,
                         inner_work=0.0)

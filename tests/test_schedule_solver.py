@@ -1000,6 +1000,16 @@ class TestValidation:
         (solve_accuracy, accuracy_problem([1.0, 1.0, 1e200], [1.0, 1.0, 1e-200],
                                           1e-3, 0.1, 10.0, LOG_SQUARED),
          r"the accuracy key nu = b/a leaves the doubles at index 2"),
+        # a and b from 10^U(-150, 150): a log transient value underflows to 0,
+        # and a log-squared pass's W argument overflows
+        (solve_accuracy, accuracy_problem(
+            *10 ** np.random.default_rng(1).uniform(-150, 150, (2, 50)),
+            1e-3, 0.0, 100.0, LOGARITHMIC),
+         r"the transient values leave the doubles at rank 39"),
+        (solve_accuracy, accuracy_problem(
+            *10 ** np.random.default_rng(0).uniform(-150, 150, (2, 50)),
+            1e-3, 0.0, 100.0, LOG_SQUARED),
+         r"the log-squared W argument lam/\(2 nu\) leaves the doubles at rank 36"),
     ])
     def test_ranking_keys_outside_the_doubles_are_named(self, solve, problem, message):
         with warnings.catch_warnings():
