@@ -16,7 +16,7 @@ import argparse
 import sys
 
 from .cost_models import LOG_SQUARED, LOGARITHMIC, POWER, CostModel
-from .harness import (emit_outputs, export_schedule, import_coefficients,
+from .harness import (_parse_value, emit_outputs, export_schedule, import_coefficients,
                       load_config, run_experiment, toy_instance)
 from .schedule_solver import (
     ScheduleProblem,
@@ -77,9 +77,7 @@ def _cmd_schedule(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    seeds = None
-    if args.seeds:
-        seeds = tuple(int(tok) for tok in args.seeds.split(",") if tok.strip())
+    seeds = _parse_value("seeds", args.seeds) if args.seeds else None
     config = load_config(args.config, experiment=args.id, seeds=seeds)
     result = run_experiment(config)
     written = emit_outputs(result, args.out)
@@ -136,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--id", type=int, required=True, choices=(1, 2, 3))
     p_exp.add_argument("--config", required=True, help="key = value config file")
     p_exp.add_argument("--out", required=True, help="output directory")
-    p_exp.add_argument("--seeds", help="comma-separated seed override")
+    p_exp.add_argument("--seeds", help="seed override, comma-separated as in a config file")
     p_exp.set_defaults(func=_cmd_experiment)
 
     p_toy = sub.add_parser("toy", help="reproduce the showcase toy instance")

@@ -24,7 +24,7 @@ import math
 import os
 import statistics
 from dataclasses import dataclass, fields, replace
-from typing import Callable, get_type_hints
+from typing import Callable, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -78,11 +78,11 @@ class ExperimentConfig:
     sigma: float = 1e-3
     mu: float = 0.0
     r: float = -1.0             # cost exponent; -1 = pick via kappa_hat
-    delta_ref: tuple = (1e-3,)
-    N: tuple = (500,)
+    delta_ref: tuple[float, ...] = (1e-3,)
+    N: tuple[int, ...] = (500,)
     M: float = 100.0
-    seeds: tuple = (0, 1, 2)
-    schedules: tuple = ("tunable", "constant")
+    seeds: tuple[int, ...] = (0, 1, 2)
+    schedules: tuple[str, ...] = ("tunable", "constant")
     sample_every: int = 10
 
     def __post_init__(self):
@@ -105,7 +105,7 @@ class ExperimentConfig:
                 raise HarnessError(f"{name} is too small: 2/{name} overflows")
         if self.r < 0.0 and self.r != -1.0:
             raise HarnessError("r must be >= 0, or -1 (auto)")
-        for name in ("seeds", "N", "delta_ref", "schedules"):
+        for name in _LIST_ELEMENTS:
             if not getattr(self, name):
                 raise HarnessError(f"{name} must list at least one entry")
             # a repeated entry would repeat its runs and double-count them
@@ -178,26 +178,25 @@ def default_config(experiment: int) -> ExperimentConfig:
 # config file parsing (line-oriented ``key = value``)
 # ---------------------------------------------------------------------------
 
-_LIST_FIELDS = {"delta_ref": float, "N": int, "seeds": int, "schedules": str}
-_INT_FIELDS = {name for name, kind in get_type_hints(ExperimentConfig).items()
-               if kind is int}
+# the annotations are each field's one type; a list field is tuple[elem, ...]
+_FIELD_TYPES = get_type_hints(ExperimentConfig)
+_LIST_ELEMENTS = {name: get_args(kind)[0] for name, kind in _FIELD_TYPES.items()
+                  if get_origin(kind) is tuple}
 
 
 def _parse_value(key: str, raw: str):
-    if key in _LIST_FIELDS:
-        elem = _LIST_FIELDS[key]
+    if key in _LIST_ELEMENTS:
+        elem = _LIST_ELEMENTS[key]
         return tuple(elem(tok.strip()) for tok in raw.split(",") if tok.strip())
-    if key in _INT_FIELDS:
-        return int(raw)
     if key == "r" and raw.strip() == "auto":
         return -1.0
-    return float(raw)
+    return _FIELD_TYPES[key](raw)
 
 
 def parse_config_text(text: str) -> dict:
     """Parse ``key = value`` lines; blank lines and #-comments are skipped."""
     # the experiment id comes from the caller, not from the file
-    known = {f.name for f in fields(ExperimentConfig)} - {"experiment"}
+    known = _FIELD_TYPES.keys() - {"experiment"}
     out = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -219,7 +218,7 @@ def parse_config_text(text: str) -> dict:
 
 
 def load_config(path: str, experiment: int,
-                seeds: tuple | None = None) -> ExperimentConfig:
+                seeds: tuple[int, ...] | None = None) -> ExperimentConfig:
     with open(path) as fh:
         overrides = parse_config_text(fh.read())
     if seeds is not None:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cost_models import POWER, CostModel, h_eval
+from .cost_models import CostModel, h_eval
 from .fgm import project_simplex
 
 
@@ -117,8 +117,7 @@ def softmax_value_grad(data: ScenarioData, x: np.ndarray) -> tuple[float, np.nda
 
 
 def noisy_oracle(data: ScenarioData, x: np.ndarray, delta: float, alpha: float,
-                 rng: np.random.Generator,
-                 cost: CostModel = CostModel(POWER, 1.0)) -> OracleReply:
+                 rng: np.random.Generator, cost: CostModel) -> OracleReply:
     """Exact value, gradient corrupted on a sphere of radius alpha*delta.
 
     The certified inexactness of the resulting information tuple is

@@ -3,6 +3,7 @@ import json
 import math
 from dataclasses import replace
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from witnesses import read_schedule, write_coefficients
 
-from tunable_oracle import harness
+from tunable_oracle import cli, harness
 from tunable_oracle.certificates import (
     fixed_step_certificates,
     impact_coefficients_fgm,
@@ -121,6 +122,28 @@ class TestConfigParsing:
         with pytest.raises(HarnessError, match="unknown config key 'experiment'"):
             load_config(str(path), experiment=1)
 
+    def test_every_key_parses_to_its_annotated_type(self):
+        # the annotations declare each field's type once: a scalar parses to
+        # it, a tuple[elem, ...] field to a tuple of elem
+        hints = get_type_hints(ExperimentConfig)
+        assert {name for name, kind in hints.items() if get_origin(kind) is tuple} \
+            == {"delta_ref", "N", "seeds", "schedules"}
+        raw = {int: "3", float: "0.5", tuple[float, ...]: "1e-3, 2e-3",
+               tuple[int, ...]: "3, 1", tuple[str, ...]: "constant, poly3"}
+        keys = [name for name in hints if name != "experiment"]
+        out = parse_config_text("".join(f"{key} = {raw[hints[key]]}\n" for key in keys))
+        for key in keys:
+            kind = hints[key]
+            if get_origin(kind) is tuple:
+                assert type(out[key]) is tuple and len(out[key]) == 2, key
+                assert all(type(v) is get_args(kind)[0] for v in out[key]), key
+            else:
+                assert type(out[key]) is kind, key
+        auto = parse_config_text("r = auto\n")["r"]
+        assert type(auto) is float and auto == -1.0
+        top = parse_config_text("M = inf\n")["M"]
+        assert type(top) is float and top == math.inf
+
     def test_load_config_seed_override(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("seeds = 0, 1\n")
@@ -175,13 +198,20 @@ class TestConfigValidation:
         (1, {"p": 5e-324}, "2/p overflows"),
         (1, {"mu": 5e-324}, "2/mu overflows"),
         (2, {"r": 0.0, "M": math.inf}, "M\\*delta_ref < 1"),
-        (1, {"r": 0.0, "M": 1e3}, "M\\*delta_ref < 1")])
+        (1, {"r": 0.0, "M": 1e3}, "M\\*delta_ref < 1"),
+        (1, {"experiment": 4}, "unknown experiment 4"),
+        (2, {"N": (0,)}, "N values must be >= 1"),
+        (3, {"sample_every": 0}, "sample_every must be >= 1")])
     def test_values_a_run_cannot_take_rejected_at_construction(
             self, experiment, changes, message):
         # each would otherwise fail inside run_experiment, once the scenarios
         # exist, or (a negative r) run as r = auto
         with pytest.raises(HarnessError, match=message):
             replace(default_config(experiment), **changes)
+
+    def test_unknown_experiment_has_no_defaults(self):
+        with pytest.raises(HarnessError, match="unknown experiment 4"):
+            default_config(4)
 
     def test_negative_r_in_a_config_file_rejected(self, tmp_path):
         path = tmp_path / "cfg.txt"
@@ -879,6 +909,23 @@ class TestCli:
                        "--seeds", "0,-1", "--out", str(tmp_path / "out")])
         assert rc == 1
         assert "seeds >= 0" in capsys.readouterr().err
+
+    def test_experiment_seeds_use_the_config_grammar(self, tmp_path, monkeypatch):
+        # --seeds 3,1 and a config file's "seeds = 3, 1" give the same sweep
+        seen = []
+
+        def record(config):
+            seen.append(config.seeds)
+            raise HarnessError("recorded")
+        monkeypatch.setattr(cli, "run_experiment", record)
+        cfg = tmp_path / "cfg.txt"
+        args = ["experiment", "--id", "1", "--config", str(cfg),
+                "--out", str(tmp_path / "out")]
+        cfg.write_text("seeds = 0\n")
+        assert cli_main(args + ["--seeds", "3,1"]) == 1
+        cfg.write_text("seeds = 3, 1\n")
+        assert cli_main(args) == 1
+        assert seen == [(3, 1), (3, 1)]
 
     def test_experiment_nan_delta_ref_fails(self, tmp_path, capsys):
         # NaN fails no `<= 0` check; it must not run as an exact request

@@ -379,6 +379,9 @@ def test_one_cost_model_from_config_to_oracle():
                   if getattr(node, "name", None) == "noisy_oracle")
     # a bare parameter r is invisible to attribute_branches
     assert "r" not in [arg.arg for arg in oracle.args.args + oracle.args.kwonlyargs]
+    # the charge comes from the caller's model: cost takes no default
+    params = [arg.arg for arg in oracle.args.args]
+    assert params.index("cost") < len(params) - len(oracle.args.defaults)
 
 
 def test_detects_a_cost_model_branch():

@@ -26,6 +26,7 @@ from tunable_oracle.problems import (
 
 
 LOG = CostModel("logarithmic")
+POWER_1 = CostModel("power", 1.0)
 
 
 def make_data(O, sigma=0.1, mu=0.0):
@@ -55,6 +56,11 @@ class TestGeneration:
         with pytest.raises(OracleError):
             generate_scenarios(4, 4, 0.0, seed=0)
 
+    @pytest.mark.parametrize("sigma, mu", [(0.0, 0.0), (0.1, -1.0)])
+    def test_rejects_bad_constants(self, sigma, mu):
+        with pytest.raises(OracleError, match="need sigma > 0 and mu >= 0"):
+            ScenarioData(np.eye(2), sigma=sigma, mu=mu)
+
 
 class TestSpectral:
     def test_kappa_orthogonal_rows(self):
@@ -74,6 +80,11 @@ class TestSpectral:
         data = generate_scenarios(6, 9, 1.0, seed=5)
         assert data.lam_max == pytest.approx(
             np.linalg.norm(data.O, 2) ** 2)
+
+    def test_all_zero_scenarios_have_no_inner_step(self):
+        # lam_max = 0 leaves the inner solver without a step size
+        with pytest.raises(OracleError, match="degenerate inner problem"):
+            make_data(np.zeros((3, 2))).fista_constants
 
 
 class TestSoftmax:
@@ -116,7 +127,7 @@ class TestNoisyOracle:
         data = generate_scenarios(4, 3, 1.0, seed=0)
         x = np.full(3, 1.0 / 3.0)
         reply = noisy_oracle(data, x, 0.0, alpha=10.0,
-                             rng=np.random.default_rng(0))
+                             rng=np.random.default_rng(0), cost=POWER_1)
         value, grad = softmax_value_grad(data, x)
         assert reply.value == value and reply.delta == 0.0
         assert reply.inner_work == 0.0
@@ -127,7 +138,7 @@ class TestNoisyOracle:
         x = np.full(6, 1.0 / 6.0)
         _, grad = softmax_value_grad(data, x)
         reply = noisy_oracle(data, x, 1e-3, alpha=100.0,
-                             rng=np.random.default_rng(1))
+                             rng=np.random.default_rng(1), cost=POWER_1)
         assert np.linalg.norm(reply.gradient - grad) == pytest.approx(0.1, rel=1e-12)
         assert reply.delta == pytest.approx(0.4)
 
@@ -135,7 +146,7 @@ class TestNoisyOracle:
         data = generate_scenarios(2, 2, 1.0, seed=0)
         x = np.array([0.5, 0.5])
         rng = np.random.default_rng(0)
-        assert noisy_oracle(data, x, 1e-2, 1.0, rng, cost=CostModel("power", 1.0)).inner_work \
+        assert noisy_oracle(data, x, 1e-2, 1.0, rng, cost=POWER_1).inner_work \
             == pytest.approx(100.0)
         assert noisy_oracle(data, x, 1e-2, 1.0, rng, cost=CostModel("power", 0.5)).inner_work \
             == pytest.approx(10.0)
@@ -149,7 +160,7 @@ class TestNoisyOracle:
         x = np.full(4, 0.25)
         _, grad = softmax_value_grad(data, x)
         rng = np.random.default_rng(7)
-        noise = np.mean([noisy_oracle(data, x, 1.0, 1.0, rng).gradient - grad
+        noise = np.mean([noisy_oracle(data, x, 1.0, 1.0, rng, POWER_1).gradient - grad
                          for _ in range(4000)], axis=0)
         assert np.linalg.norm(noise) < 0.05
 
@@ -157,26 +168,26 @@ class TestNoisyOracle:
         data = generate_scenarios(3, 4, 1.0, seed=0)
         x = np.full(4, 0.25)
         g1 = [noisy_oracle(data, x, 0.1, 1.0,
-                           np.random.default_rng(9)).gradient for _ in range(1)]
+                           np.random.default_rng(9), POWER_1).gradient for _ in range(1)]
         g2 = [noisy_oracle(data, x, 0.1, 1.0,
-                           np.random.default_rng(9)).gradient for _ in range(1)]
+                           np.random.default_rng(9), POWER_1).gradient for _ in range(1)]
         np.testing.assert_array_equal(g1[0], g2[0])
 
     def test_validation(self):
         data = generate_scenarios(2, 2, 1.0, seed=0)
         with pytest.raises(OracleError):
             noisy_oracle(data, np.array([0.5, 0.5]), -1.0, 1.0,
-                         np.random.default_rng(0))
+                         np.random.default_rng(0), POWER_1)
         with pytest.raises(OracleError):
             noisy_oracle(data, np.array([0.5, 0.5]), 0.1, 0.0,
-                         np.random.default_rng(0))
+                         np.random.default_rng(0), POWER_1)
         # NaN fails every comparison; it must not pass as an exact request
         with pytest.raises(OracleError):
             noisy_oracle(data, np.array([0.5, 0.5]), math.nan, 1.0,
-                         np.random.default_rng(0))
+                         np.random.default_rng(0), POWER_1)
         with pytest.raises(OracleError):
             noisy_oracle(data, np.array([0.5, 0.5]), 0.1, math.nan,
-                         np.random.default_rng(0))
+                         np.random.default_rng(0), POWER_1)
         with pytest.raises(OracleError, match=r"logarithmic cost.*delta = 1\.5"):
             noisy_oracle(data, np.array([0.5, 0.5]), 1.5, 1.0,
                          np.random.default_rng(0), cost=LOG)
