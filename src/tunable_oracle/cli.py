@@ -77,7 +77,7 @@ def _cmd_schedule(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    seeds = _parse_value("seeds", args.seeds) if args.seeds else None
+    seeds = _parse_value("seeds", args.seeds) if args.seeds is not None else None
     config = load_config(args.config, experiment=args.id, seeds=seeds)
     result = run_experiment(config)
     written = emit_outputs(result, args.out)

@@ -103,7 +103,7 @@ def fgm_run(oracle: Callable[[np.ndarray, float], "object"],
             mu: float = 0.0,
             adaptive: bool = False,
             r2_estimate: float = 0.0,
-            observer: Callable[[int, np.ndarray], None] | None = None,
+            observer: Callable[[IterationRecord, np.ndarray], None] | None = None,
             ) -> tuple[np.ndarray, list[IterationRecord]]:
     """Run N accelerated steps from the simplex point x0.
 
@@ -111,7 +111,8 @@ def fgm_run(oracle: Callable[[np.ndarray, float], "object"],
     value, gradient, delta (certified inexactness) and inner_work.
     ``schedule(k, A_next_candidate)`` returns the inexactness to request; the
     candidate certificate lets online rules react to the accepted stepsizes.
-    ``observer(k, x_new)``, when given, is called after each accepted step.
+    ``observer(record, x_new)``, when given, is called with each accepted
+    step's record and iterate.
 
     With ``adaptive`` off every step uses the inverse stepsize ``L``. With it
     on, ``L`` is the first estimate and also the ceiling: a failed validation
@@ -162,11 +163,12 @@ def fgm_run(oracle: Callable[[np.ndarray, float], "object"],
             retries += 1
             L_try = min(L_try * _DECREASE, L)
         x, z, A = x_new, z_new, A_next
-        if observer is not None:
-            observer(k, x)
         L_next = L_try
         weighted_delta += A_next * reply_y.delta
-        trajectory.append(IterationRecord(
+        record = IterationRecord(
             k=k, delta=delta_k, omega=omega_k, L=L_try, A=A,
-            bound=(r2_estimate + 2.0 * weighted_delta) / A, retries=retries))
+            bound=(r2_estimate + 2.0 * weighted_delta) / A, retries=retries)
+        trajectory.append(record)
+        if observer is not None:
+            observer(record, x)
     return x, trajectory

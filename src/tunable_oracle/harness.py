@@ -405,8 +405,16 @@ def _tunable_values(config: ExperimentConfig, steps: int, delta_ref: float,
 
 def _family_schedule(config: ExperimentConfig, name: str, delta_ref: float,
                      N: int, exp: _Experiment):
-    """The step callback ``(k, A_next) -> delta`` of one family and its
-    schedule to emit (None when online); a failed build raises SolverError."""
+    """The step callback ``(k, A_next) -> delta`` of one family, its schedule
+    to emit (None when online) and whether the family is horizon-free; a
+    failed build raises SolverError.
+
+    A horizon-free family's callback built at N gives, for every k < N and
+    any A_next, the delta of its callback built at any longer horizon. The
+    sweep then runs it once at its longest horizon and reads every shorter
+    one off that run. A family whose requests depend on N (``tunable``
+    solves over its horizon) says False and runs once per N.
+    """
     box = (exp.lo, config.M * delta_ref)  # the cost model ends at M δ̄
     if name == "online_tunable":
         # bootstrap values for k < N_R, then the online extension rule
@@ -417,7 +425,7 @@ def _family_schedule(config: ExperimentConfig, name: str, delta_ref: float,
             if k < N_R:
                 return boot.values[k]
             return online_extend_accuracy(last, (A_next, 1.0), exp.cost.r, box)
-        return online, None
+        return online, None, True
     if name == "tunable":
         sched = _tunable_values(config, N, delta_ref, exp)[1]
     else:  # baseline requests are clipped into the box
@@ -428,36 +436,57 @@ def _family_schedule(config: ExperimentConfig, name: str, delta_ref: float,
         k = int(over[0])
         raise SolverError(f"the {name} schedule asks the {exp.cost.kind} cost for delta > "
                           f"{exp.hi:g} at k = {k}: delta = {float(sched.values[k])!r}")
-    return (lambda k, _A_next: sched.values[k]), sched
+    # a baseline's delta_k is a function of k alone; tunable solves over N
+    return (lambda k, _A_next: sched.values[k]), sched, name != "tunable"
+
+
+_NUMERICAL = (OracleError, FgmError, SolverError)  # fail a run, not the sweep
 
 
 def _run_one(config: ExperimentConfig, exp: _Experiment, name: str,
-             seed: int, N: int, schedule_cb):
-    """One (schedule, seed) run; returns its records and (terminal x,
-    terminal value, terminal gradient, total work)."""
+             seed: int, horizons: tuple, schedule_cb) -> dict:
+    """One (schedule, seed) run of max(horizons) steps, read at each horizon
+    N as a run of N steps alone: N -> (its records, (terminal x, terminal
+    value, terminal gradient, total work)), or N -> the message of the
+    numerical error that fails it. An error at step k fails the horizons
+    N > k; a failed terminal solve fails its own horizon."""
     x0_rng, noise_rng = _seed_streams(config, seed)
     x0 = x0_rng.dirichlet(np.ones(config.d))
     state = InnerState()  # the hull oracle's warm start; unused in experiment 1
-    samples: dict[int, float] = {}
+    records: list[RunRecord] = []
+    ends: dict[int, np.ndarray] = {}  # N -> x after step N - 1
 
-    def observer(k, x):
-        if k % config.sample_every == 0:
-            samples[k] = exp.sample(x, state)
-
-    x_final, traj = fgm_run(functools.partial(exp.oracle, state, noise_rng),
-                            schedule_cb, N, x0, exp.L, config.mu,
-                            adaptive=exp.adaptive, observer=observer)
-    # the lower model of f* reuses the terminal value and gradient
-    value, grad = exp.terminal(x_final)
-
-    records, cum_work = [], 0.0
-    for rec in traj:
-        cum_work += rec.omega
+    def observer(rec, x):
+        objective = exp.sample(x, state) if rec.k % config.sample_every == 0 else None
+        cum_work = (records[-1].cum_work if records else 0.0) + rec.omega
         records.append(RunRecord(
             experiment=config.experiment, schedule=name, seed=seed, k=rec.k,
             delta=rec.delta, omega=rec.omega, L=rec.L, A=rec.A,
-            objective=samples.get(rec.k), cum_work=cum_work))
-    return records, (x_final, value, grad, cum_work)
+            objective=objective, cum_work=cum_work))
+        if rec.k + 1 in horizons:
+            ends[rec.k + 1] = x
+
+    error = None
+    try:
+        fgm_run(functools.partial(exp.oracle, state, noise_rng), schedule_cb,
+                max(horizons), x0, exp.L, config.mu, adaptive=exp.adaptive,
+                observer=observer)
+    except _NUMERICAL as exc:
+        error = str(exc)  # the horizons the run did not reach fail with it
+
+    out = {}
+    for N in horizons:
+        if N not in ends:
+            out[N] = error
+            continue
+        try:
+            # the lower model of f* reuses the terminal value and gradient
+            value, grad = exp.terminal(ends[N])
+        except _NUMERICAL as exc:
+            out[N] = str(exc)
+            continue
+        out[N] = (records[:N], (ends[N], value, grad, records[N - 1].cum_work))
+    return out
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -468,30 +497,49 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     schedules: dict[str, Schedule] = {}
     failures: list[tuple] = []
 
+    seeds, horizons = sorted(config.seeds), sorted(config.N)
     for delta_ref in config.delta_ref:
-        for N in sorted(config.N):
+        # (name, N) -> schedule to emit; (name, seed, N) -> what a run of N
+        # steps alone gives: (records, terminal), or its failure message
+        emitted: dict[tuple, Schedule | None] = {}
+        outcome: dict[tuple, tuple | str] = {}
+        for name in config.schedules:
+            callbacks: dict[int, Callable] = {}  # horizon -> step callback
+            for N in horizons:
+                try:
+                    schedule_cb, emitted[name, N], horizon_free = _family_schedule(
+                        config, name, delta_ref, N, exp)
+                except SolverError as exc:
+                    # a failed build fails its family's runs, not the sweep
+                    outcome.update({(name, seed, N): str(exc) for seed in seeds})
+                    continue
+                callbacks[N] = schedule_cb
+            # a horizon-free family runs once, with its longest callback
+            groups = ([(tuple(callbacks), callbacks[max(callbacks)])]
+                      if callbacks and horizon_free
+                      else [((N,), cb) for N, cb in callbacks.items()])
+            for served, schedule_cb in groups:
+                for seed in seeds:
+                    try:
+                        by_N = _run_one(config, exp, name, seed, served, schedule_cb)
+                    except _NUMERICAL as exc:
+                        # a programming error still raises
+                        by_N = dict.fromkeys(served, str(exc))
+                    outcome.update({(name, seed, N): got for N, got in by_N.items()})
+
+        for N in horizons:
             # (name, seed) -> (terminal x, value, gradient, total work)
             terminals: dict[tuple, tuple] = {}
             for name in config.schedules:
-                try:
-                    schedule_cb, sched = _family_schedule(config, name, delta_ref, N, exp)
-                except SolverError as exc:
-                    # a failed build fails its family's runs, not the sweep
-                    failures += [(name, seed, N, delta_ref, str(exc))
-                                 for seed in sorted(config.seeds)]
-                    continue
-                if sched is not None:
-                    schedules[f"{name}_N{N}_dref{float(delta_ref)!r}"] = sched
-                for seed in sorted(config.seeds):
-                    try:
-                        rows, terminal = _run_one(config, exp, name, seed, N, schedule_cb)
-                    except (OracleError, FgmError, SolverError) as exc:
-                        # a numerical failure must not stop the sweep; a
-                        # programming error still raises
-                        failures.append((name, seed, N, delta_ref, str(exc)))
+                if emitted.get((name, N)) is not None:
+                    schedules[f"{name}_N{N}_dref{float(delta_ref)!r}"] = emitted[name, N]
+                for seed in seeds:
+                    got = outcome[name, seed, N]
+                    if isinstance(got, str):
+                        failures.append((name, seed, N, delta_ref, got))
                         continue
+                    rows, terminals[name, seed] = got
                     records.extend(rows)
-                    terminals[(name, seed)] = terminal
 
             # terminal primal gaps against a shared lower bound on F*
             fstar = exp.fstar
@@ -500,7 +548,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 fstar = estimate_fstar(f_best, g_best, x_best, config.mu)
 
             for name in config.schedules:
-                runs = [terminals[name, seed] for seed in sorted(config.seeds)
+                runs = [terminals[name, seed] for seed in seeds
                         if (name, seed) in terminals]
                 gaps = [value - fstar for _, value, _, _ in runs]
                 summaries.append(SummaryRow(

@@ -105,11 +105,15 @@ class OracleReply:
 
 def softmax_value_grad(data: ScenarioData, x: np.ndarray) -> tuple[float, np.ndarray]:
     """Smoothed robust objective (smoothing parameter 1) and its gradient,
-    overflow safe."""
+    overflow safe.
+
+    ``s[s.argmax()]`` is ``s.max()`` and ``np.add.reduce`` is the pairwise
+    sum of ``e.sum()``, each without the method's dispatch overhead.
+    """
     s = data.O @ x
-    mx = float(s.max())
+    mx = float(s[s.argmax()])
     e = np.exp(s - mx)
-    denom = float(e.sum())
+    denom = float(np.add.reduce(e))
     value = mx + math.log(denom / data.n) + 0.5 * data.mu * float(x @ x)
     weights = e / denom
     grad = data.O.T @ weights + data.mu * x
@@ -133,7 +137,7 @@ def noisy_oracle(data: ScenarioData, x: np.ndarray, delta: float, alpha: float,
     value, grad = softmax_value_grad(data, x)
     if delta > 0.0:
         u = rng.standard_normal(x.size)
-        u /= np.linalg.norm(u)
+        u /= math.sqrt(float(u.dot(u)))  # np.linalg.norm(u) to the bit
         grad = grad + alpha * delta * u
         work = h_eval(cost, delta)
     else:
@@ -147,33 +151,42 @@ def noisy_oracle(data: ScenarioData, x: np.ndarray, delta: float, alpha: float,
 # ---------------------------------------------------------------------------
 
 def inner_q_value_grad(data: ScenarioData, w: np.ndarray,
-                       x: np.ndarray) -> tuple[float, np.ndarray]:
-    """Concave inner objective q(w; x) and its gradient in w.
+                       x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Concave inner objective q(w; x), its gradient in w, and O^T w.
 
     The inner solver's hot path: ndarray ``dot`` (the same BLAS call as
     ``@``) and in-place updates cut the interpreter overhead. Keep the
     arithmetic and its order as they are; recorded runs pin exact inner
-    iteration counts.
+    iteration counts. The third value is O^T w, which the hull oracle's
+    gradient and the next warm start reuse.
     """
-    Otw = data.O.T.dot(w)
+    return _q_at(data, data.O.T.dot(w), x)
+
+
+def _q_at(data: ScenarioData, Otw: np.ndarray,
+          x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """``inner_q_value_grad`` at the point w with O^T w = ``Otw``."""
     resid = Otw - data.theta_bar
     value = float(Otw.dot(x)) - data.half_sigma * float(resid.dot(resid))
     # x - sigma * resid to the bit: (-s) * r == -(s * r) and x + (-y) == x - y
     resid *= -data.sigma
     resid += x
-    return value, data.O.dot(resid)
+    return value, data.O.dot(resid), Otw
 
 
 @dataclass
 class InnerState:
-    """Warm-start snapshot for the inner solver (owned by one outer run)."""
+    """Warm-start snapshot for the inner solver (owned by one outer run):
+    the last inner solution w and, when known, O^T w at it."""
 
     w: np.ndarray | None = None
+    Otw: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
 class InnerResult:
     w: np.ndarray
+    Otw: np.ndarray             # O^T w at the returned w
     value: float                # q(w; x) at the returned w
     gap: float
     work: int
@@ -191,9 +204,11 @@ def fista_inner(data: ScenarioData, x: np.ndarray, delta_target: float,
     """
     if not delta_target > 0.0:  # NaN fails too
         raise OracleError("delta_target must be > 0")
-    n = data.n
-    w = warm_start.w.copy() if warm_start is not None and warm_start.w is not None \
-        else np.full(n, 1.0 / n)
+    if warm_start is not None and warm_start.w is not None:
+        # w is never written in place, so the warm start needs no copy
+        w, carried = warm_start.w, warm_start.Otw
+    else:
+        w, carried = np.full(data.n, 1.0 / data.n), None
     step, beta_const = data.fista_constants
 
     # The loop is the oracle's hot path. Every rewrite below is exact:
@@ -203,7 +218,11 @@ def fista_inner(data: ScenarioData, x: np.ndarray, delta_target: float,
     upper = math.inf
     t = 1.0
     for it in range(_MAX_INNER + 1):
-        q_w, grad_w = inner_q_value_grad(data, w, x)
+        if carried is None:
+            q_w, grad_w, Otw = inner_q_value_grad(data, w, x)
+        else:  # the start point's O^T w, carried from the last call
+            q_w, grad_w, Otw = _q_at(data, carried, x)
+            carried = None
         # linearizations are global upper bounds by concavity, even off-simplex
         bound = q_w + float(grad_w[grad_w.argmax()]) - float(grad_w.dot(w))
         if bound < upper:
@@ -214,7 +233,7 @@ def fista_inner(data: ScenarioData, x: np.ndarray, delta_target: float,
         if it == 0:
             grad_v = grad_w  # v = w: the first step reuses its evaluation
         else:
-            q_v, grad_v = inner_q_value_grad(data, v, x)
+            q_v, grad_v, _ = inner_q_value_grad(data, v, x)
             bound = q_v + float(grad_v[grad_v.argmax()]) - float(grad_v.dot(v))
             if bound < upper:
                 upper = bound
@@ -231,7 +250,8 @@ def fista_inner(data: ScenarioData, x: np.ndarray, delta_target: float,
         v *= beta
         v += w
         w_prev = w
-    return InnerResult(w=w, value=q_w, gap=gap, work=it, converged=gap <= delta_target)
+    return InnerResult(w=w, Otw=Otw, value=q_w, gap=gap, work=it,
+                       converged=gap <= delta_target)
 
 
 def hull_oracle(data: ScenarioData, x: np.ndarray, delta: float,
@@ -240,9 +260,9 @@ def hull_oracle(data: ScenarioData, x: np.ndarray, delta: float,
     result = fista_inner(data, x, delta, warm_start=state)
     if not result.converged:
         raise InnerSolverExhausted(result.gap, delta, result.work)
-    state.w = result.w
+    state.w, state.Otw = result.w, result.Otw
     value = 0.5 * data.mu * float(x @ x) + result.value
-    grad = data.mu * x + data.O.T @ result.w
+    grad = data.mu * x + result.Otw
     return OracleReply(value=value, gradient=grad, delta=delta,
                        inner_work=result.work)
 
@@ -254,5 +274,5 @@ def hull_value(data: ScenarioData, x: np.ndarray, precision: float,
     ``state`` is read as a warm start; the oracle updates a fresh state, so
     sampling leaves the run's inner iteration counts unchanged.
     """
-    warm = InnerState(None if state is None else state.w)
+    warm = InnerState() if state is None else InnerState(state.w, state.Otw)
     return hull_oracle(data, x, precision, warm).value

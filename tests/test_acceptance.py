@@ -208,8 +208,8 @@ class TestCriterion6NoiseFreeBound:
         r2 = 0.5
         gaps = {}
 
-        def observer(k, x):
-            gaps[k] = 0.5 * float(x @ x) - 0.25
+        def observer(rec, x):
+            gaps[rec.k] = 0.5 * float(x @ x) - 0.25
 
         _, traj = fgm_run(oracle, lambda k, A: 0.0, 100, x0, 1.0,
                           r2_estimate=r2, observer=observer)

@@ -206,11 +206,14 @@ class TestFgmRun:
 
     def test_iterates_stay_on_simplex(self):
         seen = []
-        fgm_run(quadratic_oracle([2.0, -1.0, 0.0]),
-                constant_schedule(1e-4), 50, np.array([1.0, 0.0, 0.0]),
-                1.0, mu=0.5, observer=lambda k, x: seen.append(x.copy()))
-        assert len(seen) == 50
-        for x in seen:
+        x_end, traj = fgm_run(quadratic_oracle([2.0, -1.0, 0.0]),
+                              constant_schedule(1e-4), 50, np.array([1.0, 0.0, 0.0]),
+                              1.0, mu=0.5, observer=lambda rec, x: seen.append((rec, x.copy())))
+        # the observer sees each accepted step's record, in order
+        assert [rec for rec, _ in seen] == traj
+        assert [rec.k for rec, _ in seen] == list(range(50))
+        assert seen[-1][1].tobytes() == x_end.tobytes()
+        for _, x in seen:
             assert abs(x.sum() - 1.0) <= 1e-12
             assert np.all(x >= -1e-12)
 

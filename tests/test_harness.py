@@ -680,6 +680,187 @@ class TestRunExperiment:
             run_experiment(TINY_EXP2)
 
 
+def _lone_sweeps(cfg):
+    """Single-(delta_ref, N) sweeps of ``cfg``, merged in its loop order."""
+    merged = harness.ExperimentResult([], [], {}, [])
+    for delta_ref in cfg.delta_ref:
+        for N in sorted(cfg.N):
+            part = run_experiment(replace(cfg, delta_ref=(delta_ref,), N=(N,)))
+            merged.records.extend(part.records)
+            merged.summaries.extend(part.summaries)
+            merged.schedules.update(part.schedules)
+            merged.failures.extend(part.failures)
+    return merged
+
+
+def _assert_same_results(got, want, tmp_path):
+    assert got.records == want.records
+    # repr compares the NaN gaps of failed cells too
+    assert repr(got.summaries) == repr(want.summaries)
+    assert got.failures == want.failures
+    assert [(label, s.kind, s.values.tobytes()) for label, s in got.schedules.items()] \
+        == [(label, s.kind, s.values.tobytes()) for label, s in want.schedules.items()]
+    written = [emit_outputs(result, str(tmp_path / name))
+               for name, result in (("multi", got), ("lone", want))]
+    assert [Path(p).name for p in written[0]] == [Path(p).name for p in written[1]]
+    for multi, lone in zip(*written):
+        assert Path(multi).read_bytes() == Path(lone).read_bytes()
+
+
+# unsorted horizons (a, c, b); experiment 3's shortest ends inside the
+# bootstrap
+MULTI_HORIZON = {
+    "exp1": replace(TINY_EXP1, N=(20, 45, 30), delta_ref=(1e-3, 2e-3),
+                    schedules=("tunable", "constant", "poly3", "linear")),
+    "exp2": replace(TINY_EXP2, N=(15, 40, 25), seeds=(0, 1),
+                    schedules=("tunable", "constant", "poly3")),
+    "exp3": replace(TINY_EXP3, N=(30, 80, 60)),
+}
+
+
+class TestHorizonSharing:
+    """A horizon-free family runs once per (delta_ref, family, seed), at the
+    longest horizon; every shorter one must read what a run of its own
+    length gives."""
+
+    @pytest.fixture
+    def shared_fstar(self, monkeypatch):
+        # experiment 1's f* reference runs 4 max(N) steps; the lone sweeps
+        # take the full sweep's
+        real = harness._reference_fstar_exp1
+
+        def patch(cfg):
+            monkeypatch.setattr(harness, "_reference_fstar_exp1",
+                                lambda config, exp: real(replace(config, N=cfg.N), exp))
+        return patch
+
+    @pytest.mark.parametrize("label", sorted(MULTI_HORIZON))
+    def test_matches_single_horizon_sweeps(self, label, tmp_path, shared_fstar):
+        cfg = MULTI_HORIZON[label]
+        shared_fstar(cfg)
+        got = run_experiment(cfg)
+        assert not got.failures
+        _assert_same_results(got, _lone_sweeps(cfg), tmp_path)
+
+    def test_horizon_free_families_run_once(self, monkeypatch):
+        runs = []
+        real = harness._run_one
+
+        def counted(config, exp, name, seed, horizons, schedule_cb):
+            runs.append((name, seed, horizons))
+            return real(config, exp, name, seed, horizons, schedule_cb)
+        monkeypatch.setattr(harness, "_run_one", counted)
+        cfg = MULTI_HORIZON["exp2"]
+        run_experiment(cfg)
+        assert runs == [("tunable", seed, (N,)) for N in (15, 25, 40) for seed in (0, 1)] + [
+            (name, seed, (15, 25, 40)) for name in ("constant", "poly3") for seed in (0, 1)]
+
+    def test_oracle_error_between_horizons(self, monkeypatch, tmp_path, shared_fstar):
+        # the constant runs' oracle raises at step 25 (one oracle call per
+        # fixed step): N = 20 keeps its rows and summary, N = 30 and 45 fail
+        # with the message of a lone run
+        cfg = MULTI_HORIZON["exp1"]
+        shared_fstar(cfg)
+        calls = {}
+        noisy = harness.noisy_oracle
+
+        def breaks(data, x, delta, alpha, rng, cost):
+            if rng is not None and delta in cfg.delta_ref:
+                # the entry keeps the stream alive, so that its id is not reused
+                count = calls.setdefault(id(rng), [rng, 0])
+                count[1] += 1
+                if count[1] > 25:
+                    raise OracleError(f"stream broke at call {count[1]}")
+            return noisy(data, x, delta, alpha, rng, cost)
+        monkeypatch.setattr(harness, "noisy_oracle", breaks)
+        got = run_experiment(cfg)
+        assert [f[:4] for f in got.failures] == [
+            ("constant", seed, N, dref) for dref in cfg.delta_ref
+            for N in (30, 45) for seed in (0, 1)]
+        assert {f[4] for f in got.failures} == {"stream broke at call 26"}
+        gaps = {(s.delta_ref, s.N, s.schedule): s.median_gap for s in got.summaries}
+        assert all(math.isfinite(gaps[dref, 20, "constant"]) for dref in cfg.delta_ref)
+        assert all(math.isnan(gaps[dref, N, "constant"])
+                   for dref in cfg.delta_ref for N in (30, 45))
+        calls.clear()
+        _assert_same_results(got, _lone_sweeps(cfg), tmp_path)
+
+    def test_sampler_error_between_horizons(self, monkeypatch, tmp_path):
+        # the third sample of every run (k = 20) raises: N = 15 is kept
+        cfg = MULTI_HORIZON["exp2"]
+        calls = {}
+        sample = harness.hull_value
+
+        def breaks(data, x, precision, state):
+            count = calls.setdefault(id(state), [state, 0])
+            count[1] += 1
+            if count[1] == 3:
+                raise InnerSolverExhausted(1.0, precision, 7)
+            return sample(data, x, precision, state=state)
+        monkeypatch.setattr(harness, "hull_value", breaks)
+        got = run_experiment(cfg)
+        assert sorted(f[:3] for f in got.failures) == sorted(
+            (name, seed, N) for name in cfg.schedules for seed in cfg.seeds
+            for N in (25, 40))
+        assert {rec.k for rec in got.records} == set(range(15))
+        calls.clear()
+        _assert_same_results(got, _lone_sweeps(cfg), tmp_path)
+
+    def test_terminal_error_fails_its_own_horizon(self, monkeypatch, tmp_path):
+        # the terminal solve of constant, seed 0, N = 25 raises; the run's
+        # other horizons keep their results
+        cfg = MULTI_HORIZON["exp2"]
+        oracle = harness.hull_oracle
+        ends = []
+
+        def record(data, x, delta, state):
+            if delta == FSTAR_PRECISION:
+                ends.append(x.tobytes())
+            return oracle(data, x, delta, state)
+        monkeypatch.setattr(harness, "hull_oracle", record)
+        run_experiment(replace(cfg, N=(25,), seeds=(0,), schedules=("constant",)))
+        (end,) = ends
+
+        def breaks(data, x, delta, state):
+            if delta == FSTAR_PRECISION and x.tobytes() == end:
+                raise InnerSolverExhausted(1.0, delta, 3)
+            return oracle(data, x, delta, state)
+        monkeypatch.setattr(harness, "hull_oracle", breaks)
+        got = run_experiment(cfg)
+        assert [f[:3] for f in got.failures] == [("constant", 0, 25)]
+        _assert_same_results(got, _lone_sweeps(cfg), tmp_path)
+
+    @pytest.mark.parametrize("label", sorted(MULTI_HORIZON))
+    def test_horizon_free_callbacks_agree(self, label):
+        # the invariant sharing relies on: a horizon-free family's callback
+        # built at max N gives each shorter one's delta, for every k < N and
+        # any A_next
+        cfg = MULTI_HORIZON[label]
+        families = set(ALL_SCHEDULES) - {"tunable", "online_tunable"}
+        families.add("online_tunable" if cfg.experiment == 3 else "tunable")
+        cfg = replace(cfg, schedules=tuple(sorted(families)))
+        data = generate_scenarios(cfg.n, cfg.d, cfg.p, DATA_SEED,
+                                  sigma=cfg.sigma, mu=cfg.mu)
+        exp = harness._experiment(cfg, data)
+        rng = np.random.default_rng(cfg.experiment)
+        top = max(cfg.N)
+        certs = fixed_step_certificates(top, exp.L, cfg.mu)
+        free = set()
+        for name in cfg.schedules:
+            for delta_ref in cfg.delta_ref:
+                longest, _, horizon_free = harness._family_schedule(
+                    cfg, name, delta_ref, top, exp)
+                if not horizon_free:
+                    continue
+                free.add(name)
+                for N in sorted(cfg.N)[:-1]:
+                    cb, _, also_free = harness._family_schedule(cfg, name, delta_ref, N, exp)
+                    assert also_free
+                    for k in range(N):
+                        for A_next in (certs[k], *10.0 ** rng.uniform(-3, 9, 3)):
+                            assert cb(k, A_next) == longest(k, A_next), (name, N, k)
+        assert free == families - {"tunable"}
+
 EXPERIMENT_FIXTURE = Path(__file__).with_name("experiment_fixture.json")
 
 
@@ -909,6 +1090,18 @@ class TestCli:
                        "--seeds", "0,-1", "--out", str(tmp_path / "out")])
         assert rc == 1
         assert "seeds >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seeds", ["", ","])
+    def test_experiment_empty_seeds_rejected(self, tmp_path, capsys, seeds):
+        # an empty override is an empty list, not "no override": the file's
+        # seed must not run
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("seeds = 4\n")
+        rc = cli_main(["experiment", "--id", "1", "--config", str(cfg),
+                       "--seeds", seeds, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "seeds must list at least one entry" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_experiment_seeds_use_the_config_grammar(self, tmp_path, monkeypatch):
         # --seeds 3,1 and a config file's "seeds = 3, 1" give the same sweep

@@ -196,6 +196,49 @@ class TestNoisyOracle:
                         inner_work=0.0)
 
 
+def reference_softmax_value_grad(data, x):
+    """``softmax_value_grad`` with the plain reductions; the differential
+    test holds the optimised one to its exact bits."""
+    s = data.O @ x
+    mx = float(s.max())
+    e = np.exp(s - mx)
+    denom = float(e.sum())
+    value = mx + math.log(denom / data.n) + 0.5 * data.mu * float(x @ x)
+    return value, data.O.T @ (e / denom) + data.mu * x
+
+
+def reference_noise(rng, size):
+    """The noise direction of ``noisy_oracle``, normalised by ``np.linalg.norm``."""
+    u = rng.standard_normal(size)
+    return u / np.linalg.norm(u)
+
+
+class TestSoftmaxBitIdentity:
+    # the experiment-1 sizes and two small ones, simplex and spread points
+    @pytest.mark.parametrize("n, d, seed", [(100, 30, 1234), (6, 5, 1), (40, 200, 3)])
+    def test_against_the_plain_reductions(self, n, d, seed):
+        data = generate_scenarios(n, d, 0.5, seed=seed, mu=0.1)
+        rng = np.random.default_rng(seed)
+        points = list(rng.dirichlet(np.ones(d), size=200))
+        points += [50.0 * rng.standard_normal(d) for _ in range(50)]
+        for x in points:
+            value, grad = softmax_value_grad(data, x)
+            ref_value, ref_grad = reference_softmax_value_grad(data, x)
+            assert value == ref_value
+            assert grad.tobytes() == ref_grad.tobytes()
+
+    @pytest.mark.parametrize("d", [2, 30, 200])
+    def test_noise_direction(self, d):
+        data = generate_scenarios(4, d, 1.0, seed=0)
+        x = np.full(d, 1.0 / d)
+        _, grad = softmax_value_grad(data, x)
+        rng, ref_rng = np.random.default_rng(d), np.random.default_rng(d)
+        for _ in range(200):
+            reply = noisy_oracle(data, x, 1e-3, 100.0, rng, POWER_1)
+            expected = grad + 100.0 * 1e-3 * reference_noise(ref_rng, d)
+            assert reply.gradient.tobytes() == expected.tobytes()
+
+
 def analytic_two_scenario_opt(data, x):
     """Closed-form inner maximizer for n == 2 on the segment w = (t, 1-t)."""
     u = data.O[0] - data.O[1]
@@ -211,7 +254,7 @@ class TestInnerProblem:
         data = generate_scenarios(5, 3, 1.0, seed=4)
         x = np.array([0.2, 0.3, 0.5])
         w = np.full(5, 0.2)
-        value, _ = inner_q_value_grad(data, w, x)
+        value, _, _ = inner_q_value_grad(data, w, x)
         assert value == pytest.approx(float(data.theta_bar @ x))
 
     def test_finite_differences(self):
@@ -219,7 +262,7 @@ class TestInnerProblem:
         x = np.full(4, 0.25)
         rng = np.random.default_rng(0)
         w = rng.dirichlet(np.ones(6))
-        _, grad = inner_q_value_grad(data, w, x)
+        _, grad, _ = inner_q_value_grad(data, w, x)
         eps = 1e-6
         for j in range(6):
             e = np.zeros(6)
@@ -242,7 +285,7 @@ class TestFistaInner:
         x = np.array([0.5, 0.25, 0.25])
         _, q_opt = analytic_two_scenario_opt(data, x)
         result = fista_inner(data, x, 1e-10)
-        q_res, _ = inner_q_value_grad(data, result.w, x)
+        q_res, _, _ = inner_q_value_grad(data, result.w, x)
         assert q_opt - q_res == pytest.approx(0.0, abs=1e-8)
         assert q_opt - q_res <= result.gap + 1e-15
 
@@ -290,6 +333,12 @@ class TestFistaInner:
         warm = InnerState(w=results[1e-10].w)
         assert fista_inner(data, x, 1e-6, warm_start=warm).work == 0
         assert len(calls) == 1
+        # a warm start that carries O^T w evaluates its start point without
+        # the seam's product
+        calls.clear()
+        warm = InnerState(w=results[1e-10].w, Otw=results[1e-10].Otw)
+        assert fista_inner(data, x, 1e-6, warm_start=warm).work == 0
+        assert calls == []
 
     def test_one_projection_per_iteration(self, monkeypatch):
         calls = []
@@ -367,7 +416,8 @@ def reference_fista_inner(data, x, delta_target, warm_start=None,
     upper = q_w + float(np.max(grad_w)) - float(grad_w @ w)
     gap = upper - q_w
     if gap <= delta_target:
-        return InnerResult(w=w, value=q_w, gap=gap, work=0, converged=True)
+        return InnerResult(w=w, Otw=data.O.T @ w, value=q_w, gap=gap, work=0,
+                           converged=True)
 
     v = w.copy()
     w_prev = w.copy()
@@ -389,8 +439,10 @@ def reference_fista_inner(data, x, delta_target, warm_start=None,
         upper = min(upper, q_w + float(np.max(grad_w)) - float(grad_w @ w))
         gap = upper - q_w
         if gap <= delta_target:
-            return InnerResult(w=w, value=q_w, gap=gap, work=it, converged=True)
-    return InnerResult(w=w, value=q_w, gap=gap, work=max_inner, converged=False)
+            return InnerResult(w=w, Otw=data.O.T @ w, value=q_w, gap=gap,
+                               work=it, converged=True)
+    return InnerResult(w=w, Otw=data.O.T @ w, value=q_w, gap=gap, work=max_inner,
+                       converged=False)
 
 
 # (n, d): n <= d gives kappa_hat > 0 and the constant momentum, n > d a
@@ -410,6 +462,7 @@ class TestFistaInnerBitIdentity:
         assert result.gap == ref.gap
         assert result.value == ref.value
         assert result.w.tobytes() == ref.w.tobytes()
+        assert result.Otw.tobytes() == ref.Otw.tobytes()
 
     @pytest.mark.parametrize("n, d, sigma, seed", _BIT_IDENTITY_CASES)
     def test_evaluation(self, n, d, sigma, seed):
@@ -421,10 +474,11 @@ class TestFistaInnerBitIdentity:
         points += [w + 0.1 * rng.standard_normal(n) for w in points]
         for w in points:
             w_before, x_before = w.tobytes(), x.tobytes()
-            value, grad = inner_q_value_grad(data, w, x)
+            value, grad, Otw = inner_q_value_grad(data, w, x)
             ref_value, ref_grad = reference_inner_q_value_grad(data, w, x)
             assert value == ref_value
             assert grad.tobytes() == ref_grad.tobytes()
+            assert Otw.tobytes() == (data.O.T @ w).tobytes()
             assert w.tobytes() == w_before and x.tobytes() == x_before
 
     @pytest.mark.parametrize("n, d, sigma, seed", _BIT_IDENTITY_CASES)
@@ -437,7 +491,9 @@ class TestFistaInnerBitIdentity:
         inputs = x.tobytes(), prev.w.tobytes()
         works = []
         for target in (1e-2, 1e-5, 1e-9):
-            for start in (None, InnerState(w=prev.w)):
+            # a warm start that carries O^T w (the reference's cold product)
+            # gives the bits of the one that does not
+            for start in (None, InnerState(w=prev.w), InnerState(w=prev.w, Otw=prev.Otw)):
                 result = fista_inner(data, x, target, warm_start=start)
                 self.assert_identical(
                     result,
@@ -445,6 +501,22 @@ class TestFistaInnerBitIdentity:
                 works.append(result.work)
         assert (x.tobytes(), prev.w.tobytes()) == inputs
         assert min(works) >= 1 and max(works) >= 30
+
+    @pytest.mark.parametrize("n, d, sigma, seed", _BIT_IDENTITY_CASES)
+    def test_oracle_gradient_over_a_warm_chain(self, n, d, sigma, seed):
+        # the oracle's gradient is mu x + O^T w with the product carried out
+        # of the inner solver; it must keep the bits of the product formed
+        # afresh at the returned w, along a chain of warm-started calls
+        data = generate_scenarios(n, d, 0.2, seed=seed, sigma=sigma, mu=0.1)
+        rng = np.random.default_rng(seed)
+        state, ref_w = InnerState(), None
+        for x in rng.dirichlet(np.ones(d), size=6):
+            reply = hull_oracle(data, x, 1e-6, state)
+            ref = reference_fista_inner(data, x, 1e-6, warm_start=InnerState(w=ref_w))
+            ref_w = ref.w
+            assert reply.inner_work == ref.work
+            assert reply.value == 0.5 * data.mu * float(x @ x) + ref.value
+            assert reply.gradient.tobytes() == (data.mu * x + data.O.T @ ref.w).tobytes()
 
     def test_exhausted_exit(self, monkeypatch):
         data = generate_scenarios(30, 10, 0.2, seed=6, sigma=1.0)
