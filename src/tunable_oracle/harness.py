@@ -19,7 +19,6 @@ which builds it, is the only function on the run path that reads the id.
 from __future__ import annotations
 
 import csv
-import functools
 import math
 import os
 import statistics
@@ -252,7 +251,8 @@ def baseline_schedule(name: str, delta_ref: float, mu: float, L: float,
     elif name == "poly3":
         values = delta_ref * (k + 1.0) ** -3.0
     elif name == "linear":
-        values = delta_ref * _linear_base(mu, L) ** -k
+        with np.errstate(over="ignore"):  # inf once k |log base| passes ~709
+            values = delta_ref * _linear_base(mu, L) ** -k
     else:
         raise HarnessError(f"unknown baseline {name!r}")
     return Schedule(values, "accuracy")
@@ -338,8 +338,7 @@ class _Experiment:
     hi: float              # largest request the oracle's cost admits
     adaptive: bool
     fstar: float | None    # shared f*; None: the best end point of each cell
-    oracle: Callable       # (inner state, noise rng, x, delta) -> OracleReply
-    sample: Callable       # (x, inner state) -> sampled objective value
+    start: Callable        # noise rng -> one run's (oracle(x, delta), sample(x))
     terminal: Callable     # x -> (value, gradient) of a run's end point
 
 
@@ -357,12 +356,16 @@ def _experiment(config: ExperimentConfig, data: ScenarioData) -> _Experiment:
         exp = _Experiment(
             cost=cost, L=L, lo=0.0, hi=cost.delta_max,
             adaptive=False, fstar=None,
-            oracle=lambda _state, rng, x, delta: noisy_oracle(
-                data, x, delta, ALPHA, rng, cost),
-            sample=lambda x, _state: softmax_value_grad(data, x)[0],
+            start=lambda rng: (lambda x, delta: noisy_oracle(data, x, delta, ALPHA, rng, cost),
+                               lambda x: softmax_value_grad(data, x)[0]),
             terminal=lambda x: softmax_value_grad(data, x))
         # the noise-free reference depends on max(N) only, so it runs once
         return replace(exp, fstar=_reference_fstar_exp1(config, exp))
+
+    def start(_rng):  # the run's oracle and sampler share its warm start
+        state = InnerState()
+        return (lambda x, delta: hull_oracle(data, x, delta, state),
+                lambda x: hull_value(data, x, SAMPLE_PRECISION, state=state))
 
     def terminal(x):  # a cold solve, apart from the run's warm start
         reply = hull_oracle(data, x, FSTAR_PRECISION, InnerState())
@@ -370,10 +373,7 @@ def _experiment(config: ExperimentConfig, data: ScenarioData) -> _Experiment:
     return _Experiment(
         # the hull oracle charges its measured inner iterations, not the model
         cost=cost, L=L, lo=ORACLE_FLOOR, hi=math.inf, adaptive=config.experiment == 3,
-        fstar=None,
-        oracle=lambda state, _rng, x, delta: hull_oracle(data, x, delta, state),
-        sample=lambda x, state: hull_value(data, x, SAMPLE_PRECISION, state=state),
-        terminal=terminal)
+        fstar=None, start=start, terminal=terminal)
 
 
 def _reference_fstar_exp1(config: ExperimentConfig, exp: _Experiment) -> float:
@@ -384,8 +384,8 @@ def _reference_fstar_exp1(config: ExperimentConfig, exp: _Experiment) -> float:
     while n_ref < 4 * max(config.N) and A < 1e18:
         A = next_certificate(A, exp.L, config.mu)
         n_ref += 1
-    # delta = 0 draws no noise: the oracle needs no inner state and no stream
-    x_hat, _ = fgm_run(functools.partial(exp.oracle, None, None), lambda k, A: 0.0,
+    # delta = 0 draws no noise: the oracle needs no stream
+    x_hat, _ = fgm_run(exp.start(None)[0], lambda k, A: 0.0,
                        n_ref, np.full(config.d, 1.0 / config.d), exp.L, config.mu)
     f, g = exp.terminal(x_hat)
     return estimate_fstar(f, g, x_hat, config.mu)
@@ -403,17 +403,18 @@ def _tunable_values(config: ExperimentConfig, steps: int, delta_ref: float,
     return a, solve_accuracy(problem)[0]
 
 
+_HORIZON_BOUND = ("tunable",)  # the families whose requests read N: one run per N
+
+
 def _family_schedule(config: ExperimentConfig, name: str, delta_ref: float,
                      N: int, exp: _Experiment):
-    """The step callback ``(k, A_next) -> delta`` of one family, its schedule
-    to emit (None when online) and whether the family is horizon-free; a
-    failed build raises SolverError.
+    """The step callback ``(k, A_next) -> delta`` of one family and its
+    schedule to emit (None when online); a failed build raises SolverError.
 
-    A horizon-free family's callback built at N gives, for every k < N and
-    any A_next, the delta of its callback built at any longer horizon. The
-    sweep then runs it once at its longest horizon and reads every shorter
-    one off that run. A family whose requests depend on N (``tunable``
-    solves over its horizon) says False and runs once per N.
+    A family not in ``_HORIZON_BOUND`` is horizon-free: its callback built at
+    N gives, for every k < N and any A_next, the delta of its callback built
+    at any longer horizon. The sweep then runs it once at its longest horizon
+    and reads every shorter one off that run.
     """
     box = (exp.lo, config.M * delta_ref)  # the cost model ends at M δ̄
     if name == "online_tunable":
@@ -425,7 +426,7 @@ def _family_schedule(config: ExperimentConfig, name: str, delta_ref: float,
             if k < N_R:
                 return boot.values[k]
             return online_extend_accuracy(last, (A_next, 1.0), exp.cost.r, box)
-        return online, None, True
+        return online, None
     if name == "tunable":
         sched = _tunable_values(config, N, delta_ref, exp)[1]
     else:  # baseline requests are clipped into the box
@@ -436,8 +437,7 @@ def _family_schedule(config: ExperimentConfig, name: str, delta_ref: float,
         k = int(over[0])
         raise SolverError(f"the {name} schedule asks the {exp.cost.kind} cost for delta > "
                           f"{exp.hi:g} at k = {k}: delta = {float(sched.values[k])!r}")
-    # a baseline's delta_k is a function of k alone; tunable solves over N
-    return (lambda k, _A_next: sched.values[k]), sched, name != "tunable"
+    return (lambda k, _A_next: sched.values[k]), sched
 
 
 _NUMERICAL = (OracleError, FgmError, SolverError)  # fail a run, not the sweep
@@ -452,12 +452,12 @@ def _run_one(config: ExperimentConfig, exp: _Experiment, name: str,
     N > k; a failed terminal solve fails its own horizon."""
     x0_rng, noise_rng = _seed_streams(config, seed)
     x0 = x0_rng.dirichlet(np.ones(config.d))
-    state = InnerState()  # the hull oracle's warm start; unused in experiment 1
+    oracle, sample = exp.start(noise_rng)
     records: list[RunRecord] = []
     ends: dict[int, np.ndarray] = {}  # N -> x after step N - 1
 
     def observer(rec, x):
-        objective = exp.sample(x, state) if rec.k % config.sample_every == 0 else None
+        objective = sample(x) if rec.k % config.sample_every == 0 else None
         cum_work = (records[-1].cum_work if records else 0.0) + rec.omega
         records.append(RunRecord(
             experiment=config.experiment, schedule=name, seed=seed, k=rec.k,
@@ -468,9 +468,8 @@ def _run_one(config: ExperimentConfig, exp: _Experiment, name: str,
 
     error = None
     try:
-        fgm_run(functools.partial(exp.oracle, state, noise_rng), schedule_cb,
-                max(horizons), x0, exp.L, config.mu, adaptive=exp.adaptive,
-                observer=observer)
+        fgm_run(oracle, schedule_cb, max(horizons), x0, exp.L, config.mu,
+                adaptive=exp.adaptive, observer=observer)
     except _NUMERICAL as exc:
         error = str(exc)  # the horizons the run did not reach fail with it
 
@@ -499,40 +498,32 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     seeds, horizons = sorted(config.seeds), sorted(config.N)
     for delta_ref in config.delta_ref:
-        # (name, N) -> schedule to emit; (name, seed, N) -> what a run of N
-        # steps alone gives: (records, terminal), or its failure message
-        emitted: dict[tuple, Schedule | None] = {}
+        # (name, seed, N) -> what a run of N steps alone gives: (records,
+        # terminal), or its failure message
         outcome: dict[tuple, tuple | str] = {}
         for name in config.schedules:
             callbacks: dict[int, Callable] = {}  # horizon -> step callback
             for N in horizons:
                 try:
-                    schedule_cb, emitted[name, N], horizon_free = _family_schedule(
-                        config, name, delta_ref, N, exp)
+                    callbacks[N], sched = _family_schedule(config, name, delta_ref, N, exp)
                 except SolverError as exc:
                     # a failed build fails its family's runs, not the sweep
                     outcome.update({(name, seed, N): str(exc) for seed in seeds})
                     continue
-                callbacks[N] = schedule_cb
-            # a horizon-free family runs once, with its longest callback
-            groups = ([(tuple(callbacks), callbacks[max(callbacks)])]
-                      if callbacks and horizon_free
-                      else [((N,), cb) for N, cb in callbacks.items()])
+                if sched is not None:
+                    schedules[f"{name}_N{N}_dref{float(delta_ref)!r}"] = sched
+            groups = [((N,), cb) for N, cb in callbacks.items()]
+            if callbacks and name not in _HORIZON_BOUND:  # horizon-free: run once, at max N
+                groups = [(tuple(callbacks), callbacks[max(callbacks)])]
             for served, schedule_cb in groups:
                 for seed in seeds:
-                    try:
-                        by_N = _run_one(config, exp, name, seed, served, schedule_cb)
-                    except _NUMERICAL as exc:
-                        # a programming error still raises
-                        by_N = dict.fromkeys(served, str(exc))
+                    by_N = _run_one(config, exp, name, seed, served, schedule_cb)
                     outcome.update({(name, seed, N): got for N, got in by_N.items()})
 
         for N in horizons:
             # (name, seed) -> (terminal x, value, gradient, total work)
             terminals: dict[tuple, tuple] = {}
             for name in config.schedules:
-                if emitted.get((name, N)) is not None:
-                    schedules[f"{name}_N{N}_dref{float(delta_ref)!r}"] = emitted[name, N]
                 for seed in seeds:
                     got = outcome[name, seed, N]
                     if isinstance(got, str):

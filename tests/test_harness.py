@@ -626,6 +626,21 @@ class TestRunExperiment:
             assert all(math.isfinite(by[(name, N)]) for name in others
                        if name != "linear")
 
+    def test_long_linear_baseline_is_capped_not_raised(self):
+        # (1 - sqrt(mu/L))^-k overflows past k ~ 2880 here; the inf is capped
+        # at M delta_ref like every request above it, and the certificate
+        # overflow of the run fails the horizon it does not reach, not the sweep
+        cfg = ExperimentConfig(experiment=2, d=20, n=10, p=0.2, sigma=1e-3, mu=100.0,
+                               r=1.0, delta_ref=(1e-3,), N=(1000, 3000), seeds=(0,),
+                               schedules=("constant", "linear"), sample_every=10**9)
+        result = run_experiment(cfg)
+        assert [f[:3] for f in result.failures] == [("constant", 0, 3000), ("linear", 0, 3000)]
+        assert {f[-1] for f in result.failures} == {"certificate overflow at iteration 1624"}
+        gaps = {(row.schedule, row.N): row.median_gap for row in result.summaries}
+        assert all(math.isfinite(gaps[name, 1000]) for name in cfg.schedules)
+        linear = result.schedules["linear_N3000_dref0.001"].values
+        assert linear.max() == cfg.M * 1e-3
+
     @pytest.mark.parametrize("r", [0.0, 1.0])
     def test_exp1_baselines_stay_in_the_box(self, r):
         # unclipped, the linear baseline grows past 1, where the log cost
@@ -698,8 +713,9 @@ def _assert_same_results(got, want, tmp_path):
     # repr compares the NaN gaps of failed cells too
     assert repr(got.summaries) == repr(want.summaries)
     assert got.failures == want.failures
-    assert [(label, s.kind, s.values.tobytes()) for label, s in got.schedules.items()] \
-        == [(label, s.kind, s.values.tobytes()) for label, s in want.schedules.items()]
+    # a sweep stores each schedule as it builds it; the files come out by label
+    assert {label: (s.kind, s.values.tobytes()) for label, s in got.schedules.items()} \
+        == {label: (s.kind, s.values.tobytes()) for label, s in want.schedules.items()}
     written = [emit_outputs(result, str(tmp_path / name))
                for name, result in (("multi", got), ("lone", want))]
     assert [Path(p).name for p in written[0]] == [Path(p).name for p in written[1]]
@@ -845,21 +861,16 @@ class TestHorizonSharing:
         rng = np.random.default_rng(cfg.experiment)
         top = max(cfg.N)
         certs = fixed_step_certificates(top, exp.L, cfg.mu)
-        free = set()
-        for name in cfg.schedules:
+        free = [name for name in cfg.schedules if name not in harness._HORIZON_BOUND]
+        for name in free:
             for delta_ref in cfg.delta_ref:
-                longest, _, horizon_free = harness._family_schedule(
-                    cfg, name, delta_ref, top, exp)
-                if not horizon_free:
-                    continue
-                free.add(name)
+                longest, _ = harness._family_schedule(cfg, name, delta_ref, top, exp)
                 for N in sorted(cfg.N)[:-1]:
-                    cb, _, also_free = harness._family_schedule(cfg, name, delta_ref, N, exp)
-                    assert also_free
+                    cb, _ = harness._family_schedule(cfg, name, delta_ref, N, exp)
                     for k in range(N):
                         for A_next in (certs[k], *10.0 ** rng.uniform(-3, 9, 3)):
                             assert cb(k, A_next) == longest(k, A_next), (name, N, k)
-        assert free == families - {"tunable"}
+        assert set(free) == families - {"tunable"}
 
 EXPERIMENT_FIXTURE = Path(__file__).with_name("experiment_fixture.json")
 
@@ -1060,13 +1071,9 @@ class TestCli:
                                                           monkeypatch):
         # 1e-3 and 1.0000001e-3 print alike under :g; the summary and FAILED
         # lines use the repr of the float, like the schedule file labels
-        real_run = harness._run_one
-
-        def tunable_fails(config, data, name, *args):
-            if name == "tunable":
-                raise OracleError("tunable run failed")
-            return real_run(config, data, name, *args)
-        monkeypatch.setattr(harness, "_run_one", tunable_fails)
+        def tunable_fails(problem):
+            raise SolverError("tunable build failed")
+        monkeypatch.setattr(harness, "solve_accuracy", tunable_fails)
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("d = 5\nn = 6\np = 1\nr = 1\nmu = 0.1\nN = 10\nseeds = 0\n"
                        "delta_ref = 1e-3, 1.0000001e-3\n"

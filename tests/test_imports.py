@@ -6,8 +6,9 @@ package or the benchmark, every import site the benchmark's tracer wraps
 exists, only the harness imports ``csv``, only the harness's experiment
 record and config validation branch on the experiment id, only
 ``accuracy_problem`` and ``_transient`` branch on the cost kind in the
-schedule solver, and the harness and the oracles test neither a cost kind
-nor the exponent r outside the harness's one r -> cost model function.
+schedule solver, the harness and the oracles test neither a cost kind
+nor the exponent r outside the harness's one r -> cost model function, and
+the harness's run path names no oracle, no inner state and no family.
 
 No lint tool is part of the toolchain, so these tests walk each module's
 syntax tree with the standard-library ``ast`` module. The import guard skips
@@ -19,6 +20,8 @@ import importlib
 from pathlib import Path
 
 import pytest
+
+from tunable_oracle.harness import ALL_SCHEDULES
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "tunable_oracle"
@@ -337,6 +340,56 @@ def test_detects_an_experiment_id_branch():
     assert attribute_branches(
         planted, "experiment", {"ExperimentConfig.__post_init__", "_experiment"}) == [
             f"_planted (line {line})"]
+
+
+def run_path_names(source: str, functions: set[str], names: set[str],
+                   literals: set[str]) -> list[str]:
+    """Where the top-level functions of ``source`` named in ``functions``
+    name one of ``names`` (loaded or as an attribute) or hold a string
+    literal in ``literals``."""
+    found = []
+    for node in ast.parse(source).body:
+        if getattr(node, "name", None) not in functions:
+            continue
+        for child in ast.walk(node):
+            name = getattr(child, "id", getattr(child, "attr", None))
+            if isinstance(child, ast.Constant) and child.value in literals:
+                name = repr(child.value)
+            elif name not in names:
+                continue
+            found.append((child.lineno, node.name, name))
+    return [f"{func}: {name} (line {line})" for line, func, name in sorted(found)]
+
+
+RUN_PATH = {"_run_one", "run_experiment"}
+RUN_PATH_NAMES = {"InnerState", "hull_oracle", "hull_value", "noisy_oracle",
+                  "softmax_value_grad"}
+
+
+def test_the_run_path_names_no_oracle_and_no_family():
+    # each run's oracle and sampler come from the experiment record, and the
+    # horizon-dependent families are named once, outside the run path
+    source = (PACKAGE / "harness.py").read_text()
+    assert run_path_names(source, RUN_PATH, RUN_PATH_NAMES, set(ALL_SCHEDULES)) == []
+
+
+def test_detects_a_run_path_name():
+    source = ("def _run_one(exp, h):\n    state = InnerState()\n"
+              "    return h.hull_value(state), 'tunable', 'tuna'\n"
+              "def run_experiment(names):\n    return 'constant' in names\n"
+              "def _other():\n    return InnerState(), 'tunable'\n")
+    assert run_path_names(source, RUN_PATH, RUN_PATH_NAMES, set(ALL_SCHEDULES)) == [
+        "_run_one: InnerState (line 2)", "_run_one: 'tunable' (line 3)",
+        "_run_one: hull_value (line 3)", "run_experiment: 'constant' (line 5)"]
+    # a family test planted in the real run_experiment is found, and only it
+    harness = (PACKAGE / "harness.py").read_text()
+    head, tail = harness.split("def run_experiment(", 1)
+    body, rest = tail.split("    for delta_ref in config.delta_ref:\n", 1)
+    planted = (f"{head}def run_experiment({body}    assert 'poly3'\n"
+               f"    for delta_ref in config.delta_ref:\n{rest}")
+    line = len(f"{head}def run_experiment({body}".splitlines()) + 1
+    assert run_path_names(planted, RUN_PATH, RUN_PATH_NAMES, set(ALL_SCHEDULES)) == [
+        f"run_experiment: 'poly3' (line {line})"]
 
 
 KIND_READERS = {"accuracy_problem", "_transient"}
