@@ -16,8 +16,8 @@ import argparse
 import sys
 
 from .cost_models import LOG_SQUARED, LOGARITHMIC, POWER, CostModel
-from .harness import (_parse_value, emit_outputs, export_schedule, import_coefficients,
-                      load_config, run_experiment, toy_instance)
+from .harness import (emit_outputs, export_schedule, import_coefficients, load_config,
+                      run_experiment, toy_instance)
 from .schedule_solver import (
     ScheduleProblem,
     WorkProblem,
@@ -77,8 +77,7 @@ def _cmd_schedule(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    seeds = _parse_value("seeds", args.seeds) if args.seeds is not None else None
-    config = load_config(args.config, experiment=args.id, seeds=seeds)
+    config = load_config(args.config, experiment=args.id, seeds=args.seeds)
     result = run_experiment(config)
     written = emit_outputs(result, args.out)
     for path in written:

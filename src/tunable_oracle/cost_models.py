@@ -123,9 +123,9 @@ def lambert_w0(x, guess=None):
     fall short. Accepts scalars and arrays; iterates in place on work arrays
     like ``x``.
 
-    The start is ``guess`` where given (shaped like ``x``, clamped to
-    [0, log(largest double)]) and a piecewise guess where ``guess`` is None
-    or NaN. A float64 array ``guess`` is iterated in place and holds the
+    The start is ``guess`` (shaped like ``x``, clamped to [0, log(largest
+    double)]) and a piecewise guess where it is NaN; no guess is an all-NaN
+    guess. A float64 array ``guess`` is iterated in place and holds the
     result on return. Precondition: a guess within 1 of the root converges
     in a few steps; from farther above, the first step falls near 0 and the
     iteration climbs about 2 per step, so it can run out of steps.
@@ -136,21 +136,20 @@ def lambert_w0(x, guess=None):
     xv = np.atleast_1d(xs)
 
     if guess is None:
-        w = _w0_start(xv, np.empty_like(xv))
-    else:
-        w = np.atleast_1d(np.asarray(guess, dtype=float))
-        if w.shape != xv.shape:
-            raise CostModelError("lambert_w0 guess must be shaped like x")
-        # w >= 0 keeps u = x*exp(-w) <= x below; the cap keeps the stop test
-        # from passing far above the root
-        np.clip(w, 0.0, _W_MAX, out=w)
-        cold = np.isnan(w)
-        if cold.all():
-            _w0_start(xv, w)
-        elif cold.any():
-            xc = xv[cold]
-            w[cold] = _w0_start(xc, np.empty_like(xc))
-        del cold
+        guess = np.full(xv.shape, math.nan)
+    w = np.atleast_1d(np.asarray(guess, dtype=float))
+    if w.shape != xv.shape:
+        raise CostModelError("lambert_w0 guess must be shaped like x")
+    # w >= 0 keeps u = x*exp(-w) <= x below; the cap keeps the stop test
+    # from passing far above the root
+    np.clip(w, 0.0, _W_MAX, out=w)
+    cold = np.isnan(w)
+    if cold.all():
+        _w0_start(xv, w)
+    elif cold.any():
+        xc = xv[cold]
+        w[cold] = _w0_start(xc, np.empty_like(xc))
+    del cold
 
     u, f, den, tol = (np.empty_like(w) for _ in range(4))
     done = np.empty(w.shape, dtype=bool)

@@ -1,7 +1,8 @@
 """Experiment harness: builds budget-matched inexactness schedules, runs the
 inexact fast gradient method over seeded instances, and aggregates the
 trajectories into deterministic CSV outputs. Every CSV file the package
-reads or writes goes through the one reader and one writer of this module.
+writes goes through the one writer of this module, and every file it reads
+is a coefficient file, read by ``import_coefficients``.
 
 Three experiments are supported:
 
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import os
 import statistics
 from dataclasses import dataclass, fields, replace
@@ -85,6 +87,14 @@ class ExperimentConfig:
     sample_every: int = 10
 
     def __post_init__(self):
+        # only the file parser applies the annotations: check the int fields
+        # and tuple[int, ...] entries here (a bool is not a count)
+        for name, kind in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            entries = value if kind == tuple[int, ...] else (value,) if kind is int else ()
+            if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
+                       for v in entries):
+                raise HarnessError(f"{name} must hold integers, got {value!r}")
         if self.experiment not in (1, 2, 3):
             raise HarnessError(f"unknown experiment {self.experiment}")
         if min(self.d, self.n) < 1 or self.p <= 0.0:
@@ -216,13 +226,12 @@ def parse_config_text(text: str) -> dict:
     return out
 
 
-def load_config(path: str, experiment: int,
-                seeds: tuple[int, ...] | None = None) -> ExperimentConfig:
+def load_config(path: str, experiment: int, seeds: str | None = None) -> ExperimentConfig:
+    # ``seeds``, comma-separated as in the file, parses first and overrides it
+    pinned = {} if seeds is None else {"seeds": _parse_value("seeds", seeds)}
     with open(path) as fh:
         overrides = parse_config_text(fh.read())
-    if seeds is not None:
-        overrides["seeds"] = tuple(seeds)
-    return replace(default_config(experiment), **overrides)
+    return replace(default_config(experiment), **{**overrides, **pinned})
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +408,10 @@ def _tunable_values(config: ExperimentConfig, steps: int, delta_ref: float,
         a, b = impact_coefficients_fgm(fixed_step_certificates(steps, exp.L, config.mu))
     except ValueError as exc:  # the certificates overflow or stop growing
         raise SolverError(f"no FGM impact row of {steps} steps: {exc}") from exc
-    problem = ScheduleProblem(a, b, delta_ref, exp.lo / delta_ref, config.M, exp.cost)
+    m = exp.lo / delta_ref
+    if m * delta_ref < exp.lo:  # the solver's box starts at m * delta_ref
+        m = math.nextafter(m, math.inf)
+    problem = ScheduleProblem(a, b, delta_ref, m, config.M, exp.cost)
     return a, solve_accuracy(problem)[0]
 
 
@@ -553,7 +565,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
 
 # ---------------------------------------------------------------------------
-# CSV files: every file the package reads or writes passes through these two
+# CSV files: every file the package writes passes through ``_write_csv``, and
+# ``import_coefficients`` is its one reader
 # ---------------------------------------------------------------------------
 
 def _fmt(value) -> str:
@@ -571,20 +584,23 @@ def _write_csv(path: str, header, rows):
         writer.writerows([_fmt(cell) for cell in row] for row in rows)
 
 
-def _read_csv(path: str, header: list) -> np.ndarray:
-    """The float columns after ``k`` of a file with exactly ``header``, as a
-    (rows x columns) array; every row must have the header's width, and k
-    must count 0, 1, 2, ... down the rows."""
+def export_schedule(s: Schedule, path: str):
+    column = "delta" if s.kind == "accuracy" else "omega"
+    _write_csv(path, ["k", column], enumerate(s.values))
+
+
+def import_coefficients(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """The a and b columns of a file with header exactly ``k,a,b``; every
+    row must have three cells, and k must count 0, 1, 2, ... down the rows."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         found = next(reader, None)
-        if found != header:
+        if found != ["k", "a", "b"]:
             raise HarnessError(f"{path}: unexpected header {found!r}")
         values = []
         for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise HarnessError(f"{path}: line {lineno} has {len(row)} cells, "
-                                   f"not {len(header)}")
+            if len(row) != 3:
+                raise HarnessError(f"{path}: line {lineno} has {len(row)} cells, not 3")
             if row[0] != str(lineno - 2):
                 raise HarnessError(f"{path}: line {lineno}: k must be "
                                    f"{lineno - 2}, got {row[0]!r}")
@@ -592,17 +608,8 @@ def _read_csv(path: str, header: list) -> np.ndarray:
                 values.append([float(cell) for cell in row[1:]])
             except ValueError as exc:
                 raise HarnessError(f"{path}: line {lineno}: {exc}") from exc
-    return np.array(values).reshape(len(values), len(header) - 1)
-
-
-def export_schedule(s: Schedule, path: str):
-    column = "delta" if s.kind == "accuracy" else "omega"
-    _write_csv(path, ["k", column], enumerate(s.values))
-
-
-def import_coefficients(path: str) -> tuple[np.ndarray, np.ndarray]:
-    values = _read_csv(path, ["k", "a", "b"])
-    return values[:, 0], values[:, 1]
+    a, b = np.array(values).reshape(len(values), 2).T
+    return a, b
 
 
 def emit_outputs(result: ExperimentResult, out_dir: str) -> list[str]:

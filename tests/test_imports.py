@@ -8,7 +8,8 @@ record and config validation branch on the experiment id, only
 ``accuracy_problem`` and ``_transient`` branch on the cost kind in the
 schedule solver, the harness and the oracles test neither a cost kind
 nor the exponent r outside the harness's one r -> cost model function, and
-the harness's run path names no oracle, no inner state and no family.
+the harness's run path names no oracle, no inner state and no family, and
+the CLI imports no private name of the package.
 
 No lint tool is part of the toolchain, so these tests walk each module's
 syntax tree with the standard-library ``ast`` module. The import guard skips
@@ -238,6 +239,27 @@ def test_detects_a_csv_import():
     assert imports_module("def f():\n    from csv import writer\n", "csv")
     assert imports_module("import os, csv as c\n", "csv")
     assert not imports_module("import csvkit\nfrom .csv import x\n", "csv")
+
+
+def private_relative_imports(source: str) -> list[str]:
+    """``_``-prefixed names that relative imports in ``source`` bind, by the
+    name imported (an alias does not hide it)."""
+    return [f"{alias.name} (line {node.lineno})" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level > 0
+            for alias in node.names if alias.name.startswith("_")]
+
+
+def test_the_cli_imports_only_public_names():
+    # the CLI reaches the package through its public functions; a private
+    # helper imported here is a second way to do what one of them does
+    assert private_relative_imports((PACKAGE / "cli.py").read_text()) == []
+
+
+def test_detects_a_private_relative_import():
+    source = ("from .harness import (load_config,\n    _parse_value)\n"
+              "from ._private import x\nfrom os import _exit\n"
+              "def f():\n    from .a import _g as g\n    return g\n")
+    assert private_relative_imports(source) == ["_parse_value (line 1)", "_g (line 6)"]
 
 
 def tracer_sites(source: str) -> list[tuple[str, str]]:
