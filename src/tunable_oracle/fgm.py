@@ -57,6 +57,8 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     recorded runs pin exact inner iteration counts.
     """
     v = np.asarray(v, dtype=float)
+    if v.ndim != 1:
+        raise FgmError(f"can only project a 1-D vector, got shape {v.shape}")
     n = v.size
     if n == 0:
         raise FgmError("cannot project an empty vector")
@@ -66,7 +68,7 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     if not (math.isfinite(u[0]) and math.isfinite(u[-1])):
         raise FgmError("cannot project a non-finite vector")
     u = u[::-1]
-    thresholds = u.cumsum()
+    thresholds = np.add.accumulate(u)  # u.cumsum() without the method dispatch
     thresholds -= 1.0
     thresholds /= _ranks(n)  # (u_1 + ... + u_k - 1) / k for rank k
     # u - t > 0 exactly when u > t: an IEEE difference has the exact sign
@@ -124,6 +126,8 @@ def fgm_run(oracle: Callable[[np.ndarray, float], "object"],
     if not 0.0 < L < math.inf or mu < 0.0:
         raise FgmError("need a finite L > 0 and mu >= 0")
     x = np.asarray(x0, dtype=float).copy()
+    if x.ndim != 1:
+        raise FgmError(f"x0 must be a 1-D vector, got shape {x.shape}")
     if not np.isfinite(x).all() or abs(x.sum() - 1.0) > 1e-9 or np.any(x < -1e-12):
         raise FgmError("x0 must lie in the unit simplex")
     z = x.copy()
@@ -145,13 +149,17 @@ def fgm_run(oracle: Callable[[np.ndarray, float], "object"],
             if not math.isfinite(A_next):
                 raise FgmError(f"certificate overflow at iteration {k}")
             alpha = (A_next - A) / A_next
-            y = (1.0 - alpha) * x + alpha * z
+            x_part = (1.0 - alpha) * x  # shared by y and x_new
+            y = x_part + alpha * z
             delta_k = float(schedule(k, A_next))
             reply_y = oracle(y, delta_k)
             omega_k += reply_y.inner_work
             coef = (A_next - A) / (1.0 + mu * A_next)
-            z_new = project_simplex(z - coef * (reply_y.gradient + mu * (z - y)))
-            x_new = (1.0 - alpha) * x + alpha * z_new
+            grad = reply_y.gradient
+            if mu:  # at mu = 0 the term is +-0, which can flip only a zero's sign
+                grad = grad + mu * (z - y)
+            z_new = project_simplex(z - coef * grad)
+            x_new = x_part + alpha * z_new
             if not adaptive:
                 break
             reply_x = oracle(x_new, delta_k)

@@ -228,7 +228,10 @@ def parse_config_text(text: str) -> dict:
 
 def load_config(path: str, experiment: int, seeds: str | None = None) -> ExperimentConfig:
     # ``seeds``, comma-separated as in the file, parses first and overrides it
-    pinned = {} if seeds is None else {"seeds": _parse_value("seeds", seeds)}
+    try:
+        pinned = {} if seeds is None else {"seeds": _parse_value("seeds", seeds)}
+    except ValueError as exc:
+        raise HarnessError(f"seeds override: bad value for 'seeds': {exc}") from exc
     with open(path) as fh:
         overrides = parse_config_text(fh.read())
     return replace(default_config(experiment), **{**overrides, **pinned})

@@ -114,9 +114,12 @@ def softmax_value_grad(data: ScenarioData, x: np.ndarray) -> tuple[float, np.nda
     mx = float(s[s.argmax()])
     e = np.exp(s - mx)
     denom = float(np.add.reduce(e))
-    value = mx + math.log(denom / data.n) + 0.5 * data.mu * float(x @ x)
-    weights = e / denom
-    grad = data.O.T @ weights + data.mu * x
+    value = mx + math.log(denom / data.n)
+    grad = data.O.T @ (e / denom)
+    # at mu = 0 each term adds a zero, which can change only a zero's sign
+    if data.mu:
+        value += 0.5 * data.mu * float(x @ x)
+        grad += data.mu * x
     return value, grad
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,8 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tunable_oracle.certificates import next_certificate
 from tunable_oracle.fgm import (
     FgmError,
+    IterationRecord,
     fgm_run,
     line_search_validate,
     project_simplex,
@@ -44,6 +47,72 @@ def reference_project_simplex(v):
     rho = int(np.nonzero(cond)[0][-1])
     tau = css[rho] / (rho + 1.0)
     return np.maximum(v - tau, 0.0)
+
+
+def reference_fgm_run(oracle, schedule, N, x0, L, mu, adaptive, r2_estimate):
+    """``fgm_run``'s loop as first written, on the reference projection: it
+    always adds mu * (z - y) and forms (1 - alpha) * x for y and x_new apart.
+    Returns every accepted iterate and record."""
+    x = np.asarray(x0, dtype=float).copy()
+    z = x.copy()
+    A = 0.0
+    weighted_delta = 0.0
+    iterates, records = [], []
+    L_next = L
+    for k in range(N):
+        L_try = min(max(L_next / 1.5, mu, 1e-300), L) if adaptive else L
+        omega_k = 0.0
+        retries = 0
+        while True:
+            A_next = next_certificate(A, L_try, mu)
+            alpha = (A_next - A) / A_next
+            y = (1.0 - alpha) * x + alpha * z
+            delta_k = float(schedule(k, A_next))
+            reply_y = oracle(y, delta_k)
+            omega_k += reply_y.inner_work
+            coef = (A_next - A) / (1.0 + mu * A_next)
+            z_new = reference_project_simplex(
+                z - coef * (reply_y.gradient + mu * (z - y)))
+            x_new = (1.0 - alpha) * x + alpha * z_new
+            if not adaptive:
+                break
+            reply_x = oracle(x_new, delta_k)
+            omega_k += reply_x.inner_work
+            ok = line_search_validate(reply_y.value, reply_y.gradient,
+                                      reply_x.value, x_new, y, L_try, delta_k)
+            if ok or L_try >= L:
+                break
+            retries += 1
+            L_try = min(L_try * 2.0, L)
+        x, z, A = x_new, z_new, A_next
+        L_next = L_try
+        weighted_delta += A_next * reply_y.delta
+        records.append(IterationRecord(
+            k=k, delta=delta_k, omega=omega_k, L=L_try, A=A,
+            bound=(r2_estimate + 2.0 * weighted_delta) / A, retries=retries))
+        iterates.append(x)
+    return iterates, records
+
+
+def noisy_quadratic_oracle(center, scale, seed):
+    """F(x) = scale/2 * ||x - center||^2 with gradient noise of radius delta.
+
+    The gradient is formed as -(scale * (center - x)), so an entry where x
+    meets center reads -0.0: the zero whose sign a dropped +0 term would
+    flip."""
+    c = np.asarray(center, dtype=float)
+    rng = np.random.default_rng(seed)
+
+    def oracle(x, delta):
+        grad = -(scale * (c - x))
+        if delta > 0.0:
+            u = rng.standard_normal(x.size)
+            grad = grad + delta * u / np.linalg.norm(u)
+        diff = x - c
+        return SimpleNamespace(value=0.5 * scale * float(diff @ diff),
+                               gradient=grad, delta=float(delta),
+                               inner_work=1.0 + delta)
+    return oracle
 
 
 # mixed signs and magnitudes, with repeated values drawn from a short list
@@ -91,6 +160,12 @@ class TestProjectSimplex:
     def test_rejects_empty(self):
         with pytest.raises(FgmError):
             project_simplex(np.array([]))
+
+    @pytest.mark.parametrize("shape", [(), (2, 2), (1, 3), (3, 1)])
+    def test_rejects_a_point_that_is_not_1d(self, shape):
+        named = re.escape(f"1-D vector, got shape {shape}")
+        with pytest.raises(FgmError, match=named):
+            project_simplex(np.full(shape, 0.5))
 
     def test_entries_beyond_double_resolution_raise(self):
         # 1e17 - (1e17 - 1) rounds to 0, so no rank passes the threshold test
@@ -182,6 +257,14 @@ class TestFgmRun:
                 with pytest.raises(FgmError, match="unit simplex"):
                     fgm_run(quadratic_oracle([0.0, 0.0]), constant_schedule(0.0),
                             N, np.array(x0), 1.0)
+
+    @pytest.mark.parametrize("x0", [[[0.5, 0.5]], [[1.0], [0.0]], 1.0])
+    def test_rejects_a_start_that_is_not_1d(self, x0):
+        x0 = np.array(x0)
+        named = re.escape(f"1-D vector, got shape {x0.shape}")
+        with pytest.raises(FgmError, match=named):
+            fgm_run(quadratic_oracle([0.0, 0.0]), constant_schedule(0.0), 1,
+                    x0, 1.0)
 
     def test_noise_free_worst_case_bound(self):
         # F(x) = ||x||^2 / 2 on the simplex: minimizer (1/2, 1/2), F* = 1/4
@@ -291,3 +374,41 @@ class TestAdaptive:
         with pytest.raises(FgmError, match=r"certificate overflow at iteration \d+"):
             fgm_run(quadratic_oracle([0.0, 0.0]), constant_schedule(0.0), 3000,
                     np.array([1.0, 0.0]), 1.0, mu=1.0, adaptive=adaptive)
+
+
+class TestAgainstTheFirstLoop:
+    """``fgm_run`` skips mu * (z - y) at mu = 0 and forms (1 - alpha) * x once
+    per try; every iterate and record must keep the bits of the loop as
+    first written."""
+
+    SCHEDULES = {
+        "exact": lambda k, A_next: 0.0,
+        "decaying": lambda k, A_next: 1e-2 / (k + 1.0) ** 2,
+        "zeros_between": lambda k, A_next: 0.0 if k % 3 else 1e-3 * A_next ** -0.5,
+    }
+
+    @pytest.mark.parametrize("schedule", sorted(SCHEDULES))
+    @pytest.mark.parametrize("adaptive", [False, True])
+    @pytest.mark.parametrize("mu", [0.0, 0.5])
+    @pytest.mark.parametrize("x0", [
+        [1.0, 0.0, 0.0, 0.0, 0.0],          # a vertex: zero entries from the start
+        [0.1, 0.2, 0.3, 0.15, 0.25],
+        [0.5, -0.0, 0.5, 0.0, 0.0],          # a start with a negative zero
+    ])
+    def test_bit_identical(self, schedule, adaptive, mu, x0):
+        # the minimizer sits on a face, so iterates and center share zeros
+        center, scale, L, N = [0.6, 0.4, 0.0, 0.0, -0.3], 3.0, 8.0, 60
+        x0 = np.array(x0)
+        seen = []
+        x_end, records = fgm_run(
+            noisy_quadratic_oracle(center, scale, seed=7),
+            self.SCHEDULES[schedule], N, x0, L, mu=mu, adaptive=adaptive,
+            r2_estimate=1.0, observer=lambda rec, x: seen.append(x.copy()))
+        ref_iterates, ref_records = reference_fgm_run(
+            noisy_quadratic_oracle(center, scale, seed=7),
+            self.SCHEDULES[schedule], N, x0, L, mu, adaptive, 1.0)
+        assert [x.tobytes() for x in seen] == [x.tobytes() for x in ref_iterates]
+        assert x_end.tobytes() == ref_iterates[-1].tobytes()
+        assert [repr(rec) for rec in records] == [repr(rec) for rec in ref_records]
+        if adaptive:  # the line search ran, and sometimes retried
+            assert sum(rec.retries for rec in records) > 0

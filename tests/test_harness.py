@@ -1128,6 +1128,18 @@ class TestCli:
         assert "seeds must list at least one entry" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("seeds", ["1, x", "0.5"])
+    def test_experiment_bad_seeds_name_the_override(self, tmp_path, capsys, seeds):
+        # a bad config-file line names its key; a bad override names itself
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("")
+        rc = cli_main(["experiment", "--id", "1", "--config", str(cfg),
+                       "--seeds", seeds, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: seeds override: bad value for 'seeds': ")
+        assert not (tmp_path / "out").exists()
+
     def test_experiment_seeds_use_the_config_grammar(self, tmp_path, monkeypatch):
         # --seeds 3,1 and a config file's "seeds = 3, 1" give the same sweep
         seen = []

@@ -214,10 +214,12 @@ def reference_noise(rng, size):
 
 
 class TestSoftmaxBitIdentity:
-    # the experiment-1 sizes and two small ones, simplex and spread points
+    # the experiment-1 sizes and two small ones, simplex and spread points; at
+    # mu = 0 the plain version adds its strong-convexity terms as zeros
+    @pytest.mark.parametrize("mu", [0.0, 0.1])
     @pytest.mark.parametrize("n, d, seed", [(100, 30, 1234), (6, 5, 1), (40, 200, 3)])
-    def test_against_the_plain_reductions(self, n, d, seed):
-        data = generate_scenarios(n, d, 0.5, seed=seed, mu=0.1)
+    def test_against_the_plain_reductions(self, n, d, seed, mu):
+        data = generate_scenarios(n, d, 0.5, seed=seed, mu=mu)
         rng = np.random.default_rng(seed)
         points = list(rng.dirichlet(np.ones(d), size=200))
         points += [50.0 * rng.standard_normal(d) for _ in range(50)]
@@ -227,9 +229,10 @@ class TestSoftmaxBitIdentity:
             assert value == ref_value
             assert grad.tobytes() == ref_grad.tobytes()
 
+    @pytest.mark.parametrize("mu", [0.0, 0.1])
     @pytest.mark.parametrize("d", [2, 30, 200])
-    def test_noise_direction(self, d):
-        data = generate_scenarios(4, d, 1.0, seed=0)
+    def test_noise_direction(self, d, mu):
+        data = generate_scenarios(4, d, 1.0, seed=0, mu=mu)
         x = np.full(d, 1.0 / d)
         _, grad = softmax_value_grad(data, x)
         rng, ref_rng = np.random.default_rng(d), np.random.default_rng(d)
