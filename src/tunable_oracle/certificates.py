@@ -15,11 +15,17 @@ import numpy as np
 
 def next_certificate(A_k: float, L_next: float, mu: float = 0.0) -> float:
     """Larger root of L A^2 - (2 L A_k + 1 + mu A_k) A + L A_k^2 = 0."""
-    if L_next <= 0.0 or A_k < 0.0 or mu < 0.0:
-        raise ValueError("need L_next > 0, A_k >= 0, mu >= 0")
-    B = 2.0 * L_next * A_k + 1.0 + mu * A_k
+    # each test is written so that NaN fails it
+    if not (0.0 < L_next < math.inf and 0.0 <= A_k < math.inf
+            and 0.0 <= mu < math.inf):
+        raise ValueError(f"need 0 < L_next < inf, 0 <= A_k < inf and "
+                         f"0 <= mu < inf, got L_next = {L_next!r}, "
+                         f"A_k = {A_k!r}, mu = {mu!r}")
+    # mu A_k formed once: its three uses pay for the domain check above
+    mu_A = mu * A_k
+    B = 2.0 * L_next * A_k + 1.0 + mu_A
     # discriminant B^2 - 4 L^2 A_k^2 factored for stability
-    disc = (1.0 + mu * A_k) * (4.0 * L_next * A_k + 1.0 + mu * A_k)
+    disc = (1.0 + mu_A) * (4.0 * L_next * A_k + 1.0 + mu_A)
     return (B + math.sqrt(disc)) / (2.0 * L_next)
 
 
@@ -29,13 +35,15 @@ def fixed_step_certificates(N: int, L: float, mu: float = 0.0) -> np.ndarray:
     if N < 1:
         raise ValueError("N must be >= 1")
     A = np.empty(N + 1)
-    A[0] = A_k = 0.0
+    A[0] = 0.0
+    A[1] = A_k = next_certificate(0.0, L, mu)  # rejects a bad L or mu
     # chained on a Python float: the same IEEE arithmetic as on the
     # np.float64 elements, without numpy's per-scalar overhead
-    for k in range(1, N + 1):
-        A[k] = A_k = next_certificate(A_k, L, mu)
-    # inf - inf is NaN and NaN <= 0 is False, so the growth test alone
-    # lets repeated infinities through
+    try:
+        for k in range(2, N + 1):
+            A[k] = A_k = next_certificate(A_k, L, mu)
+    except ValueError:  # A_k overflowed to inf, stored in A: reported below
+        pass
     if not np.isfinite(A).all():
         raise ValueError("certificates must be finite")
     if np.any(np.diff(A) <= 0.0):

@@ -52,7 +52,17 @@ def _solve_and_report(label: str, problem):
     return schedule
 
 
+# each mode's own flags, as (argparse dest, flag)
+_ACCURACY_FLAGS = (("delta_ref", "--delta-ref"), ("m", "--m"), ("M", "--M"))
+_WORK_FLAGS = (("budget", "--budget"), ("wmin", "--wmin"), ("wmax", "--wmax"))
+
+
 def _cmd_schedule(args) -> int:
+    mode, other = (("--work", _ACCURACY_FLAGS) if args.work
+                   else ("accuracy mode", _WORK_FLAGS))
+    stray = [flag for dest, flag in other if getattr(args, dest) is not None]
+    if stray:
+        raise ValueError(f"{mode} does not take {', '.join(stray)}")
     cost = _parse_cost(args.cost)
     a, b = import_coefficients(args.coeffs)
     if args.work:

@@ -122,9 +122,15 @@ def fgm_run(oracle: Callable[[np.ndarray, float], "object"],
     still made and its work charged, but the step is accepted whatever it
     says, so each search stops after finitely many retries. No estimate
     below ``mu`` is tried.
+
+    ``L`` must be finite and positive and ``mu`` finite and nonnegative. A
+    request that is NaN or negative raises ``FgmError`` before it reaches
+    the oracle; any other request, +inf included, is passed on as it is.
     """
-    if not 0.0 < L < math.inf or mu < 0.0:
-        raise FgmError("need a finite L > 0 and mu >= 0")
+    if not 0.0 < L < math.inf:
+        raise FgmError(f"need a finite L > 0, got L = {L!r}")
+    if not 0.0 <= mu < math.inf:  # NaN fails too
+        raise FgmError(f"need a finite mu >= 0, got mu = {mu!r}")
     x = np.asarray(x0, dtype=float).copy()
     if x.ndim != 1:
         raise FgmError(f"x0 must be a 1-D vector, got shape {x.shape}")
@@ -134,14 +140,12 @@ def fgm_run(oracle: Callable[[np.ndarray, float], "object"],
     A = 0.0
     weighted_delta = 0.0  # sum of A_{k+1} delta_k
     trajectory: list[IterationRecord] = []
-    L_next = L
+    L_try = L  # the fixed step, or the last accepted estimate
 
     for k in range(N):
         if adaptive:
             # a mu-strongly convex objective has curvature >= mu
-            L_try = min(max(L_next / _INCREASE, mu, 1e-300), L)
-        else:
-            L_try = L
+            L_try = min(max(L_try / _INCREASE, mu, 1e-300), L)
         omega_k = 0.0
         retries = 0
         while True:
@@ -152,6 +156,9 @@ def fgm_run(oracle: Callable[[np.ndarray, float], "object"],
             x_part = (1.0 - alpha) * x  # shared by y and x_new
             y = x_part + alpha * z
             delta_k = float(schedule(k, A_next))
+            if not delta_k >= 0.0:  # NaN fails too; +inf reaches the oracle
+                raise FgmError(f"the schedule requested delta = {delta_k!r} "
+                               f"at iteration {k}; need delta >= 0")
             reply_y = oracle(y, delta_k)
             omega_k += reply_y.inner_work
             coef = (A_next - A) / (1.0 + mu * A_next)
@@ -171,7 +178,6 @@ def fgm_run(oracle: Callable[[np.ndarray, float], "object"],
             retries += 1
             L_try = min(L_try * _DECREASE, L)
         x, z, A = x_new, z_new, A_next
-        L_next = L_try
         weighted_delta += A_next * reply_y.delta
         record = IterationRecord(
             k=k, delta=delta_k, omega=omega_k, L=L_try, A=A,

@@ -66,7 +66,6 @@ DATA_SEED = 1234           # seed of the scenario matrix
 SAMPLE_PRECISION = 1e-8    # inner precision of the sampled objective values
 FSTAR_PRECISION = 1e-10    # inner precision of terminal values and f*
 ORACLE_FLOOR = 1e-12       # smallest certifiable inner target
-ALPHA = 100.0              # gradient-noise scale of experiment 1
 N_R = 50                   # online bootstrap length of experiment 3
 
 
@@ -368,7 +367,7 @@ def _experiment(config: ExperimentConfig, data: ScenarioData) -> _Experiment:
         exp = _Experiment(
             cost=cost, L=L, lo=0.0, hi=cost.delta_max,
             adaptive=False, fstar=None,
-            start=lambda rng: (lambda x, delta: noisy_oracle(data, x, delta, ALPHA, rng, cost),
+            start=lambda rng: (lambda x, delta: noisy_oracle(data, x, delta, rng, cost),
                                lambda x: softmax_value_grad(data, x)[0]),
             terminal=lambda x: softmax_value_grad(data, x))
         # the noise-free reference depends on max(N) only, so it runs once

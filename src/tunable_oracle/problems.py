@@ -17,6 +17,7 @@ from .fgm import project_simplex
 
 
 _MAX_INNER = 10**6  # inner iteration cap of fista_inner
+ALPHA = 100.0  # gradient-noise scale of noisy_oracle (experiment 1)
 
 
 class OracleError(RuntimeError):
@@ -123,17 +124,17 @@ def softmax_value_grad(data: ScenarioData, x: np.ndarray) -> tuple[float, np.nda
     return value, grad
 
 
-def noisy_oracle(data: ScenarioData, x: np.ndarray, delta: float, alpha: float,
+def noisy_oracle(data: ScenarioData, x: np.ndarray, delta: float,
                  rng: np.random.Generator, cost: CostModel) -> OracleReply:
-    """Exact value, gradient corrupted on a sphere of radius alpha*delta.
+    """Exact value, gradient corrupted on a sphere of radius ALPHA*delta.
 
     The certified inexactness of the resulting information tuple is
-    4*alpha*delta; the simulated work charged is ``h_eval(cost, delta)``,
+    4*ALPHA*delta; the simulated work charged is ``h_eval(cost, delta)``,
     zero for an exact request. A request above ``cost.delta_max`` is refused:
     the log cost would charge a negative amount there.
     """
-    if not (delta >= 0.0 and alpha > 0.0):  # NaN fails too
-        raise OracleError("need delta >= 0 and alpha > 0")
+    if not delta >= 0.0:  # NaN fails too
+        raise OracleError("need delta >= 0")
     if delta > cost.delta_max:
         raise OracleError(f"the {cost.kind} cost needs delta <= {cost.delta_max:g}, "
                           f"got delta = {delta!r}")
@@ -141,11 +142,11 @@ def noisy_oracle(data: ScenarioData, x: np.ndarray, delta: float, alpha: float,
     if delta > 0.0:
         u = rng.standard_normal(x.size)
         u /= math.sqrt(float(u.dot(u)))  # np.linalg.norm(u) to the bit
-        grad = grad + alpha * delta * u
+        grad = grad + ALPHA * delta * u
         work = h_eval(cost, delta)
     else:
         work = 0.0
-    return OracleReply(value=value, gradient=grad, delta=4.0 * alpha * delta,
+    return OracleReply(value=value, gradient=grad, delta=4.0 * ALPHA * delta,
                        inner_work=work)
 
 

@@ -45,8 +45,28 @@ class TestNextCertificate:
         with pytest.raises(ValueError):
             next_certificate(0.0, 1.0, -1.0)
 
+    @pytest.mark.parametrize("A_k, L_next, mu", [
+        (1.0, 1.0, math.nan), (1.0, math.nan, 0.0), (math.nan, 1.0, 0.0),
+        (1.0, math.inf, 0.0), (math.inf, 1.0, 0.0), (1.0, 1.0, math.inf)])
+    def test_rejects_nan_and_inf(self, A_k, L_next, mu):
+        with pytest.raises(ValueError, match="need 0 < L_next < inf"):
+            next_certificate(A_k, L_next, mu)
+
 
 class TestFixedStep:
+    @pytest.mark.parametrize("L, mu", [(math.nan, 0.0), (math.inf, 0.0),
+                                       (1.0, math.nan), (1.0, math.inf)])
+    def test_rejects_nan_and_inf(self, L, mu):
+        with pytest.raises(ValueError, match="need 0 < L_next < inf"):
+            fixed_step_certificates(3, L, mu)
+
+    # at L = mu = 1, A_370 overflows: the chain ends on it at N = 370 and
+    # stops at the next step at N = 400
+    @pytest.mark.parametrize("N", [370, 400])
+    def test_overflow_is_reported(self, N):
+        with pytest.raises(ValueError, match="certificates must be finite"):
+            fixed_step_certificates(N, 1.0, 1.0)
+
     def test_small_sequence(self):
         np.testing.assert_allclose(fixed_step_certificates(2, 1.0, 0.0),
                                    [0.0, 1.0, (3.0 + math.sqrt(5.0)) / 2.0])

@@ -30,6 +30,16 @@ def quadratic_oracle(center, scale=1.0):
     return oracle
 
 
+def recording_oracle(seen):
+    """``quadratic_oracle`` at the origin that appends each request to ``seen``."""
+    exact = quadratic_oracle([0.0, 0.0])
+
+    def oracle(x, delta):
+        seen.append(delta)
+        return exact(x, delta)
+    return oracle
+
+
 def constant_schedule(delta):
     return lambda k, A_next: delta
 
@@ -356,6 +366,29 @@ class TestAdaptive:
                 run(L)
         with pytest.raises(FgmError, match="mu >= 0"):
             run(1.0, mu=-0.1)
+
+    @pytest.mark.parametrize("mu", [math.nan, math.inf])
+    def test_rejects_non_finite_mu(self, mu):
+        with pytest.raises(FgmError, match="need a finite mu >= 0"):
+            fgm_run(quadratic_oracle([0.0, 0.0]), constant_schedule(0.0), 1,
+                    np.array([1.0, 0.0]), 1.0, mu=mu)
+
+    @pytest.mark.parametrize("adaptive", [False, True])
+    @pytest.mark.parametrize("bad", [math.nan, -1.0])
+    def test_rejects_nan_or_negative_request(self, bad, adaptive):
+        # the oracle checks nothing: the request must stop in fgm_run
+        seen = []
+        with pytest.raises(FgmError, match=rf"delta = {bad!r} at iteration 2"):
+            fgm_run(recording_oracle(seen), lambda k, A_next: bad if k == 2 else 1e-3,
+                    3, np.array([1.0, 0.0]), 1.0, adaptive=adaptive)
+        assert seen and all(delta == 1e-3 for delta in seen)
+
+    def test_passes_an_infinite_request_on(self):
+        seen = []
+        _, traj = fgm_run(recording_oracle(seen), constant_schedule(math.inf), 2,
+                          np.array([1.0, 0.0]), 1.0)
+        assert seen == [math.inf, math.inf]
+        assert traj[-1].bound == math.inf
 
     def test_estimate_never_drops_below_mu(self):
         # once the iterates settle every validation passes; an estimate

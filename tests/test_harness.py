@@ -798,14 +798,14 @@ class TestHorizonSharing:
         calls = {}
         noisy = harness.noisy_oracle
 
-        def breaks(data, x, delta, alpha, rng, cost):
+        def breaks(data, x, delta, rng, cost):
             if rng is not None and delta in cfg.delta_ref:
                 # the entry keeps the stream alive, so that its id is not reused
                 count = calls.setdefault(id(rng), [rng, 0])
                 count[1] += 1
                 if count[1] > 25:
                     raise OracleError(f"stream broke at call {count[1]}")
-            return noisy(data, x, delta, alpha, rng, cost)
+            return noisy(data, x, delta, rng, cost)
         monkeypatch.setattr(harness, "noisy_oracle", breaks)
         got = run_experiment(cfg)
         assert [f[:4] for f in got.failures] == [
@@ -1194,7 +1194,13 @@ class TestCli:
         (["--cost", "power:1", "--work", "--budget", "2"],
          "--work requires --budget, --wmin and --wmax"),
         (["--cost", "logsq", "--work", "--budget", "2", "--wmin", "0.1",
-          "--wmax", "2"], "power and log costs only")])
+          "--wmax", "2"], "power and log costs only"),
+        # a flag of the other mode is named, not ignored
+        (["--cost", "power:1", "--work", "--budget", "3", "--wmin", "0.1",
+          "--wmax", "2", "--delta-ref", "1e-3", "--m", "0.5"],
+         "--work does not take --delta-ref, --m"),
+        (["--cost", "power:1", "--delta-ref", "1e-3", "--m", "0", "--M", "10",
+          "--budget", "99"], "accuracy mode does not take --budget")])
     def test_schedule_bad_arguments_fail(self, tmp_path, capsys, extra, message):
         coeffs = tmp_path / "coeffs.csv"
         write_coefficients([1.0, 2.0], [1.0, 1.0], str(coeffs))

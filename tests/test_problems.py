@@ -126,8 +126,8 @@ class TestNoisyOracle:
     def test_exact_request(self):
         data = generate_scenarios(4, 3, 1.0, seed=0)
         x = np.full(3, 1.0 / 3.0)
-        reply = noisy_oracle(data, x, 0.0, alpha=10.0,
-                             rng=np.random.default_rng(0), cost=POWER_1)
+        reply = noisy_oracle(data, x, 0.0, rng=np.random.default_rng(0),
+                             cost=POWER_1)
         value, grad = softmax_value_grad(data, x)
         assert reply.value == value and reply.delta == 0.0
         assert reply.inner_work == 0.0
@@ -137,8 +137,8 @@ class TestNoisyOracle:
         data = generate_scenarios(4, 6, 1.0, seed=0)
         x = np.full(6, 1.0 / 6.0)
         _, grad = softmax_value_grad(data, x)
-        reply = noisy_oracle(data, x, 1e-3, alpha=100.0,
-                             rng=np.random.default_rng(1), cost=POWER_1)
+        reply = noisy_oracle(data, x, 1e-3, rng=np.random.default_rng(1),
+                             cost=POWER_1)
         assert np.linalg.norm(reply.gradient - grad) == pytest.approx(0.1, rel=1e-12)
         assert reply.delta == pytest.approx(0.4)
 
@@ -146,50 +146,45 @@ class TestNoisyOracle:
         data = generate_scenarios(2, 2, 1.0, seed=0)
         x = np.array([0.5, 0.5])
         rng = np.random.default_rng(0)
-        assert noisy_oracle(data, x, 1e-2, 1.0, rng, cost=POWER_1).inner_work \
+        assert noisy_oracle(data, x, 1e-2, rng, cost=POWER_1).inner_work \
             == pytest.approx(100.0)
-        assert noisy_oracle(data, x, 1e-2, 1.0, rng, cost=CostModel("power", 0.5)).inner_work \
+        assert noisy_oracle(data, x, 1e-2, rng, cost=CostModel("power", 0.5)).inner_work \
             == pytest.approx(10.0)
-        assert noisy_oracle(data, x, 1e-2, 1.0, rng, cost=LOG).inner_work \
+        assert noisy_oracle(data, x, 1e-2, rng, cost=LOG).inner_work \
             == pytest.approx(math.log(100.0))
         # the log cost is 0 at delta = 1, the top of its domain
-        assert noisy_oracle(data, x, 1.0, 1.0, rng, cost=LOG).inner_work == 0.0
+        assert noisy_oracle(data, x, 1.0, rng, cost=LOG).inner_work == 0.0
 
     def test_noise_mean_vanishes(self):
         data = generate_scenarios(3, 4, 1.0, seed=0)
         x = np.full(4, 0.25)
         _, grad = softmax_value_grad(data, x)
         rng = np.random.default_rng(7)
-        noise = np.mean([noisy_oracle(data, x, 1.0, 1.0, rng, POWER_1).gradient - grad
+        # delta = 0.01: noise of unit radius
+        noise = np.mean([noisy_oracle(data, x, 0.01, rng, POWER_1).gradient - grad
                          for _ in range(4000)], axis=0)
         assert np.linalg.norm(noise) < 0.05
 
     def test_deterministic_stream(self):
         data = generate_scenarios(3, 4, 1.0, seed=0)
         x = np.full(4, 0.25)
-        g1 = [noisy_oracle(data, x, 0.1, 1.0,
+        g1 = [noisy_oracle(data, x, 0.1,
                            np.random.default_rng(9), POWER_1).gradient for _ in range(1)]
-        g2 = [noisy_oracle(data, x, 0.1, 1.0,
+        g2 = [noisy_oracle(data, x, 0.1,
                            np.random.default_rng(9), POWER_1).gradient for _ in range(1)]
         np.testing.assert_array_equal(g1[0], g2[0])
 
     def test_validation(self):
         data = generate_scenarios(2, 2, 1.0, seed=0)
         with pytest.raises(OracleError):
-            noisy_oracle(data, np.array([0.5, 0.5]), -1.0, 1.0,
-                         np.random.default_rng(0), POWER_1)
-        with pytest.raises(OracleError):
-            noisy_oracle(data, np.array([0.5, 0.5]), 0.1, 0.0,
+            noisy_oracle(data, np.array([0.5, 0.5]), -1.0,
                          np.random.default_rng(0), POWER_1)
         # NaN fails every comparison; it must not pass as an exact request
         with pytest.raises(OracleError):
-            noisy_oracle(data, np.array([0.5, 0.5]), math.nan, 1.0,
-                         np.random.default_rng(0), POWER_1)
-        with pytest.raises(OracleError):
-            noisy_oracle(data, np.array([0.5, 0.5]), 0.1, math.nan,
+            noisy_oracle(data, np.array([0.5, 0.5]), math.nan,
                          np.random.default_rng(0), POWER_1)
         with pytest.raises(OracleError, match=r"logarithmic cost.*delta = 1\.5"):
-            noisy_oracle(data, np.array([0.5, 0.5]), 1.5, 1.0,
+            noisy_oracle(data, np.array([0.5, 0.5]), 1.5,
                          np.random.default_rng(0), cost=LOG)
         with pytest.raises(OracleError):
             OracleReply(value=0.0, gradient=np.zeros(2), delta=-0.1,
@@ -237,7 +232,7 @@ class TestSoftmaxBitIdentity:
         _, grad = softmax_value_grad(data, x)
         rng, ref_rng = np.random.default_rng(d), np.random.default_rng(d)
         for _ in range(200):
-            reply = noisy_oracle(data, x, 1e-3, 100.0, rng, POWER_1)
+            reply = noisy_oracle(data, x, 1e-3, rng, POWER_1)
             expected = grad + 100.0 * 1e-3 * reference_noise(ref_rng, d)
             assert reply.gradient.tobytes() == expected.tobytes()
 
