@@ -52,22 +52,23 @@ def _solve_and_report(label: str, problem):
     return schedule
 
 
-# each mode's own flags, as (argparse dest, flag)
+# each mode's own flags, as (argparse dest, flag): required in it, refused in the other
 _ACCURACY_FLAGS = (("delta_ref", "--delta-ref"), ("m", "--m"), ("M", "--M"))
 _WORK_FLAGS = (("budget", "--budget"), ("wmin", "--wmin"), ("wmax", "--wmax"))
 
 
 def _cmd_schedule(args) -> int:
-    mode, other = (("--work", _ACCURACY_FLAGS) if args.work
-                   else ("accuracy mode", _WORK_FLAGS))
+    mode, own, other = (("--work", _WORK_FLAGS, _ACCURACY_FLAGS) if args.work
+                        else ("accuracy mode", _ACCURACY_FLAGS, _WORK_FLAGS))
     stray = [flag for dest, flag in other if getattr(args, dest) is not None]
     if stray:
         raise ValueError(f"{mode} does not take {', '.join(stray)}")
+    if any(getattr(args, dest) is None for dest, _ in own):
+        *first, last = (flag for _, flag in own)
+        raise ValueError(f"{mode} requires {', '.join(first)} and {last}")
     cost = _parse_cost(args.cost)
     a, b = import_coefficients(args.coeffs)
     if args.work:
-        if args.budget is None or args.wmin is None or args.wmax is None:
-            raise ValueError("--work requires --budget, --wmin and --wmax")
         if cost.kind == LOG_SQUARED:
             raise ValueError("the work-controlled solver covers power and log costs only")
         problem = WorkProblem(a, b, omega_bar=args.budget, omega_M=args.wmin,
@@ -77,8 +78,6 @@ def _cmd_schedule(args) -> int:
               f"N_minus={cert.n_minus} multiplier={cert.lambda_star:.6g} "
               f"probes={cert.probes} budget_residual={cert.budget_residual:.3g}")
     else:
-        if args.delta_ref is None or args.m is None or args.M is None:
-            raise ValueError("accuracy mode requires --delta-ref, --m and --M")
         problem = ScheduleProblem(a, b, args.delta_ref, args.m, args.M, cost)
         schedule = _solve_and_report("accuracy schedule", problem)
     export_schedule(schedule, args.out)
@@ -87,13 +86,10 @@ def _cmd_schedule(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    config = load_config(args.config, experiment=args.id, seeds=args.seeds)
-    result = run_experiment(config)
-    written = emit_outputs(result, args.out)
-    for path in written:
+    result = run_experiment(load_config(args.config, experiment=args.id, seeds=args.seeds))
+    for path in emit_outputs(result, args.out):
         print(f"wrote {path}")
-    for summary in sorted(result.summaries,
-                          key=lambda s: (s.N, s.delta_ref, s.schedule)):
+    for summary in result.summaries:
         print(f"experiment {summary.experiment} schedule={summary.schedule} "
               f"N={summary.N} delta_ref={float(summary.delta_ref)!r} "
               f"median_gap={summary.median_gap:.6g} "

@@ -563,6 +563,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                     mean_gap=statistics.fmean(gaps) if gaps else math.nan,
                     total_inner_work=sum((total for *_, total in runs), 0.0)))
 
+    summaries.sort(key=lambda s: (s.N, s.delta_ref, s.schedule))  # summary.csv's order
     return ExperimentResult(records, summaries, schedules, failures)
 
 
@@ -619,9 +620,8 @@ def emit_outputs(result: ExperimentResult, out_dir: str) -> list[str]:
     the columns of the first two are the fields of their record, in order."""
     os.makedirs(out_dir, exist_ok=True)
     written = []
-    summaries = sorted(result.summaries, key=lambda s: (s.N, s.delta_ref, s.schedule))
     for name, cls, rows in (("trajectory", RunRecord, result.records),
-                            ("summary", SummaryRow, summaries)):
+                            ("summary", SummaryRow, result.summaries)):
         path = os.path.join(out_dir, f"{name}.csv")
         names = [f.name for f in fields(cls)]
         _write_csv(path, names, ([getattr(row, n) for n in names] for row in rows))

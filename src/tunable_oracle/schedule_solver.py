@@ -37,6 +37,9 @@ log-squared solve share a cache of W by rank: a pass within 1 of the previous
 one in t = log(lam) starts Halley from the cached W moved to first order in
 t, which leaves few steps where consecutive probes and the Newton steps sit
 close, and takes none when the first Newton point repeats the last probe.
+
+One guard, ``_in_doubles``, names any key, power weight, W argument or transient
+value outside the doubles, NaN included; a power weight that underflows to 0 stays.
 """
 
 from __future__ import annotations
@@ -175,16 +178,26 @@ def _descending_order(nu) -> np.ndarray:
     return order
 
 
-def _ranking_key(num, den: np.ndarray, name: str) -> np.ndarray:
-    """num / den, a ranking key whose entries must stay in the normal doubles;
-    else SolverError naming ``name`` and the first index where it overflowed
-    or underflowed."""
+def _in_doubles(x: np.ndarray, what: str, low: float, where="index", labels=None) -> np.ndarray:
+    """x if it lies in [low, largest double]; else SolverError: ``what`` (with its
+    verb) leaves the doubles at ``where`` k, or labels[k], k the first outside or NaN."""
+    if not ((low == -math.inf or x.min() >= low) and x.max() <= _HUGE):  # NaN fails max
+        k = int(np.flatnonzero(~((x >= low) & (x <= _HUGE)))[0])
+        raise SolverError(f"{what} the doubles at {where} {k if labels is None else labels[k]}")
+    return x
+
+
+def _quotient(num, den, name: str, low=_TINY, where="index", labels=None) -> np.ndarray:
+    """num / den through the guard; a key passed straight to _water_fill dies once ranked."""
     with np.errstate(over="ignore", divide="ignore"):
-        key = num / den
-    if not (key.min() >= _TINY and key.max() <= _HUGE):
-        k = int(np.flatnonzero(~((key >= _TINY) & (key <= _HUGE)))[0])
-        raise SolverError(f"{name} leaves the doubles at index {k}")
-    return key
+        return _in_doubles(num / den, f"{name} leaves", low, where, labels)
+
+
+def _power_weights(a, b, r: float, name: str, labels=None) -> np.ndarray:
+    """(b_k a_k^r)^(1/(r+1)), labelled by input index; only overflow and NaN fail."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = (b * a**r) ** (1.0 / (r + 1.0))
+    return _in_doubles(w, f"{name} leaves", -math.inf, labels=labels)
 
 
 def reference_budget(p: ScheduleProblem) -> float:
@@ -301,14 +314,8 @@ def _budget_residual(achieved: float, target: float) -> float:
 
 def _w_argument(lam: float, nu: np.ndarray, ranks) -> np.ndarray:
     """lam / (2 nu) on ``ranks``; SolverError at the first that overflows."""
-    with np.errstate(over="ignore"):
-        x = np.divide(0.5 * lam, nu)
-    # x rises along the ranks, and every caller's last rank is its highest
-    if not x[-1] < math.inf:
-        k = int(ranks[int(np.flatnonzero(x == math.inf)[0])])
-        raise SolverError(f"the log-squared W argument lam/(2 nu) leaves the "
-                          f"doubles at rank {k}")
-    return x
+    return _quotient(0.5 * lam, nu, "the log-squared W argument lam/(2 nu)", -math.inf,
+                     "rank", ranks)
 
 
 class _LogSquaredW:
@@ -352,10 +359,10 @@ class _LogSquaredW:
         return cost_models.lambert_w0(x, w)
 
 
-def _transient(cm: CostModel, a: np.ndarray, b: np.ndarray, nu: np.ndarray):
+def _transient(cm: CostModel, a: np.ndarray, b: np.ndarray, nu: np.ndarray, order):
     """``cost(lam, i, j, need)`` and ``solve(budget_T, i, j, lam_cap)`` of
     the transient ranks [i, j) under ``cm``, on rank-ordered a, b and
-    nu = b / a.
+    nu = b / a; ``order`` holds each rank's input index.
 
     Transient rank k costs b_k h((h')^{-1}(-lam/nu_k)): (b_k a_k^r)^{1/(r+1)}
     (lam/r)^{r/(r+1)} for power, b_k log(lam) - b_k log(nu_k) for log (both
@@ -371,7 +378,7 @@ def _transient(cm: CostModel, a: np.ndarray, b: np.ndarray, nu: np.ndarray):
     """
     if cm.kind == POWER:
         r = cm.r
-        w = (b * a**r) ** (1.0 / (r + 1.0))
+        w = _power_weights(a, b, r, "the power weight (b*a^r)^(1/(r+1))", order)
         g = np.cumsum(w)
 
         def solve(budget_T, i, j, lam_cap):
@@ -512,11 +519,8 @@ def _water_fill(nu: np.ndarray, weight, transient, loose, tight, budget: float,
         # breakpoint of the last transient rank
         lam_cap = min(nu[i - 1] * c_hi if i else math.inf, nu[j - 1] * c_lo)
         vals, lam = solve(budget_T, i, j, lam_cap)
-        low, high = vals.min(), vals.max()
-        if not (low > 0.0 and high < math.inf):  # NaN fails too
-            k = i + int(np.flatnonzero(~((vals > 0.0) & (vals < math.inf)))[0])
-            raise SolverError(f"the transient values leave the doubles at rank {k}")
-        if low < limits[0] or high > limits[1]:
+        _in_doubles(vals, "the transient values leave", math.ulp(0.0), "rank", range(i, j))
+        if vals.min() < limits[0] or vals.max() > limits[1]:
             raise SolverError("transient values leave the box: partition search failed")
         values[order[i:j]] = np.clip(vals, min(v_hi, v_lo), max(v_hi, v_lo))
         del vals
@@ -537,7 +541,8 @@ def solve_accuracy(p: ScheduleProblem) -> tuple[Schedule, KktCertificate]:
     tight = ((lo, h_eval(cm, lo), -float(_hprime_raw(cm, lo))) if p.m > 0.0
              else (lo, math.inf, math.inf))
     values, cert = _water_fill(
-        _ranking_key(p.b, p.a, "the accuracy key nu = b/a"), p.b, lambda order, nu, b: _transient(cm, p.a[order], b, nu),
+        _quotient(p.b, p.a, "the accuracy key nu = b/a"), p.b,
+        lambda order, nu, b: _transient(cm, p.a[order], b, nu, order),
         loose, tight, reference_budget(p),
         (lo * (1.0 - _REL_TOL), hi * (1.0 + _REL_TOL)),  # slack _REL_TOL * bound
         lambda values: float(p.b @ h_eval(cm, values)))
@@ -552,8 +557,8 @@ def solve_work(p: WorkProblem) -> tuple[Schedule, KktCertificate]:
     rank j is loose (omega_M) for lam <= omega_M / w_j, tight (omega_m) for
     lam >= omega_m / w_j, and the transient ranks take lam * sum w_k.
     """
-    with np.errstate(over="ignore"):  # an inf weight fails in _ranking_key
-        w = (p.b * p.a**p.r) ** (1.0 / (p.r + 1.0))
+    name = "the work weight (b*a^r)^(1/(r+1))"
+    w = _power_weights(p.a, p.b, p.r, name)
 
     def linear(order, nu, _):
         ws = w[order]
@@ -568,9 +573,8 @@ def solve_work(p: WorkProblem) -> tuple[Schedule, KktCertificate]:
     # scale are all the bound; the box check's slack is _REL_TOL * omega_bar
     tol = _REL_TOL * p.omega_bar
     values, cert = _water_fill(
-        _ranking_key(1.0, w, "the work weight (b*a^r)^(1/(r+1))"), np.ones(p.size),
-        linear, (p.omega_M,) * 3, (p.omega_m,) * 3, p.omega_bar, (p.omega_M - tol, p.omega_m + tol),
-        lambda values: float(np.sum(values)))
+        _quotient(1.0, w, name), np.ones(p.size), linear, (p.omega_M,) * 3, (p.omega_m,) * 3,
+        p.omega_bar, (p.omega_M - tol, p.omega_m + tol), lambda values: float(np.sum(values)))
     return Schedule(values, "work"), cert
 
 

@@ -714,7 +714,8 @@ class TestRunExperiment:
 
 
 def _lone_sweeps(cfg):
-    """Single-(delta_ref, N) sweeps of ``cfg``, merged in its loop order."""
+    """Single-(delta_ref, N) sweeps of ``cfg``, merged in its loop order; the
+    summaries in the (N, delta_ref, schedule) order a sweep returns them in."""
     merged = harness.ExperimentResult([], [], {}, [])
     for delta_ref in cfg.delta_ref:
         for N in sorted(cfg.N):
@@ -723,6 +724,7 @@ def _lone_sweeps(cfg):
             merged.summaries.extend(part.summaries)
             merged.schedules.update(part.schedules)
             merged.failures.extend(part.failures)
+    merged.summaries.sort(key=lambda s: (s.N, s.delta_ref, s.schedule))
     return merged
 
 
@@ -914,8 +916,12 @@ class TestRecordedExperiments:
         result = run_experiment(self.CONFIGS[label])
         assert not result.failures
         assert len(result.records) == case["trajectory_rows"]
-        assert len(result.summaries) == len(case["summaries"])
-        for row, ref in zip(result.summaries, case["summaries"]):
+        # the fixture lists each cell's rows in config order; a sweep
+        # returns them in summary.csv's (N, delta_ref, schedule) order
+        key = lambda row: (row["N"], row["delta_ref"], row["schedule"])
+        refs = sorted(case["summaries"], key=key)
+        assert len(result.summaries) == len(refs)
+        for row, ref in zip(result.summaries, refs):
             assert (row.schedule, row.N, row.delta_ref) == \
                 (ref["schedule"], ref["N"], ref["delta_ref"])
             assert row.total_inner_work == ref["total_inner_work"]

@@ -7,9 +7,11 @@ exists, only the harness imports ``csv``, only the harness's experiment
 record and config validation branch on the experiment id, only
 ``accuracy_problem`` and ``_transient`` branch on the cost kind in the
 schedule solver, the harness and the oracles test neither a cost kind
-nor the exponent r outside the harness's one r -> cost model function, and
-the harness's run path names no oracle, no inner state and no family, and
-the CLI imports no private name of the package.
+nor the exponent r outside the harness's one r -> cost model function,
+the harness's run path names no oracle, no inner state and no family, the
+CLI imports no private name of the package, one guard in the schedule solver
+raises the errors that say what left the doubles, and the power weights
+(b a^r)^(1/(r+1)) are written once.
 
 No lint tool is part of the toolchain, so these tests walk each module's
 syntax tree with the standard-library ``ast`` module. The import guard skips
@@ -470,3 +472,87 @@ def test_detects_a_cost_model_branch():
     assert attribute_branches(planted, "r", R_READERS) == [f"_tunable_values (line {line})"]
     assert attribute_branches("def f(exp):\n    return exp.cost.kind == 'power'\n",
                               "kind", set()) == ["f (line 2)"]
+
+
+def doubles_raisers(source: str) -> list[str]:
+    """The functions (qualified, ``outer.inner``) of ``source`` that raise a
+    ``SolverError`` whose message text says "the doubles"."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            elif (isinstance(child, ast.Raise) and isinstance(child.exc, ast.Call)
+                    and getattr(child.exc.func, "id", None) == "SolverError"
+                    and any(isinstance(n, ast.Constant) and "the doubles" in str(n.value)
+                            for n in ast.walk(child.exc))):
+                found.append(f"{scope or '<module>'} (line {child.lineno})")
+            visit(child, inner)
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_one_guard_names_what_leaves_the_doubles():
+    # every quantity the water-filling forms from a and b passes one guard,
+    # so "leaves the doubles" has one wording and one NaN rule
+    source = (PACKAGE / "schedule_solver.py").read_text()
+    assert [site.split(" ")[0] for site in doubles_raisers(source)] == ["_in_doubles"]
+
+
+def test_detects_a_second_doubles_raiser():
+    source = ("def _guard(x):\n    raise SolverError(f'{x} leaves the doubles')\n"
+              "def solve(p):\n    def inner():\n"
+              "        raise SolverError('the key leaves the doubles at index 0')\n"
+              "    if p:\n        raise SolverError(f'the values leave the doubles at {p}')\n"
+              "    raise ValueError('the doubles')\n"
+              "def other():\n    raise SolverError('budget equation violated')\n")
+    assert doubles_raisers(source) == ["_guard (line 2)", "solve.inner (line 5)",
+                                       "solve (line 7)"]
+    # a check planted in the real solve_work is found, next to the guard
+    solver = (PACKAGE / "schedule_solver.py").read_text()
+    head, tail = solver.split("def solve_work(", 1)
+    body, rest = tail.split("    tol = _REL_TOL * p.omega_bar\n", 1)
+    planted = (f"{head}def solve_work({body}    if not w.max() < math.inf:\n"
+               f"        raise SolverError('the work weight leaves the doubles')\n"
+               f"    tol = _REL_TOL * p.omega_bar\n{rest}")
+    line = len(f"{head}def solve_work({body}".splitlines()) + 2
+    assert [site for site in doubles_raisers(planted)
+            if not site.startswith("_in_doubles ")] == [f"solve_work (line {line})"]
+
+
+def power_weight_sites(source: str) -> list[int]:
+    """Lines of ``source`` that raise a product with a power factor to a
+    power, as the weights (b a^r)^(1/(r+1)) do, by ``**`` or ``np.power``."""
+    def product_with_power(node):
+        return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                and any(isinstance(side, ast.BinOp) and isinstance(side.op, ast.Pow)
+                        for side in (node.left, node.right)))
+    sites = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            base = node.left
+        elif (isinstance(node, ast.Call) and node.args
+                and getattr(node.func, "attr", getattr(node.func, "id", None)) == "power"):
+            base = node.args[0]
+        else:
+            continue
+        if product_with_power(base):
+            sites.append(node.lineno)
+    return sorted(sites)
+
+
+def test_the_power_weights_are_written_once():
+    # the accuracy solve's power kind and the work split share one formula
+    sites = {p.name: power_weight_sites(p.read_text()) for p in PACKAGE.glob("*.py")}
+    assert [name for name, lines in sites.items() for _ in lines] == ["schedule_solver.py"]
+
+
+def test_detects_a_second_power_weight():
+    source = ("w = (b * a**r) ** (1.0 / (r + 1.0))\n"
+              "v = (p.a ** p.r * p.b) ** (1 / (p.r + 1))\n"
+              "u = np.power(b * a**r, 1.0 / (r + 1.0))\n"
+              "f = (b_q * a_k / (a_q * b_k)) ** (1.0 / (r + 1.0))\n"
+              "g = nu ** (1.0 / (r + 1.0)) * b ** 2\n")
+    assert power_weight_sites(source) == [1, 2, 3]

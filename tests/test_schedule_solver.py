@@ -101,6 +101,21 @@ def assert_budget_and_box(p, s, cert):
     assert np.all(s.values <= p.M * p.delta_ref)
 
 
+def assert_work_kkt(p, s, cert):
+    """Budget, box and the split omega_k = lam * w_k, w from log a and log b:
+    rank k sits on omega_M where lam * w_k <= omega_M, on omega_m where
+    lam * w_k >= omega_m, and at lam * w_k in between."""
+    assert abs(np.sum(s.values) - p.omega_bar) <= 1e-10 * p.omega_bar
+    assert cert.budget_residual <= 1e-10
+    assert np.all((s.values >= p.omega_M) & (s.values <= p.omega_m))
+    w = np.exp((np.log(p.b) + p.r * np.log(p.a)) / (p.r + 1.0))
+    split = cert.lambda_star * w
+    inside = (s.values > p.omega_M) & (s.values < p.omega_m)
+    np.testing.assert_allclose(s.values[inside], split[inside], rtol=1e-8)
+    assert np.all(split[s.values == p.omega_M] <= p.omega_M * (1 + 1e-7))
+    assert np.all(split[s.values == p.omega_m] >= p.omega_m * (1 - 1e-7))
+
+
 class TestDescendingRank:
     """The solvers' ranking: indices by descending nu, ties by lower index."""
 
@@ -346,10 +361,12 @@ class TestWork:
             omega_m = mean * rng.uniform(1.1, 10.0)
             r = float(rng.uniform(0.0, 3.0))
             p = WorkProblem(a, b, omega_bar, omega_M, omega_m, r)
-            s, _ = solve_work(p)
+            s, cert = solve_work(p)
             assert np.sum(s.values) == pytest.approx(omega_bar, rel=1e-10)
             assert np.all(s.values >= omega_M - 1e-12 * omega_bar)
             assert np.all(s.values <= omega_m + 1e-12 * omega_bar)
+            if not degenerate(p, cert):
+                assert_work_kkt(p, s, cert)
 
     def test_closed_form_agreement_random(self):
         rng = np.random.default_rng(20)
@@ -990,6 +1007,11 @@ class TestValidation:
          r"the work weight \(b\*a\^r\)\^\(1/\(r\+1\)\) leaves the doubles at index 0"),
         (solve_work, WorkProblem([1.0, 1e200, 2.0], np.ones(3), 3.0, 0.1, 2.0, 2.0),
          r"the work weight .* leaves the doubles at index 1"),
+        # the accuracy solve's power weights overflow the same way, and name
+        # the input index, not the rank (index 1 ranks last by nu)
+        (solve_accuracy, accuracy_problem([1.0, 1e200, 2.0], np.ones(3), 1e-3, 0.1, 10.0,
+                                          POWER, 2.0),
+         r"the power weight \(b\*a\^r\)\^\(1/\(r\+1\)\) leaves the doubles at index 1"),
         (solve_accuracy, accuracy_problem([1.0, 1e-200, 1.0], [1.0, 1e200, 1.0],
                                           1e-3, 0.1, 10.0, POWER),
          r"the accuracy key nu = b/a leaves the doubles at index 1"),
@@ -1012,3 +1034,29 @@ class TestValidation:
             warnings.simplefilter("error")
             with pytest.raises(SolverError, match=message):
                 solve(problem)
+
+    @pytest.mark.parametrize("solve", [solve_accuracy, solve_work])
+    def test_power_survey_solves_or_names_the_overflow(self, solve):
+        # a, b from 10^U(-150, 150) with r = 3: each draw either solves
+        # exactly or raises SolverError naming what left the doubles, and no
+        # numpy warning escapes
+        rng = np.random.default_rng(11)
+        for _ in range(120):
+            n = int(rng.integers(2, 1001))
+            a, b = 10 ** rng.uniform(-150, 150, (2, n))
+            if solve is solve_accuracy:
+                p = accuracy_problem(a, b, 1e-3, 0.0, 100.0, POWER, 3.0)
+            else:
+                p = WorkProblem(a, b, float(n), 0.0, 100.0, 3.0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    s, cert = solve(p)
+                except SolverError as exc:
+                    assert "leaves the doubles" in str(exc)
+                    continue
+            if solve is solve_accuracy:
+                assert_kkt(p, s, cert)
+                assert_budget_and_box(p, s, cert)
+            else:
+                assert_work_kkt(p, s, cert)
