@@ -31,21 +31,32 @@ def next_certificate(A_k: float, L_next: float, mu: float = 0.0) -> float:
 
 def fixed_step_certificates(N: int, L: float, mu: float = 0.0) -> np.ndarray:
     """A_0..A_N: the recursion chained N times with a constant inverse
-    stepsize."""
+    stepsize.
+
+    L and mu are checked once per chain, by the first ``next_certificate``
+    call; the later steps run its arithmetic inline, in its operation order,
+    so every A_k has the bits of the ``next_certificate`` chain. The chain
+    stops at the first A_k that is not finite and raises ``ValueError``
+    naming its k.
+    """
+    if not isinstance(N, (int, np.integer)) or isinstance(N, bool):
+        raise ValueError(f"N must be an integer, got {N!r}")
     if N < 1:
         raise ValueError("N must be >= 1")
+    next_certificate(0.0, L, mu)  # the chain's one domain check: a bad L or mu raises
+    L, mu = float(L), float(mu)
+    two_L, four_L, sqrt, inf = 2.0 * L, 4.0 * L, math.sqrt, math.inf
     A = np.empty(N + 1)
-    A[0] = 0.0
-    A[1] = A_k = next_certificate(0.0, L, mu)  # rejects a bad L or mu
-    # chained on a Python float: the same IEEE arithmetic as on the
-    # np.float64 elements, without numpy's per-scalar overhead
-    try:
-        for k in range(2, N + 1):
-            A[k] = A_k = next_certificate(A_k, L, mu)
-    except ValueError:  # A_k overflowed to inf, stored in A: reported below
-        pass
-    if not np.isfinite(A).all():
-        raise ValueError("certificates must be finite")
+    out = memoryview(A)  # stores a Python float without numpy's per-item cost
+    out[0] = A_k = 0.0
+    for k in range(1, N + 1):
+        # next_certificate's B + sqrt(disc) over 2 L, term for term
+        mu_A = mu * A_k
+        A_k = (two_L * A_k + 1.0 + mu_A
+               + sqrt((1.0 + mu_A) * (four_L * A_k + 1.0 + mu_A))) / two_L
+        if not A_k < inf:  # NaN fails too
+            raise ValueError(f"certificates must be finite: A_k overflows at k = {k}")
+        out[k] = A_k
     if np.any(np.diff(A) <= 0.0):
         raise ValueError("certificates must grow strictly")
     return A

@@ -39,7 +39,8 @@ t, which leaves few steps where consecutive probes and the Newton steps sit
 close, and takes none when the first Newton point repeats the last probe.
 
 One guard, ``_in_doubles``, names any key, power weight, W argument or transient
-value outside the doubles, NaN included; a power weight that underflows to 0 stays.
+value outside the doubles, NaN included; a power weight that underflows to 0 stays,
+unless the weights of every transient rank do.
 """
 
 from __future__ import annotations
@@ -382,7 +383,12 @@ def _transient(cm: CostModel, a: np.ndarray, b: np.ndarray, nu: np.ndarray, orde
         g = np.cumsum(w)
 
         def solve(budget_T, i, j, lam_cap):
-            lam_hat = (budget_T / np.sum(w[i:j])) ** (-1.0 / r)
+            with np.errstate(divide="ignore", over="ignore"):  # all of w[i:j] may underflow
+                per_weight = np.array([budget_T / np.sum(w[i:j])])
+            _in_doubles(per_weight, "the power weights (b*a^r)^(1/(r+1)) of the transient "
+                        "ranks underflow: budget over their sum leaves", -math.inf,
+                        "ranks", (f"{i}..{j - 1}",))
+            lam_hat = per_weight[0] ** (-1.0 / r)
             delta = lam_hat * nu[i:j] ** (1.0 / (r + 1.0))
             return delta, -r * lam_hat ** (-(r + 1.0))
         return (lambda lam, i, j, _need: (lam / r) ** (r / (r + 1.0)) * _span(g, i, j)), solve

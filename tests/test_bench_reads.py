@@ -85,7 +85,7 @@ def test_layer_metrics_of_every_workload(monkeypatch):
 CALLS = (
     {"problems.noisy_oracle": 160, "problems.softmax_value_grad": 173,
      "fgm.fgm_run": 5, "problems.estimate_fstar": 1,
-     "certificates.next_certificate": 260},
+     "certificates.next_certificate": 241},
     {"problems.hull_oracle": 36, "problems.hull_value": 4, "fgm.fgm_run": 2,
      "problems.estimate_fstar": 1},
     {"problems.hull_oracle": 768, "problems.hull_value": 24,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from witnesses import float64_certificates
 
+from tunable_oracle import certificates
 from tunable_oracle.certificates import (
     fixed_step_certificates,
     impact_coefficients_fgm,
@@ -64,8 +65,28 @@ class TestFixedStep:
     # stops at the next step at N = 400
     @pytest.mark.parametrize("N", [370, 400])
     def test_overflow_is_reported(self, N):
-        with pytest.raises(ValueError, match="certificates must be finite"):
+        with pytest.raises(ValueError,
+                           match="certificates must be finite: A_k overflows at k = 370$"):
             fixed_step_certificates(N, 1.0, 1.0)
+
+    @pytest.mark.parametrize("N", [True, False, 3.0, "3", None])
+    def test_rejects_non_integer_N(self, N):
+        with pytest.raises(ValueError, match="N must be an integer"):
+            fixed_step_certificates(N, 1.0)
+
+    def test_numpy_integer_N(self):
+        assert (fixed_step_certificates(np.int64(3), 1.0).tobytes()
+                == fixed_step_certificates(3, 1.0).tobytes())
+
+    def test_one_next_certificate_call_per_chain(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return next_certificate(*args)
+        monkeypatch.setattr(certificates, "next_certificate", counted)
+        fixed_step_certificates(1000, 2.0, 0.01)
+        assert calls == [(0.0, 2.0, 0.01)]
 
     def test_small_sequence(self):
         np.testing.assert_allclose(fixed_step_certificates(2, 1.0, 0.0),
@@ -105,10 +126,15 @@ class TestFixedStep:
             fixed_step_certificates(0, 1.0)
 
     @pytest.mark.parametrize("N, L, mu", [(100_000, 1.0, 0.0),
-                                          (20_000, 1.0 / 3e-3 + 0.1, 0.1)])
+                                          (20_000, 1.0 / 3e-3 + 0.1, 0.1)] + [
+        (N, L, mu) for N in (1, 2, 369)
+        for L, mu in ((1.0, 0.0), (1.0, 1.0), (24.7, 0.0), (2000.1, 0.1),
+                      (1e-3, 0.0), (1.0 / 3e-3 + 0.1, 0.1))])
     def test_same_bytes_as_float64_chain(self, N, L, mu):
-        # the chain runs on a Python float; the bench's N = 1e5 row and the
-        # longest experiment-3 row that does not overflow
+        # the chain runs next_certificate's arithmetic inline on a Python
+        # float; the bench's N = 1e5 row, the longest experiment-3 row that
+        # does not overflow, and short chains at mu = 0 and mu > 0 (at
+        # L = mu = 1, A_369 is the last finite certificate)
         with np.errstate(over="ignore"):
             witness = float64_certificates(N, L, mu)
         assert fixed_step_certificates(N, L, mu).tobytes() == witness.tobytes()
@@ -116,7 +142,7 @@ class TestFixedStep:
     def test_overflow_raises(self):
         # experiment-3 constants (L = 1/sigma + mu, sigma = 3e-3, mu = 0.1):
         # A_k overflows to inf from k = 20 297 on
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match="A_k overflows at k = 20297$"):
             fixed_step_certificates(25_000, 1.0 / 3e-3 + 0.1, 0.1)
 
 

@@ -1012,6 +1012,11 @@ class TestValidation:
         (solve_accuracy, accuracy_problem([1.0, 1e200, 2.0], np.ones(3), 1e-3, 0.1, 10.0,
                                           POWER, 2.0),
          r"the power weight \(b\*a\^r\)\^\(1/\(r\+1\)\) leaves the doubles at index 1"),
+        # every transient weight underflows to 0 (b a^2 <= 3e-400): the
+        # transient budget over their sum is no double
+        (solve_accuracy, accuracy_problem([1e-200] * 3, [1, 2, 3], 1e-3, 0.0, 10.0, POWER, 2.0),
+         r"the power weights \(b\*a\^r\)\^\(1/\(r\+1\)\) of the transient ranks "
+         r"underflow: budget over their sum leaves the doubles at ranks 0\.\.2"),
         (solve_accuracy, accuracy_problem([1.0, 1e-200, 1.0], [1.0, 1e200, 1.0],
                                           1e-3, 0.1, 10.0, POWER),
          r"the accuracy key nu = b/a leaves the doubles at index 1"),
