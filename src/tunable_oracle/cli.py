@@ -42,12 +42,12 @@ def _parse_cost(spec: str) -> CostModel:
     raise ValueError(f"unknown cost spec {spec!r}; expected power:R, log or logsq")
 
 
-def _solve_and_report(label: str, problem):
-    """Solve an accuracy problem, print its certificate line, return the schedule."""
-    schedule, cert = solve_accuracy(problem)
+def _solve_and_report(label: str, solve, problem, budget: float):
+    """Solve ``problem``, print the CLI's one certificate line and return the schedule."""
+    schedule, cert = solve(problem)
     print(f"{label}: N={problem.size} N_plus={cert.n_plus} "
           f"N_minus={cert.n_minus} lambda_star={cert.lambda_star:.6g} "
-          f"budget={reference_budget(problem):.6g} probes={cert.probes} "
+          f"budget={budget:.6g} probes={cert.probes} "
           f"budget_residual={cert.budget_residual:.3g}")
     return schedule
 
@@ -73,13 +73,11 @@ def _cmd_schedule(args) -> int:
             raise ValueError("the work-controlled solver covers power and log costs only")
         problem = WorkProblem(a, b, omega_bar=args.budget, omega_M=args.wmin,
                               omega_m=args.wmax, r=cost.r)
-        schedule, cert = solve_work(problem)
-        print(f"work schedule: N={problem.size} N_plus={cert.n_plus} "
-              f"N_minus={cert.n_minus} multiplier={cert.lambda_star:.6g} "
-              f"probes={cert.probes} budget_residual={cert.budget_residual:.3g}")
+        schedule = _solve_and_report("work schedule", solve_work, problem, problem.omega_bar)
     else:
         problem = ScheduleProblem(a, b, args.delta_ref, args.m, args.M, cost)
-        schedule = _solve_and_report("accuracy schedule", problem)
+        schedule = _solve_and_report("accuracy schedule", solve_accuracy, problem,
+                                     reference_budget(problem))
     export_schedule(schedule, args.out)
     print(f"wrote {args.out}")
     return 0
@@ -101,14 +99,12 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_toy(args) -> int:
-    schedule = _solve_and_report("toy instance", toy_instance())
+    problem = toy_instance()
+    schedule = _solve_and_report("toy instance", solve_accuracy, problem,
+                                 reference_budget(problem))
+    export_schedule(schedule, args.out or sys.stdout)
     if args.out:
-        export_schedule(schedule, args.out)
         print(f"wrote {args.out}")
-    else:
-        print("k,delta")
-        for k, value in enumerate(schedule.values):
-            print(f"{k},{value:.17g}")
     return 0
 
 

@@ -1,8 +1,9 @@
 """Experiment harness: builds budget-matched inexactness schedules, runs the
 inexact fast gradient method over seeded instances, and aggregates the
-trajectories into deterministic CSV outputs. Every CSV file the package
-writes goes through the one writer of this module, and every file it reads
-is a coefficient file, read by ``import_coefficients``.
+trajectories into deterministic CSV outputs. Every CSV table the package
+writes, to a file or to a stream such as stdout, goes through the one writer
+of this module, so both carry the same bytes; every file it reads is a
+coefficient file, read by ``import_coefficients``.
 
 Three experiments are supported:
 
@@ -25,7 +26,7 @@ import numbers
 import os
 import statistics
 from dataclasses import dataclass, fields, replace
-from typing import Callable, get_args, get_origin, get_type_hints
+from typing import Callable, TextIO, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -568,7 +569,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
 
 # ---------------------------------------------------------------------------
-# CSV files: every file the package writes passes through ``_write_csv``, and
+# CSV files: every table the package writes passes through ``_write_csv``, and
 # ``import_coefficients`` is its one reader
 # ---------------------------------------------------------------------------
 
@@ -580,16 +581,19 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: str, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([_fmt(cell) for cell in row] for row in rows)
+def _write_csv(out: str | TextIO, header, rows):
+    """Write to ``out``, a path or an open text stream, which stays open."""
+    if isinstance(out, (str, os.PathLike)):
+        with open(out, "w", newline="") as fh:
+            return _write_csv(fh, header, rows)
+    writer = csv.writer(out)
+    writer.writerow(header)
+    writer.writerows([_fmt(cell) for cell in row] for row in rows)
 
 
-def export_schedule(s: Schedule, path: str):
+def export_schedule(s: Schedule, out: str | TextIO):
     column = "delta" if s.kind == "accuracy" else "omega"
-    _write_csv(path, ["k", column], enumerate(s.values))
+    _write_csv(out, ["k", column], enumerate(s.values))
 
 
 def import_coefficients(path: str) -> tuple[np.ndarray, np.ndarray]:

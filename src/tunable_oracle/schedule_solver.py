@@ -38,9 +38,9 @@ one in t = log(lam) starts Halley from the cached W moved to first order in
 t, which leaves few steps where consecutive probes and the Newton steps sit
 close, and takes none when the first Newton point repeats the last probe.
 
-One guard, ``_in_doubles``, names any key, power weight, W argument or transient
-value outside the doubles, NaN included; a power weight that underflows to 0 stays,
-unless the weights of every transient rank do.
+One guard, ``_in_doubles``, names any key, power weight or multiplier, W
+argument or transient value outside the doubles, NaN included; a power weight
+that underflows to 0 stays, unless the weights of every transient rank do.
 """
 
 from __future__ import annotations
@@ -199,6 +199,12 @@ def _power_weights(a, b, r: float, name: str, labels=None) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         w = (b * a**r) ** (1.0 / (r + 1.0))
     return _in_doubles(w, f"{name} leaves", -math.inf, labels=labels)
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    """sum_k x_k y_k in numpy's own loop: BLAS ``@`` splits long sums across
+    threads, which would make the solve's bits depend on the thread count."""
+    return float(np.einsum("i,i->", x, y))
 
 
 def reference_budget(p: ScheduleProblem) -> float:
@@ -385,12 +391,17 @@ def _transient(cm: CostModel, a: np.ndarray, b: np.ndarray, nu: np.ndarray, orde
         def solve(budget_T, i, j, lam_cap):
             with np.errstate(divide="ignore", over="ignore"):  # all of w[i:j] may underflow
                 per_weight = np.array([budget_T / np.sum(w[i:j])])
+            ranks = (f"{i}..{j - 1}",)
             _in_doubles(per_weight, "the power weights (b*a^r)^(1/(r+1)) of the transient "
                         "ranks underflow: budget over their sum leaves", -math.inf,
-                        "ranks", (f"{i}..{j - 1}",))
+                        "ranks", ranks)
             lam_hat = per_weight[0] ** (-1.0 / r)
             delta = lam_hat * nu[i:j] ** (1.0 / (r + 1.0))
-            return delta, -r * lam_hat ** (-(r + 1.0))
+            with np.errstate(over="ignore"):
+                lam = np.array([-r * lam_hat ** (-(r + 1.0))])
+            _in_doubles(lam, "the power multiplier -r*lam_hat^-(r+1) leaves", -_HUGE,
+                        "ranks", ranks)
+            return delta, lam[0]
         return (lambda lam, i, j, _need: (lam / r) ** (r / (r + 1.0)) * _span(g, i, j)), solve
 
     if cm.kind == LOGARITHMIC:
@@ -424,9 +435,10 @@ def _transient(cm: CostModel, a: np.ndarray, b: np.ndarray, nu: np.ndarray, orde
             #   order; _W_REL = 16 eps leaves room for the second-order terms.
             #   W^2 of the full pass and of a block end then differ by a
             #   factor within 1 + 4 _W_REL;
-            # - the squares, products and sums of positive terms in
-            #   b @ (w * w), the block sums and both bound sums each stay
-            #   within a factor 1 + gamma_n of exact, gamma_n = n u / (1 - n u)
+            # - the squares, products and sums of positive terms in the full
+            #   pass's sum of b W^2, the block sums and both bound sums each
+            #   stay within a factor 1 + gamma_n of exact, whatever order
+            #   ``_dot`` adds them in, gamma_n = n u / (1 - n u)
             #   (u = 2^-53); three such factors, the roundings of the tests
             #   below and every second-order term fit in 4 gamma_n, since
             #   n >= _BOUND_MIN_RANKS makes gamma_n >= 4096 u;
@@ -441,14 +453,14 @@ def _transient(cm: CostModel, a: np.ndarray, b: np.ndarray, nu: np.ndarray, orde
             w = cost_models.lambert_w0(_w_argument(lam, nu[ends], ends))
             w *= w
             sums = np.add.reduceat(b[i:j], blocks - i)
-            lower = float(sums @ w[:_BOUND_BLOCKS])
-            upper = float(sums @ w[_BOUND_BLOCKS:])
+            lower = _dot(sums, w[:_BOUND_BLOCKS])
+            upper = _dot(sums, w[_BOUND_BLOCKS:])
             gamma = n * 2.0**-53 / (1.0 - n * 2.0**-53)
             margin, tiny = 4.0 * _W_REL + 4.0 * gamma, 4.0 * n * 2.0**-1074
             if upper * (1.0 + margin) + tiny < need or lower * (1.0 - margin) - tiny > need:
                 return 0.5 * (lower + upper)
         w = w_of(lam, i, j)
-        return float(b[i:j] @ (w * w))
+        return _dot(b[i:j], w * w)
 
     def solve(budget_T, i, j, lam_cap):
         # with W_k = W(lam a_k / (2 b_k)), the transient cost R(t) = sum
@@ -467,11 +479,11 @@ def _transient(cm: CostModel, a: np.ndarray, b: np.ndarray, nu: np.ndarray, orde
         while True:
             w = w_of(math.exp(t), i, j)
             cost = w * w
-            gap = float(bT @ cost) - budget_T
+            gap = _dot(bT, cost) - budget_T
             if gap <= 0.0:
                 break
             cost /= w + 1.0
-            step = gap / (2.0 * float(bT @ cost))
+            step = gap / (2.0 * _dot(bT, cost))
             if step <= _NEWTON_STEP_TOL or t - step == t:
                 break
             t -= step
@@ -551,7 +563,7 @@ def solve_accuracy(p: ScheduleProblem) -> tuple[Schedule, KktCertificate]:
         lambda order, nu, b: _transient(cm, p.a[order], b, nu, order),
         loose, tight, reference_budget(p),
         (lo * (1.0 - _REL_TOL), hi * (1.0 + _REL_TOL)),  # slack _REL_TOL * bound
-        lambda values: float(p.b @ h_eval(cm, values)))
+        lambda values: _dot(p.b, h_eval(cm, values)))
     return Schedule(values, "accuracy"), cert
 
 

@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
@@ -1017,6 +1020,39 @@ class TestCli:
         for line in lines:
             tail = line.split("probes=", 1)[1].split()
             assert int(tail[0]) > 0 and tail[1].startswith("budget_residual=")
+
+    def test_certificate_lines_carry_one_set_of_keys(self, tmp_path, capsys):
+        # the accuracy, work and toy solves report through one line, whose
+        # budget is the reference budget or omega_bar
+        coeffs = tmp_path / "coeffs.csv"
+        write_coefficients([1.0, 4.0, 9.0], np.ones(3), str(coeffs))
+        common = ["schedule", "--coeffs", str(coeffs), "--cost", "power:1",
+                  "--out", str(tmp_path / "sched.csv")]
+        assert cli_main(["toy"]) == 0
+        assert cli_main(common + ["--delta-ref", "1e-3", "--m", "0", "--M", "10"]) == 0
+        assert cli_main(common + ["--work", "--budget", "6", "--wmin", "0.1",
+                                  "--wmax", "2.2"]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines() if "N_plus=" in line]
+        labels = [line.split(": ", 1)[0] for line in lines]
+        assert labels == ["toy instance", "accuracy schedule", "work schedule"]
+        for line in lines:
+            keys = [cell.split("=", 1)[0] for cell in line.split(": ", 1)[1].split()]
+            assert keys == ["N", "N_plus", "N_minus", "lambda_star", "budget", "probes",
+                            "budget_residual"]
+        assert "budget=6 " in lines[2] and "budget=3000 " in lines[1]
+
+    def test_toy_stdout_table_has_the_files_bytes(self, tmp_path):
+        # the bytes after the certificate line, as the process writes them
+        # to stdout, are those of the file ``toy --out`` writes
+        path = tmp_path / "toy.csv"
+        assert cli_main(["toy", "--out", str(path)]) == 0
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        out = subprocess.run([sys.executable, "-m", "tunable_oracle.cli", "toy"], env=env,
+                             check=True, capture_output=True, timeout=60).stdout
+        head, table = out.split(b"\n", 1)
+        assert head.startswith(b"toy instance: N=80 ")
+        assert table == path.read_bytes()
+        assert table.startswith(b"k,delta\r\n") and table.count(b"\r\n") == 81
 
     def test_toy_file(self, tmp_path, capsys):
         path = tmp_path / "toy.csv"

@@ -10,8 +10,8 @@ schedule solver, the harness and the oracles test neither a cost kind
 nor the exponent r outside the harness's one r -> cost model function,
 the harness's run path names no oracle, no inner state and no family, the
 CLI imports no private name of the package, one guard in the schedule solver
-raises the errors that say what left the doubles, and the power weights
-(b a^r)^(1/(r+1)) are written once.
+raises the errors that say what left the doubles, the power weights
+(b a^r)^(1/(r+1)) are written once, and the schedule solver has no ``@``.
 
 No lint tool is part of the toolchain, so these tests walk each module's
 syntax tree with the standard-library ``ast`` module. The import guard skips
@@ -556,3 +556,29 @@ def test_detects_a_second_power_weight():
               "f = (b_q * a_k / (a_q * b_k)) ** (1.0 / (r + 1.0))\n"
               "g = nu ** (1.0 / (r + 1.0)) * b ** 2\n")
     assert power_weight_sites(source) == [1, 2, 3]
+
+
+def matmul_sites(source: str) -> list[int]:
+    """Lines of ``source`` that apply the ``@`` operator, as ``x @ y`` or ``x @= y``;
+    a decorator is no operator."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, (ast.BinOp, ast.AugAssign))
+                  and isinstance(node.op, ast.MatMult))
+
+
+def test_the_schedule_solver_has_no_matmul():
+    # BLAS splits a long ``@`` across threads and rounds its sum by the
+    # split, so the solver's sums over ranks go through numpy's own loop
+    assert matmul_sites((PACKAGE / "schedule_solver.py").read_text()) == []
+
+
+def test_detects_a_matmul():
+    source = ("@dataclass(frozen=True)\nclass P:\n    x: float\n"
+              "s = float(b[i:j] @ (w * w))\nt @= u\n"
+              "v = np.einsum('i,i->', b, w)  # b @ w\n")
+    assert matmul_sites(source) == [4, 5]
+    # one planted in the real solver is found
+    solver = (PACKAGE / "schedule_solver.py").read_text()
+    head, tail = solver.split("        return _dot(b[i:j], w * w)\n", 1)
+    planted = f"{head}        return float(b[i:j] @ (w * w))\n{tail}"
+    assert matmul_sites(planted) == [len(head.splitlines()) + 1]

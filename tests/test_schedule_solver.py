@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -777,6 +780,36 @@ class TestSolveSweepJobs:
         assert (cert.n_plus, cert.n_minus) == (10, 0)
 
 
+class TestBlasThreads:
+    """The solver's sums over ranks run in numpy's own loop: OpenBLAS splits
+    a long ``@`` across threads (it does at N = 1e6), which made the bits of
+    a solve depend on the thread count."""
+
+    CHILD = (
+        "import hashlib\n"
+        "from tunable_oracle.certificates import (fixed_step_certificates,\n"
+        "                                         impact_coefficients_fgm)\n"
+        "from tunable_oracle.schedule_solver import accuracy_problem, solve_accuracy\n"
+        "a, b = impact_coefficients_fgm(fixed_step_certificates(1_000_000, 1.0, 0.0))\n"
+        "for kind, r in (('log_squared', 0.0), ('power', 1.0)):\n"
+        "    s, cert = solve_accuracy(accuracy_problem(a, b, 1e-3, 0.0, 100.0, kind, r))\n"
+        "    print(kind, hashlib.sha256(s.values.tobytes()).hexdigest(),\n"
+        "          repr(cert.lambda_star), repr(cert.budget_residual))\n")
+
+    def test_fgm_rows_at_n_1e6_solve_alike_on_one_and_two_threads(self):
+        # the FGM rows of the solve_sweep benchmark (m = 0) at N = 1e6: the
+        # value bytes, lambda_star and residual of one child per thread count
+        src = os.path.dirname(os.path.dirname(schedule_solver.__file__))
+        lines = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            run = subprocess.run([sys.executable, "-c", self.CHILD], env=env, check=True,
+                                 capture_output=True, text=True, timeout=300)
+            lines.append(run.stdout.splitlines())
+        assert [line.split()[0] for line in lines[0]] == ["log_squared", "power"]
+        assert lines[1] == lines[0]
+
+
 class TestLogSquaredNewtonTerminates:
     """Newton steps on t = log(lam) below half an ulp of t (|t| >= 64) leave
     t unchanged; the loop must stop there rather than spin."""
@@ -1017,6 +1050,11 @@ class TestValidation:
         (solve_accuracy, accuracy_problem([1e-200] * 3, [1, 2, 3], 1e-3, 0.0, 10.0, POWER, 2.0),
          r"the power weights \(b\*a\^r\)\^\(1/\(r\+1\)\) of the transient ranks "
          r"underflow: budget over their sum leaves the doubles at ranks 0\.\.2"),
+        # at r = 0.5 the weights (b a^0.5)^(2/3) ~ 1e-100 stay doubles, but
+        # the multiplier -r lam_hat^-(r+1) overflows
+        (solve_accuracy, accuracy_problem([1e-300] * 3, [1, 2, 3], 1e-6, 0.0, 10.0,
+                                          POWER, 0.5),
+         r"the power multiplier -r\*lam_hat\^-\(r\+1\) leaves the doubles at ranks 0\.\.2"),
         (solve_accuracy, accuracy_problem([1.0, 1e-200, 1.0], [1.0, 1e200, 1.0],
                                           1e-3, 0.1, 10.0, POWER),
          r"the accuracy key nu = b/a leaves the doubles at index 1"),
