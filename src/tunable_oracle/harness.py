@@ -25,8 +25,8 @@ import math
 import numbers
 import os
 import statistics
-from dataclasses import dataclass, fields, replace
-from typing import Callable, TextIO, get_args, get_origin, get_type_hints
+from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple, TextIO, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .certificates import (
     next_certificate,
 )
 from .cost_models import LOGARITHMIC, POWER, CostModel
-from .fgm import FgmError, fgm_run, project_simplex
+from .fgm import BlockReply, FgmError, fgm_run, project_simplex
 from .problems import (
     InnerState,
     OracleError,
@@ -274,8 +274,8 @@ def baseline_schedule(name: str, delta_ref: float, mu: float, L: float,
 # records
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RunRecord:
+# a tuple builds faster than a frozen dataclass: a sweep makes one per step and run
+class RunRecord(NamedTuple):
     experiment: int
     schedule: str
     seed: int
@@ -288,8 +288,7 @@ class RunRecord:
     cum_work: float
 
 
-@dataclass(frozen=True)
-class SummaryRow:
+class SummaryRow(NamedTuple):
     experiment: int
     schedule: str
     mu: float
@@ -344,13 +343,15 @@ class _Experiment:
     """What the run path needs of one experiment, resolved once per sweep.
     Its callables look each oracle up in the module globals when called, so
     a wrapper swapped in there sees every call."""
+    data: ScenarioData     # the scenarios, for the single-run f* reference
     cost: CostModel        # the oracle cost model the schedules are solved for
     L: float               # the fixed step, or the adaptive search's ceiling
     lo: float              # low end of every request box (the oracle's floor)
     hi: float              # largest request the oracle's cost admits
     adaptive: bool
     fstar: float | None    # shared f*; None: the best end point of each cell
-    start: Callable        # noise rng -> one run's (oracle(x, delta), sample(x))
+    start: Callable        # noise rngs, one per run -> a block's oracle and
+                           # sample(X, rows), the objective at the rows of X
     terminal: Callable     # x -> (value, gradient) of a run's end point
 
 
@@ -366,25 +367,33 @@ def _experiment(config: ExperimentConfig, data: ScenarioData) -> _Experiment:
         _linear_base(config.mu, L)  # fail before any run, not mid-sweep
     if softmax:
         exp = _Experiment(
-            cost=cost, L=L, lo=0.0, hi=cost.delta_max,
+            data=data, cost=cost, L=L, lo=0.0, hi=cost.delta_max,
             adaptive=False, fstar=None,
-            start=lambda rng: (lambda x, delta: noisy_oracle(data, x, delta, rng, cost),
-                               lambda x: softmax_value_grad(data, x)[0]),
+            start=lambda rngs: (
+                lambda X, deltas, rows: noisy_oracle(data, X, deltas,
+                                                     [rngs[i] for i in rows], cost),
+                lambda X, _rows: softmax_value_grad(data, X)[0]),
             terminal=lambda x: softmax_value_grad(data, x))
         # the noise-free reference depends on max(N) only, so it runs once
         return replace(exp, fstar=_reference_fstar_exp1(config, exp))
 
-    def start(_rng):  # the run's oracle and sampler share its warm start
-        state = InnerState()
-        return (lambda x, delta: hull_oracle(data, x, delta, state),
-                lambda x: hull_value(data, x, SAMPLE_PRECISION, state=state))
+    def start(rngs):  # a run's oracle calls and samples share its warm start
+        states = [InnerState() for _ in rngs]
+
+        def oracle(X, deltas, rows):  # one inner solve per row
+            got = [hull_oracle(data, x, delta, states[i]) for x, delta, i in zip(X, deltas, rows)]
+            return BlockReply([r.value for r in got], np.array([r.gradient for r in got]),
+                              [r.delta for r in got], [r.inner_work for r in got])
+        return oracle, lambda X, rows: [hull_value(data, x, SAMPLE_PRECISION, state=states[i])
+                                        for x, i in zip(X, rows)]
 
     def terminal(x):  # a cold solve, apart from the run's warm start
         reply = hull_oracle(data, x, FSTAR_PRECISION, InnerState())
         return reply.value, reply.gradient
     return _Experiment(
         # the hull oracle charges its measured inner iterations, not the model
-        cost=cost, L=L, lo=ORACLE_FLOOR, hi=math.inf, adaptive=config.experiment == 3,
+        data=data, cost=cost, L=L, lo=ORACLE_FLOOR, hi=math.inf,
+        adaptive=config.experiment == 3,
         fstar=None, start=start, terminal=terminal)
 
 
@@ -397,8 +406,9 @@ def _reference_fstar_exp1(config: ExperimentConfig, exp: _Experiment) -> float:
         A = next_certificate(A, exp.L, config.mu)
         n_ref += 1
     # delta = 0 draws no noise: the oracle needs no stream
-    x_hat, _ = fgm_run(exp.start(None)[0], lambda k, A: 0.0,
-                       n_ref, np.full(config.d, 1.0 / config.d), exp.L, config.mu)
+    x_hat, _ = fgm_run(lambda x, delta: noisy_oracle(exp.data, x, delta, None, exp.cost),
+                       lambda k, A: 0.0, n_ref, np.full(config.d, 1.0 / config.d),
+                       exp.L, config.mu)
     f, g = exp.terminal(x_hat)
     return estimate_fstar(f, g, x_hat, config.mu)
 
@@ -458,48 +468,55 @@ def _family_schedule(config: ExperimentConfig, name: str, delta_ref: float,
 _NUMERICAL = (OracleError, FgmError, SolverError)  # fail a run, not the sweep
 
 
-def _run_one(config: ExperimentConfig, exp: _Experiment, name: str,
-             seed: int, horizons: tuple, schedule_cb) -> dict:
-    """One (schedule, seed) run of max(horizons) steps, read at each horizon
-    N as a run of N steps alone: N -> (its records, (terminal x, terminal
-    value, terminal gradient, total work)), or N -> the message of the
-    numerical error that fails it. An error at step k fails the horizons
-    N > k; a failed terminal solve fails its own horizon."""
-    x0_rng, noise_rng = _seed_streams(config, seed)
-    x0 = x0_rng.dirichlet(np.ones(config.d))
-    oracle, sample = exp.start(noise_rng)
-    records: list[RunRecord] = []
-    ends: dict[int, np.ndarray] = {}  # N -> x after step N - 1
+def _run_block(config: ExperimentConfig, exp: _Experiment, runs: list) -> dict:
+    """The runs (name, seed, horizons, step callback) as one block, each of
+    max(horizons) steps and read at each horizon N as a run of N steps
+    alone: (name, seed, N) -> (its records, (terminal x, terminal value,
+    terminal gradient, total work)), or the message of the numerical error
+    that fails it. An error at step k fails the horizons N > k; a block
+    meeting one runs again one run at a time, so the error fails its run
+    alone. A failed terminal solve fails its own horizon."""
+    streams = [_seed_streams(config, seed) for _, seed, _, _ in runs]
+    x0 = np.array([x0_rng.dirichlet(np.ones(config.d)) for x0_rng, _ in streams])
+    oracle, sample = exp.start([noise_rng for _, noise_rng in streams])
+    records: list[list[RunRecord]] = [[] for _ in runs]
+    ends: list[dict[int, np.ndarray]] = [{} for _ in runs]  # N -> x after step N - 1
 
-    def observer(rec, x):
-        objective = sample(x) if rec.k % config.sample_every == 0 else None
-        cum_work = (records[-1].cum_work if records else 0.0) + rec.omega
-        records.append(RunRecord(
-            experiment=config.experiment, schedule=name, seed=seed, k=rec.k,
-            delta=rec.delta, omega=rec.omega, L=rec.L, A=rec.A,
-            objective=objective, cum_work=cum_work))
-        if rec.k + 1 in horizons:
-            ends[rec.k + 1] = x
+    def observer(rows, step, X):
+        k = step[0].k
+        objectives = sample(X, rows) if k % config.sample_every == 0 else [None] * len(rows)
+        for i, rec, x, objective in zip(rows, step, X, objectives):
+            name, seed, horizons, _ = runs[i]
+            cum_work = (records[i][-1].cum_work if records[i] else 0.0) + rec.omega
+            records[i].append(RunRecord(config.experiment, name, seed, k, rec.delta,
+                                        rec.omega, rec.L, rec.A, objective, cum_work))
+            if k + 1 in horizons:
+                ends[i][k + 1] = x
 
     error = None
     try:
-        fgm_run(oracle, schedule_cb, max(horizons), x0, exp.L, config.mu,
-                adaptive=exp.adaptive, observer=observer)
+        fgm_run(oracle, [cb for *_, cb in runs], [max(h) for _, _, h, _ in runs],
+                x0, exp.L, config.mu, adaptive=exp.adaptive, observer=observer)
     except _NUMERICAL as exc:
+        if len(runs) > 1:  # the error fails its own run alone
+            return {key: got for run in runs
+                    for key, got in _run_block(config, exp, [run]).items()}
         error = str(exc)  # the horizons the run did not reach fail with it
 
     out = {}
-    for N in horizons:
-        if N not in ends:
-            out[N] = error
-            continue
-        try:
-            # the lower model of f* reuses the terminal value and gradient
-            value, grad = exp.terminal(ends[N])
-        except _NUMERICAL as exc:
-            out[N] = str(exc)
-            continue
-        out[N] = (records[:N], (ends[N], value, grad, records[N - 1].cum_work))
+    for (name, seed, horizons, _), run_records, run_ends in zip(runs, records, ends):
+        for N in horizons:
+            if N not in run_ends:
+                out[name, seed, N] = error
+                continue
+            try:
+                # the lower model of f* reuses the terminal value and gradient
+                value, grad = exp.terminal(run_ends[N])
+            except _NUMERICAL as exc:
+                out[name, seed, N] = str(exc)
+                continue
+            out[name, seed, N] = (run_records[:N], (run_ends[N], value, grad,
+                                                    run_records[N - 1].cum_work))
     return out
 
 
@@ -516,6 +533,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         # (name, seed, N) -> what a run of N steps alone gives: (records,
         # terminal), or its failure message
         outcome: dict[tuple, tuple | str] = {}
+        runs = []  # (name, seed, the horizons it serves, step callback)
         for name in config.schedules:
             callbacks: dict[int, Callable] = {}  # horizon -> step callback
             for N in horizons:
@@ -530,10 +548,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             groups = [((N,), cb) for N, cb in callbacks.items()]
             if callbacks and name not in _HORIZON_BOUND:  # horizon-free: run once, at max N
                 groups = [(tuple(callbacks), callbacks[max(callbacks)])]
-            for served, schedule_cb in groups:
-                for seed in seeds:
-                    by_N = _run_one(config, exp, name, seed, served, schedule_cb)
-                    outcome.update({(name, seed, N): got for N, got in by_N.items()})
+            runs += [(name, seed, served, cb) for served, cb in groups for seed in seeds]
+        # the fixed-step runs of a cell step as one block; an adaptive search
+        # runs one run at a time
+        for block in ([runs] if runs and not exp.adaptive else [[run] for run in runs]):
+            outcome.update(_run_block(config, exp, block))
 
         for N in horizons:
             # (name, seed) -> (terminal x, value, gradient, total work)
@@ -627,7 +646,7 @@ def emit_outputs(result: ExperimentResult, out_dir: str) -> list[str]:
     for name, cls, rows in (("trajectory", RunRecord, result.records),
                             ("summary", SummaryRow, result.summaries)):
         path = os.path.join(out_dir, f"{name}.csv")
-        names = [f.name for f in fields(cls)]
+        names = cls._fields
         _write_csv(path, names, ([getattr(row, n) for n in names] for row in rows))
         written.append(path)
 

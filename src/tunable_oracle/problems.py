@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cost_models import CostModel, h_eval
-from .fgm import project_simplex
+from .fgm import BlockReply, project_simplex
 
 
 _MAX_INNER = 10**6  # inner iteration cap of fista_inner
@@ -106,20 +106,32 @@ class OracleReply:
 
 def softmax_value_grad(data: ScenarioData, x: np.ndarray) -> tuple[float, np.ndarray]:
     """Smoothed robust objective (smoothing parameter 1) and its gradient,
-    overflow safe.
+    overflow safe; at a (B, d) block x, its rows' values and gradients.
 
     ``s[s.argmax()]`` is ``s.max()`` and ``np.add.reduce`` is the pairwise
     sum of ``e.sum()``, each without the method's dispatch overhead.
     """
-    s = data.O @ x
-    mx = float(s[s.argmax()])
-    e = np.exp(s - mx)
-    denom = float(np.add.reduce(e))
-    value = mx + math.log(denom / data.n)
-    grad = data.O.T @ (e / denom)
+    if x.ndim == 2:  # stacked products keep each row's bits of O @ x; O @ X.T need not
+        s = np.matmul(data.O, x[:, :, None])[:, :, 0]
+        mx = np.maximum.reduce(s, 1)
+        e = np.exp(s - mx[:, None])
+        denom = np.add.reduce(e, 1)
+        value = [m + math.log(t / data.n) for m, t in zip(mx.tolist(), denom.tolist())]
+        grad = np.matmul(data.O.T, (e / denom[:, None])[:, :, None])[:, :, 0]
+        if data.mu:  # x @ x of each row
+            sq = np.matmul(x[:, None, :], x[:, :, None]).ravel().tolist()
+            value = [v + 0.5 * data.mu * q for v, q in zip(value, sq)]
+    else:
+        s = data.O @ x
+        mx = float(s[s.argmax()])
+        e = np.exp(s - mx)
+        denom = float(np.add.reduce(e))
+        value = mx + math.log(denom / data.n)
+        grad = data.O.T @ (e / denom)
+        if data.mu:
+            value += 0.5 * data.mu * float(x @ x)
     # at mu = 0 each term adds a zero, which can change only a zero's sign
     if data.mu:
-        value += 0.5 * data.mu * float(x @ x)
         grad += data.mu * x
     return value, grad
 
@@ -131,23 +143,33 @@ def noisy_oracle(data: ScenarioData, x: np.ndarray, delta: float,
     The certified inexactness of the resulting information tuple is
     4*ALPHA*delta; the simulated work charged is ``h_eval(cost, delta)``,
     zero for an exact request. A request above ``cost.delta_max`` is refused:
-    the log cost would charge a negative amount there.
+    the log cost would charge a negative amount there. At a (B, d) block x,
+    delta and rng list each row's request and stream, and the reply is a
+    ``BlockReply`` whose rows have the bits of their calls alone.
     """
-    if not delta >= 0.0:  # NaN fails too
-        raise OracleError("need delta >= 0")
-    if delta > cost.delta_max:
-        raise OracleError(f"the {cost.kind} cost needs delta <= {cost.delta_max:g}, "
-                          f"got delta = {delta!r}")
+    deltas, rngs = (delta, rng) if x.ndim == 2 else ([delta], [rng])
+    for request in deltas:
+        if not request >= 0.0:  # NaN fails too
+            raise OracleError("need delta >= 0")
+        if request > cost.delta_max:
+            raise OracleError(f"the {cost.kind} cost needs delta <= {cost.delta_max:g}, "
+                              f"got delta = {request!r}")
     value, grad = softmax_value_grad(data, x)
-    if delta > 0.0:
-        u = rng.standard_normal(x.size)
-        u /= math.sqrt(float(u.dot(u)))  # np.linalg.norm(u) to the bit
-        grad = grad + ALPHA * delta * u
-        work = h_eval(cost, delta)
-    else:
-        work = 0.0
-    return OracleReply(value=value, gradient=grad, delta=4.0 * ALPHA * delta,
-                       inner_work=work)
+    noisy = [i for i, request in enumerate(deltas) if request > 0.0]
+    if noisy:
+        u = np.empty((len(noisy), x.shape[-1]))
+        for row, i in zip(u, noisy):
+            rngs[i].standard_normal(out=row)
+        u /= np.sqrt(np.matmul(u[:, None, :], u[:, :, None]))[:, 0]  # norm(u) to the bit
+        u *= ALPHA * np.array([deltas[i] for i in noisy])[:, None]
+        # a slice where every row is noisy costs less than the fancy index
+        np.atleast_2d(grad)[noisy if len(noisy) < len(deltas) else slice(None)] += u
+    # one charge per distinct request: the runs of a family ask alike
+    work = {request: h_eval(cost, request) if request > 0.0 else 0.0 for request in set(deltas)}
+    certified = [4.0 * ALPHA * request for request in deltas]
+    if x.ndim == 2:
+        return BlockReply(value, grad, certified, [work[request] for request in deltas])
+    return OracleReply(value=value, gradient=grad, delta=certified[0], inner_work=work[delta])
 
 
 # ---------------------------------------------------------------------------

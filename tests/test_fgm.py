@@ -171,7 +171,9 @@ class TestProjectSimplex:
         with pytest.raises(FgmError):
             project_simplex(np.array([]))
 
-    @pytest.mark.parametrize("shape", [(), (2, 2), (1, 3), (3, 1)])
+    # a 2-D block projects row by row (TestProjectRows); an empty block and
+    # any other rank are rejected
+    @pytest.mark.parametrize("shape", [(), (0, 3), (2, 2, 2), (1, 1, 3)])
     def test_rejects_a_point_that_is_not_1d(self, shape):
         named = re.escape(f"1-D vector, got shape {shape}")
         with pytest.raises(FgmError, match=named):

@@ -265,7 +265,7 @@ class TestConfigValidation:
 
         def no_run(*_args):
             raise AssertionError("a run started")
-        monkeypatch.setattr(harness, "_run_one", no_run)
+        monkeypatch.setattr(harness, "_run_block", no_run)
         with pytest.raises(HarnessError, match=r"M\*delta_ref < 1"):
             run_experiment(cfg)
 
@@ -782,16 +782,18 @@ class TestHorizonSharing:
         _assert_same_results(got, _lone_sweeps(cfg), tmp_path)
 
     def test_horizon_free_families_run_once(self, monkeypatch):
-        runs = []
-        real = harness._run_one
+        blocks = []
+        real = harness._run_block
 
-        def counted(config, exp, name, seed, horizons, schedule_cb):
-            runs.append((name, seed, horizons))
-            return real(config, exp, name, seed, horizons, schedule_cb)
-        monkeypatch.setattr(harness, "_run_one", counted)
+        def counted(config, exp, runs):
+            blocks.append([(name, seed, horizons) for name, seed, horizons, _ in runs])
+            return real(config, exp, runs)
+        monkeypatch.setattr(harness, "_run_block", counted)
         cfg = MULTI_HORIZON["exp2"]
         run_experiment(cfg)
-        assert runs == [("tunable", seed, (N,)) for N in (15, 25, 40) for seed in (0, 1)] + [
+        # every fixed-step run of the cell steps in one block
+        assert len(blocks) == 1
+        assert blocks[0] == [("tunable", seed, (N,)) for N in (15, 25, 40) for seed in (0, 1)] + [
             (name, seed, (15, 25, 40)) for name in ("constant", "poly3") for seed in (0, 1)]
 
     def test_oracle_error_between_horizons(self, monkeypatch, tmp_path, shared_fstar):
@@ -804,12 +806,14 @@ class TestHorizonSharing:
         noisy = harness.noisy_oracle
 
         def breaks(data, x, delta, rng, cost):
-            if rng is not None and delta in cfg.delta_ref:
-                # the entry keeps the stream alive, so that its id is not reused
-                count = calls.setdefault(id(rng), [rng, 0])
-                count[1] += 1
-                if count[1] > 25:
-                    raise OracleError(f"stream broke at call {count[1]}")
+            # the runs ask for a block of rows, the f* reference for one point
+            for stream, request in zip(rng, delta) if x.ndim == 2 else [(rng, delta)]:
+                if stream is not None and request in cfg.delta_ref:
+                    # the entry keeps the stream alive, so that its id is not reused
+                    count = calls.setdefault(id(stream), [stream, 0])
+                    count[1] += 1
+                    if count[1] > 25:
+                        raise OracleError(f"stream broke at call {count[1]}")
             return noisy(data, x, delta, rng, cost)
         monkeypatch.setattr(harness, "noisy_oracle", breaks)
         got = run_experiment(cfg)

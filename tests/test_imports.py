@@ -105,7 +105,11 @@ def unreached_public_names(package: dict[str, str], reachers: list[str]) -> list
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
-    """``@dataclass``, ``@dataclass(...)`` or ``@dataclasses.dataclass``."""
+    """``@dataclass``, ``@dataclass(...)`` or ``@dataclasses.dataclass``, or
+    a ``NamedTuple`` subclass, the package's other record form."""
+    if any(getattr(base, "attr", getattr(base, "id", None)) == "NamedTuple"
+           for base in node.bases):
+        return True
     for dec in node.decorator_list:
         target = dec.func if isinstance(dec, ast.Call) else dec
         if getattr(target, "attr", getattr(target, "id", None)) == "dataclass":
@@ -183,10 +187,12 @@ def test_detects_an_unread_dataclass_field():
     defining = {"a": ("from dataclasses import dataclass\nimport dataclasses\n"
                       "@dataclass(frozen=True)\nclass P:\n    x: int\n    y: int = 0\n"
                       "@dataclasses.dataclass\nclass Q:\n    z: float\n"
-                      "class Plain:\n    w: int\n")}
-    readers = ["def f(p, q):\n    q.z = 1\n    return p.x\n"]
+                      "class Plain:\n    w: int\n"
+                      "class T(typing.NamedTuple):\n    t: int\n    u: int\n")}
+    readers = ["def f(p, q, tup):\n    q.z = 1\n    return p.x + tup.u\n"]
     assert unread_dataclass_fields(defining, readers) == ["a.P.y (line 6)",
-                                                          "a.Q.z (line 9)"]
+                                                          "a.Q.z (line 9)",
+                                                          "a.T.t (line 13)"]
 
 
 def test_every_export_is_reached():
@@ -385,7 +391,7 @@ def run_path_names(source: str, functions: set[str], names: set[str],
     return [f"{func}: {name} (line {line})" for line, func, name in sorted(found)]
 
 
-RUN_PATH = {"_run_one", "run_experiment"}
+RUN_PATH = {"_run_block", "run_experiment"}
 RUN_PATH_NAMES = {"InnerState", "hull_oracle", "hull_value", "noisy_oracle",
                   "softmax_value_grad"}
 
@@ -398,13 +404,13 @@ def test_the_run_path_names_no_oracle_and_no_family():
 
 
 def test_detects_a_run_path_name():
-    source = ("def _run_one(exp, h):\n    state = InnerState()\n"
+    source = ("def _run_block(exp, h):\n    state = InnerState()\n"
               "    return h.hull_value(state), 'tunable', 'tuna'\n"
               "def run_experiment(names):\n    return 'constant' in names\n"
               "def _other():\n    return InnerState(), 'tunable'\n")
     assert run_path_names(source, RUN_PATH, RUN_PATH_NAMES, set(ALL_SCHEDULES)) == [
-        "_run_one: InnerState (line 2)", "_run_one: 'tunable' (line 3)",
-        "_run_one: hull_value (line 3)", "run_experiment: 'constant' (line 5)"]
+        "_run_block: InnerState (line 2)", "_run_block: 'tunable' (line 3)",
+        "_run_block: hull_value (line 3)", "run_experiment: 'constant' (line 5)"]
     # a family test planted in the real run_experiment is found, and only it
     harness = (PACKAGE / "harness.py").read_text()
     head, tail = harness.split("def run_experiment(", 1)
