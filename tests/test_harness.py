@@ -1,5 +1,3 @@
-import hashlib
-import json
 import math
 import os
 import subprocess
@@ -12,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_csv_sha256 import TINY_EXP1, TINY_EXP2, TINY_EXP3
 from witnesses import read_schedule, write_coefficients
 
 from tunable_oracle import cli, harness
@@ -51,23 +50,6 @@ from tunable_oracle.schedule_solver import (
     online_extend_accuracy,
     solve_accuracy,
 )
-
-
-TINY_EXP1 = replace(
-    default_config(1), d=5, n=6, p=1.0, r=1.0, mu=0.1,
-    delta_ref=(1e-3,), N=(20,), seeds=(0, 1),
-    schedules=("tunable", "constant"))
-
-TINY_EXP2 = ExperimentConfig(
-    experiment=2, d=8, n=5, p=1.0, sigma=1e-2, mu=0.1, r=-1.0,
-    delta_ref=(1e-3,), N=(15,), seeds=(0,),
-    schedules=("tunable", "constant"))
-
-# N > N_R, so the online rule runs past the bootstrap
-TINY_EXP3 = replace(
-    default_config(3), d=8, n=5, p=1.0, sigma=1e-2, mu=0.1, r=0.0,
-    delta_ref=(1e-4,), N=(60,), seeds=(0,),
-    schedules=("online_tunable", "constant", "poly3", "linear"))
 
 
 class TestConfigParsing:
@@ -898,50 +880,6 @@ class TestHorizonSharing:
                         for A_next in (certs[k], *10.0 ** rng.uniform(-3, 9, 3)):
                             assert cb(k, A_next) == longest(k, A_next), (name, N, k)
         assert set(free) == families - {"tunable"}
-
-EXPERIMENT_FIXTURE = Path(__file__).with_name("experiment_fixture.json")
-
-
-class TestRecordedExperiments:
-    """Differential test against recorded runs of the tiny configs.
-
-    ``experiment_fixture.json`` holds, per config, the trajectory row count
-    and every summary row (exact total inner work, median and mean gap) of
-    the harness as it was before the terminal values and the experiment-1
-    reference were computed once per run and once per experiment. Its
-    ``output_sha256`` block pins the bytes of every CSV that ``emit_outputs``
-    writes for each config.
-    """
-
-    CASES = json.loads(EXPERIMENT_FIXTURE.read_text())
-    CONFIGS = {"TINY_EXP1": TINY_EXP1, "TINY_EXP2": TINY_EXP2,
-               "TINY_EXP3": TINY_EXP3}
-
-    @pytest.mark.parametrize("label", sorted(CONFIGS))
-    def test_matches_recorded_run(self, label):
-        case = self.CASES[label]
-        result = run_experiment(self.CONFIGS[label])
-        assert not result.failures
-        assert len(result.records) == case["trajectory_rows"]
-        # the fixture lists each cell's rows in config order; a sweep
-        # returns them in summary.csv's (N, delta_ref, schedule) order
-        key = lambda row: (row["N"], row["delta_ref"], row["schedule"])
-        refs = sorted(case["summaries"], key=key)
-        assert len(result.summaries) == len(refs)
-        for row, ref in zip(result.summaries, refs):
-            assert (row.schedule, row.N, row.delta_ref) == \
-                (ref["schedule"], ref["N"], ref["delta_ref"])
-            assert row.total_inner_work == ref["total_inner_work"]
-            assert row.median_gap == pytest.approx(ref["median_gap"], rel=1e-12)
-            assert row.mean_gap == pytest.approx(ref["mean_gap"], rel=1e-12)
-
-    @pytest.mark.parametrize("label", sorted(CONFIGS))
-    def test_emitted_bytes_match_recorded_run(self, label, tmp_path):
-        written = emit_outputs(run_experiment(self.CONFIGS[label]), str(tmp_path))
-        digests = {Path(path).name: hashlib.sha256(Path(path).read_bytes()).hexdigest()
-                   for path in written}
-        assert digests == self.CASES["output_sha256"][label]
-
 
 class TestEmitOutputs:
     def test_column_counts_and_headers(self, tmp_path):
