@@ -40,6 +40,7 @@ from .fgm import BlockReply, FgmError, fgm_run, project_simplex
 from .problems import (
     InnerState,
     OracleError,
+    OracleReply,
     ScenarioData,
     generate_scenarios,
     hull_oracle,
@@ -340,10 +341,9 @@ def estimate_fstar(f: float, g: np.ndarray, x_hat: np.ndarray, mu: float) -> flo
 
 @dataclass(frozen=True)
 class _Experiment:
-    """What the run path needs of one experiment, resolved once per sweep.
-    Its callables look each oracle up in the module globals when called, so
-    a wrapper swapped in there sees every call."""
-    data: ScenarioData     # the scenarios, for the single-run f* reference
+    """What the run path and the f* reference need of one experiment,
+    resolved once per sweep. Its callables look each oracle up in the module
+    globals when called, so a wrapper swapped in there sees every call."""
     cost: CostModel        # the oracle cost model the schedules are solved for
     L: float               # the fixed step, or the adaptive search's ceiling
     lo: float              # low end of every request box (the oracle's floor)
@@ -367,7 +367,7 @@ def _experiment(config: ExperimentConfig, data: ScenarioData) -> _Experiment:
         _linear_base(config.mu, L)  # fail before any run, not mid-sweep
     if softmax:
         exp = _Experiment(
-            data=data, cost=cost, L=L, lo=0.0, hi=cost.delta_max,
+            cost=cost, L=L, lo=0.0, hi=cost.delta_max,
             adaptive=False, fstar=None,
             start=lambda rngs: (
                 lambda X, deltas, rows: noisy_oracle(data, X, deltas,
@@ -392,21 +392,20 @@ def _experiment(config: ExperimentConfig, data: ScenarioData) -> _Experiment:
         return reply.value, reply.gradient
     return _Experiment(
         # the hull oracle charges its measured inner iterations, not the model
-        data=data, cost=cost, L=L, lo=ORACLE_FLOOR, hi=math.inf,
+        cost=cost, L=L, lo=ORACLE_FLOOR, hi=math.inf,
         adaptive=config.experiment == 3,
         fstar=None, start=start, terminal=terminal)
 
 
 def _reference_fstar_exp1(config: ExperimentConfig, exp: _Experiment) -> float:
-    """Noise-free run of 4*max(N) steps, then the lower model."""
+    """Noise-free run of 4*max(N) steps on the exact objective, then the lower model."""
     # once A_k exceeds ~1e18 the bound R^2/A_k is below double resolution of
     # the objective; longer runs only risk certificate overflow
     A, n_ref = 0.0, 0
     while n_ref < 4 * max(config.N) and A < 1e18:
         A = next_certificate(A, exp.L, config.mu)
         n_ref += 1
-    # delta = 0 draws no noise: the oracle needs no stream
-    x_hat, _ = fgm_run(lambda x, delta: noisy_oracle(exp.data, x, delta, None, exp.cost),
+    x_hat, _ = fgm_run(lambda x, _delta: OracleReply(*exp.terminal(x), 0.0, 0.0),
                        lambda k, A: 0.0, n_ref, np.full(config.d, 1.0 / config.d),
                        exp.L, config.mu)
     f, g = exp.terminal(x_hat)

@@ -136,40 +136,37 @@ def softmax_value_grad(data: ScenarioData, x: np.ndarray) -> tuple[float, np.nda
     return value, grad
 
 
-def noisy_oracle(data: ScenarioData, x: np.ndarray, delta: float,
-                 rng: np.random.Generator, cost: CostModel) -> OracleReply:
-    """Exact value, gradient corrupted on a sphere of radius ALPHA*delta.
+def noisy_oracle(data: ScenarioData, X: np.ndarray, deltas: list,
+                 rngs: list, cost: CostModel) -> BlockReply:
+    """Exact values, gradients corrupted on spheres of radius ALPHA*delta, at
+    the rows of the (B, d) block X, with ``deltas`` and ``rngs`` each row's
+    request and noise stream; each row has the bits of a block of it alone.
 
-    The certified inexactness of the resulting information tuple is
-    4*ALPHA*delta; the simulated work charged is ``h_eval(cost, delta)``,
-    zero for an exact request. A request above ``cost.delta_max`` is refused:
-    the log cost would charge a negative amount there. At a (B, d) block x,
-    delta and rng list each row's request and stream, and the reply is a
-    ``BlockReply`` whose rows have the bits of their calls alone.
+    A row's certified inexactness is 4*ALPHA*delta and its simulated work
+    ``h_eval(cost, delta)``, zero for an exact request, which draws no noise.
+    A negative, NaN, infinite or above-``cost.delta_max`` request is refused
+    before any draw (the log cost would charge a negative amount above it).
     """
-    deltas, rngs = (delta, rng) if x.ndim == 2 else ([delta], [rng])
     for request in deltas:
-        if not request >= 0.0:  # NaN fails too
-            raise OracleError("need delta >= 0")
+        if not 0.0 <= request < math.inf:  # NaN fails too
+            raise OracleError(f"need a finite delta >= 0, got delta = {request!r}")
         if request > cost.delta_max:
             raise OracleError(f"the {cost.kind} cost needs delta <= {cost.delta_max:g}, "
                               f"got delta = {request!r}")
-    value, grad = softmax_value_grad(data, x)
+    value, grad = softmax_value_grad(data, X)
     noisy = [i for i, request in enumerate(deltas) if request > 0.0]
     if noisy:
-        u = np.empty((len(noisy), x.shape[-1]))
+        u = np.empty((len(noisy), X.shape[1]))
         for row, i in zip(u, noisy):
             rngs[i].standard_normal(out=row)
         u /= np.sqrt(np.matmul(u[:, None, :], u[:, :, None]))[:, 0]  # norm(u) to the bit
         u *= ALPHA * np.array([deltas[i] for i in noisy])[:, None]
         # a slice where every row is noisy costs less than the fancy index
-        np.atleast_2d(grad)[noisy if len(noisy) < len(deltas) else slice(None)] += u
+        grad[noisy if len(noisy) < len(deltas) else slice(None)] += u
     # one charge per distinct request: the runs of a family ask alike
     work = {request: h_eval(cost, request) if request > 0.0 else 0.0 for request in set(deltas)}
-    certified = [4.0 * ALPHA * request for request in deltas]
-    if x.ndim == 2:
-        return BlockReply(value, grad, certified, [work[request] for request in deltas])
-    return OracleReply(value=value, gradient=grad, delta=certified[0], inner_work=work[delta])
+    return BlockReply(value, grad, [4.0 * ALPHA * request for request in deltas],
+                      [work[request] for request in deltas])
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +217,9 @@ class InnerResult:
 
 
 def fista_inner(data: ScenarioData, x: np.ndarray, delta_target: float,
-                warm_start: InnerState | None = None) -> InnerResult:
-    """Maximize q(.; x) over the simplex until the certified gap <= target.
+                warm_start: InnerState) -> InnerResult:
+    """Maximize q(.; x) over the simplex until the certified gap <= target,
+    from ``warm_start`` (a cold start is ``InnerState()``).
 
     The momentum uses the strongly-concave constant when the scenario Gram
     matrix is well conditioned, the standard accelerating sequence otherwise.
@@ -230,7 +228,7 @@ def fista_inner(data: ScenarioData, x: np.ndarray, delta_target: float,
     """
     if not delta_target > 0.0:  # NaN fails too
         raise OracleError("delta_target must be > 0")
-    if warm_start is not None and warm_start.w is not None:
+    if warm_start.w is not None:
         # w is never written in place, so the warm start needs no copy
         w, carried = warm_start.w, warm_start.Otw
     else:
@@ -294,11 +292,11 @@ def hull_oracle(data: ScenarioData, x: np.ndarray, delta: float,
 
 
 def hull_value(data: ScenarioData, x: np.ndarray, precision: float,
-               state: InnerState | None = None) -> float:
+               state: InnerState) -> float:
     """High-precision objective value, for gap reporting only.
 
-    ``state`` is read as a warm start; the oracle updates a fresh state, so
-    sampling leaves the run's inner iteration counts unchanged.
+    ``state`` is read as a warm start (cold: ``InnerState()``); the oracle
+    updates a copy, so sampling leaves the run's inner iteration counts
+    unchanged.
     """
-    warm = InnerState() if state is None else InnerState(state.w, state.Otw)
-    return hull_oracle(data, x, precision, warm).value
+    return hull_oracle(data, x, precision, InnerState(state.w, state.Otw)).value

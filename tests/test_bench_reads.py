@@ -9,24 +9,17 @@ only in a traced benchmark run.
 
 import importlib
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from test_csv_sha256 import TINY_EXP1, TINY_EXP2, TINY_EXP3
 
 from tunable_oracle import certificates, harness, schedule_solver
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
-CONFIGS = (
-    replace(harness.default_config(1), d=5, n=6, p=1.0, mu=0.1, N=(20,),
-            seeds=(0, 1)),
-    replace(harness.default_config(2), d=8, n=5, p=1.0, sigma=1e-2, N=(15,),
-            seeds=(0,)),
-    replace(harness.default_config(3), d=8, n=5, p=1.0, sigma=1e-2,
-            N=(harness.N_R + 10,), seeds=(0,)),
-)
+CONFIGS = (TINY_EXP1, TINY_EXP2, TINY_EXP3)
 
 
 def _solves():
@@ -86,7 +79,7 @@ def test_layer_metrics_of_every_workload(monkeypatch):
 # bound when the module is imported, rather than looked up at call time,
 # hides its calls from the tracer and shows up here
 CALLS = (
-    {"problems.noisy_oracle": 100, "problems.softmax_value_grad": 107,
+    {"problems.noisy_oracle": 20, "problems.softmax_value_grad": 107,
      "fgm.fgm_run": 2, "problems.estimate_fstar": 1,
      "certificates.next_certificate": 181},
     {"problems.hull_oracle": 36, "problems.hull_value": 4, "fgm.fgm_run": 1,

@@ -94,6 +94,19 @@ def test_a_failing_row_fails_alone(label, monkeypatch):
         {key: _bytes(o) for key, o in want.items()}
 
 
+def test_an_infinite_request_fails_its_run_alone(monkeypatch):
+    # the power cost admits every finite delta; the oracle refuses +inf by
+    # name, so the run that asks for it fails and the sweep goes on
+    config, exp, runs = _blocks(CONFIGS["exp1"], monkeypatch)[0]
+    assert exp.cost.kind == "power" and exp.hi == math.inf
+    name, seed, served, cb = runs[-1]
+    runs = runs[:-1] + [(name, seed, served,
+                         lambda k, A, cb=cb: math.inf if k == 30 else cb(k, A))]
+    got = harness._run_block(config, exp, runs)
+    assert got[name, seed, 50] == "need a finite delta >= 0, got delta = inf"
+    assert [key for key, o in got.items() if isinstance(o, str)] == [(name, seed, 50)]
+
+
 def test_adaptive_runs_step_one_at_a_time(monkeypatch):
     cfg = replace(harness.default_config(3), d=8, n=5, p=1.0, sigma=1e-2,
                   N=(harness.N_R + 5,), seeds=(0, 1), schedules=("constant", "poly3"))
@@ -213,15 +226,15 @@ class TestSoftmaxBlock:
         deltas = [1e-3, 0.0, 2e-2, 1e-3]
         block = noisy_oracle(data, X, deltas, [np.random.default_rng(i) for i in range(4)], cost)
         for i, (x, delta) in enumerate(zip(X, deltas)):
-            alone = noisy_oracle(data, x, delta, np.random.default_rng(i), cost)
+            alone = noisy_oracle(data, x[None, :], [delta], [np.random.default_rng(i)], cost)
             # the noise as first written: a draw scaled by its norm
             grad = softmax_value_grad(data, x)[1]
             if delta > 0.0:
                 u = np.random.default_rng(i).standard_normal(30)
                 u /= math.sqrt(float(u.dot(u)))
                 grad = grad + 100.0 * delta * u
-            assert alone.gradient.tobytes() == grad.tobytes()
-            assert repr(block.value[i]) == repr(alone.value)
-            assert block.gradient[i].tobytes() == alone.gradient.tobytes()
-            assert repr(block.delta[i]) == repr(alone.delta)
-            assert repr(block.inner_work[i]) == repr(alone.inner_work)
+            assert alone.gradient[0].tobytes() == grad.tobytes()
+            assert repr(block.value[i]) == repr(alone.value[0])
+            assert block.gradient[i].tobytes() == alone.gradient[0].tobytes()
+            assert repr(block.delta[i]) == repr(alone.delta[0])
+            assert repr(block.inner_work[i]) == repr(alone.inner_work[0])

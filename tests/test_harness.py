@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_csv_sha256 import TINY_EXP1, TINY_EXP2, TINY_EXP3
+from test_problems import noisy_one
 from witnesses import read_schedule, write_coefficients
 
 from tunable_oracle import cli, harness
@@ -20,6 +21,7 @@ from tunable_oracle.certificates import (
 )
 from tunable_oracle.cli import main as cli_main
 from tunable_oracle.cost_models import CostModel
+from tunable_oracle.fgm import fgm_run
 from tunable_oracle.harness import (
     ALL_SCHEDULES,
     DATA_SEED,
@@ -43,6 +45,7 @@ from tunable_oracle.problems import (
     OracleError,
     generate_scenarios,
     hull_oracle,
+    softmax_value_grad,
 )
 from tunable_oracle.schedule_solver import (
     SolverError,
@@ -425,6 +428,31 @@ class TestLowerModel:
             assert gaps(mu) == pytest.approx(reference, abs=1e-6)
 
 
+class TestReferenceFstar:
+    @pytest.mark.parametrize("mu", [0.0, 0.1])
+    def test_equals_a_replay_through_the_exact_oracle(self, mu, monkeypatch):
+        # the reference steps on the record's exact objective; the witness is
+        # the run it replaced, through noisy_oracle at delta = 0 as a block of one
+        cfg = replace(TINY_EXP1, mu=mu, N=(20, 60))
+        data = generate_scenarios(cfg.n, cfg.d, cfg.p, DATA_SEED, sigma=cfg.sigma, mu=mu)
+        runs = []
+
+        def captured(*args, **kwargs):
+            runs.append(fgm_run(*args, **kwargs))
+            return runs[-1]
+        monkeypatch.setattr(harness, "fgm_run", captured)
+        exp = harness._experiment(cfg, data)
+        [(x_hat, records)] = runs
+        assert len(records) == 4 * max(cfg.N)
+        want_x, want = fgm_run(lambda x, delta: noisy_one(data, x, delta, None, exp.cost),
+                               lambda k, A: 0.0, len(records),
+                               np.full(cfg.d, 1.0 / cfg.d), exp.L, mu)
+        assert x_hat.tobytes() == want_x.tobytes()
+        assert [repr(rec) for rec in records] == [repr(rec) for rec in want]
+        f, g = softmax_value_grad(data, want_x)
+        assert repr(exp.fstar) == repr(estimate_fstar(f, g, want_x, mu))
+
+
 class TestBaselines:
     def test_poly3(self):
         sched = baseline_schedule("poly3", 1e-2, 0.0, 1.0, 10)
@@ -569,9 +597,9 @@ class TestRunExperiment:
         requests = []
         noisy = harness.noisy_oracle
 
-        def counted(data, x, delta, *args, **kwargs):
-            requests.append(delta)
-            return noisy(data, x, delta, *args, **kwargs)
+        def counted(data, X, deltas, *args, **kwargs):
+            requests.append(deltas)
+            return noisy(data, X, deltas, *args, **kwargs)
         monkeypatch.setattr(harness, "noisy_oracle", counted)
         cfg = ExperimentConfig(
             experiment=1, d=4, n=3, p=1.0, mu=0.5, r=0.0, delta_ref=(1e-3,),
@@ -582,8 +610,8 @@ class TestRunExperiment:
         assert message.startswith("the linear schedule asks the logarithmic cost")
         assert "at k = 33: delta = " in message
         assert float(message.split("delta = ")[1]) == pytest.approx(1.18, abs=5e-3)
-        # only the noise-free f* reference ran
-        assert requests and set(requests) == {0.0}
+        # no run reached the oracle, and the f* reference asks the objective
+        assert requests == []
 
     def test_terminal_value_exhaustion_is_recorded(self, monkeypatch):
         step_oracle = harness.hull_oracle
@@ -787,16 +815,15 @@ class TestHorizonSharing:
         calls = {}
         noisy = harness.noisy_oracle
 
-        def breaks(data, x, delta, rng, cost):
-            # the runs ask for a block of rows, the f* reference for one point
-            for stream, request in zip(rng, delta) if x.ndim == 2 else [(rng, delta)]:
-                if stream is not None and request in cfg.delta_ref:
+        def breaks(data, X, deltas, rngs, cost):
+            for stream, request in zip(rngs, deltas):
+                if request in cfg.delta_ref:
                     # the entry keeps the stream alive, so that its id is not reused
                     count = calls.setdefault(id(stream), [stream, 0])
                     count[1] += 1
                     if count[1] > 25:
                         raise OracleError(f"stream broke at call {count[1]}")
-            return noisy(data, x, delta, rng, cost)
+            return noisy(data, X, deltas, rngs, cost)
         monkeypatch.setattr(harness, "noisy_oracle", breaks)
         got = run_experiment(cfg)
         assert [f[:4] for f in got.failures] == [

@@ -391,14 +391,15 @@ def run_path_names(source: str, functions: set[str], names: set[str],
     return [f"{func}: {name} (line {line})" for line, func, name in sorted(found)]
 
 
-RUN_PATH = {"_run_block", "run_experiment"}
+RUN_PATH = {"_reference_fstar_exp1", "_run_block", "run_experiment"}
 RUN_PATH_NAMES = {"InnerState", "hull_oracle", "hull_value", "noisy_oracle",
                   "softmax_value_grad"}
 
 
 def test_the_run_path_names_no_oracle_and_no_family():
-    # each run's oracle and sampler come from the experiment record, and the
-    # horizon-dependent families are named once, outside the run path
+    # each run's oracle and sampler, and the f* reference's exact objective,
+    # come from the experiment record, and the horizon-dependent families are
+    # named once, outside the run path
     source = (PACKAGE / "harness.py").read_text()
     assert run_path_names(source, RUN_PATH, RUN_PATH_NAMES, set(ALL_SCHEDULES)) == []
 

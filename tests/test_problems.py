@@ -122,23 +122,42 @@ class TestSoftmax:
                 assert grad[j] == pytest.approx(fd, abs=1e-6)
 
 
+def noisy_one(data, x, delta, rng, cost):
+    """``noisy_oracle`` at the point x as a block of one, read as one reply."""
+    reply = noisy_oracle(data, x[None, :], [delta], [rng], cost)
+    return OracleReply(reply.value[0], reply.gradient[0], reply.delta[0], reply.inner_work[0])
+
+
 class TestNoisyOracle:
     def test_exact_request(self):
         data = generate_scenarios(4, 3, 1.0, seed=0)
         x = np.full(3, 1.0 / 3.0)
-        reply = noisy_oracle(data, x, 0.0, rng=np.random.default_rng(0),
-                             cost=POWER_1)
+        reply = noisy_one(data, x, 0.0, rng=np.random.default_rng(0), cost=POWER_1)
         value, grad = softmax_value_grad(data, x)
         assert reply.value == value and reply.delta == 0.0
         assert reply.inner_work == 0.0
         np.testing.assert_array_equal(reply.gradient, grad)
 
+    @pytest.mark.parametrize("mu", [0.0, 0.1])
+    @pytest.mark.parametrize("cost", [POWER_1, LOG])
+    def test_exact_row_has_the_objective_bits(self, cost, mu):
+        # a delta = 0 row returns softmax_value_grad's value and gradient
+        # untouched, certifies delta 0 and charges no work, beside noisy rows
+        data = generate_scenarios(100, 30, 10.0, 1234, mu=mu)
+        X = np.random.default_rng(5).dirichlet(np.ones(30), size=3)
+        reply = noisy_oracle(data, X, [1e-3, 0.0, 0.0],
+                             [np.random.default_rng(i) for i in range(3)], cost)
+        for i in (1, 2):
+            value, grad = softmax_value_grad(data, X[i])
+            assert repr(reply.value[i]) == repr(value)
+            assert reply.gradient[i].tobytes() == grad.tobytes()
+            assert repr(reply.delta[i]) == "0.0" and repr(reply.inner_work[i]) == "0.0"
+
     def test_noise_radius_and_certificate(self):
         data = generate_scenarios(4, 6, 1.0, seed=0)
         x = np.full(6, 1.0 / 6.0)
         _, grad = softmax_value_grad(data, x)
-        reply = noisy_oracle(data, x, 1e-3, rng=np.random.default_rng(1),
-                             cost=POWER_1)
+        reply = noisy_one(data, x, 1e-3, rng=np.random.default_rng(1), cost=POWER_1)
         assert np.linalg.norm(reply.gradient - grad) == pytest.approx(0.1, rel=1e-12)
         assert reply.delta == pytest.approx(0.4)
 
@@ -146,14 +165,14 @@ class TestNoisyOracle:
         data = generate_scenarios(2, 2, 1.0, seed=0)
         x = np.array([0.5, 0.5])
         rng = np.random.default_rng(0)
-        assert noisy_oracle(data, x, 1e-2, rng, cost=POWER_1).inner_work \
+        assert noisy_one(data, x, 1e-2, rng, cost=POWER_1).inner_work \
             == pytest.approx(100.0)
-        assert noisy_oracle(data, x, 1e-2, rng, cost=CostModel("power", 0.5)).inner_work \
+        assert noisy_one(data, x, 1e-2, rng, cost=CostModel("power", 0.5)).inner_work \
             == pytest.approx(10.0)
-        assert noisy_oracle(data, x, 1e-2, rng, cost=LOG).inner_work \
+        assert noisy_one(data, x, 1e-2, rng, cost=LOG).inner_work \
             == pytest.approx(math.log(100.0))
         # the log cost is 0 at delta = 1, the top of its domain
-        assert noisy_oracle(data, x, 1.0, rng, cost=LOG).inner_work == 0.0
+        assert noisy_one(data, x, 1.0, rng, cost=LOG).inner_work == 0.0
 
     def test_noise_mean_vanishes(self):
         data = generate_scenarios(3, 4, 1.0, seed=0)
@@ -161,34 +180,40 @@ class TestNoisyOracle:
         _, grad = softmax_value_grad(data, x)
         rng = np.random.default_rng(7)
         # delta = 0.01: noise of unit radius
-        noise = np.mean([noisy_oracle(data, x, 0.01, rng, POWER_1).gradient - grad
+        noise = np.mean([noisy_one(data, x, 0.01, rng, POWER_1).gradient - grad
                          for _ in range(4000)], axis=0)
         assert np.linalg.norm(noise) < 0.05
 
     def test_deterministic_stream(self):
         data = generate_scenarios(3, 4, 1.0, seed=0)
         x = np.full(4, 0.25)
-        g1 = [noisy_oracle(data, x, 0.1,
-                           np.random.default_rng(9), POWER_1).gradient for _ in range(1)]
-        g2 = [noisy_oracle(data, x, 0.1,
-                           np.random.default_rng(9), POWER_1).gradient for _ in range(1)]
-        np.testing.assert_array_equal(g1[0], g2[0])
+        g1 = noisy_one(data, x, 0.1, np.random.default_rng(9), POWER_1).gradient
+        g2 = noisy_one(data, x, 0.1, np.random.default_rng(9), POWER_1).gradient
+        np.testing.assert_array_equal(g1, g2)
 
     def test_validation(self):
         data = generate_scenarios(2, 2, 1.0, seed=0)
         with pytest.raises(OracleError):
-            noisy_oracle(data, np.array([0.5, 0.5]), -1.0,
-                         np.random.default_rng(0), POWER_1)
+            noisy_one(data, np.array([0.5, 0.5]), -1.0, np.random.default_rng(0), POWER_1)
         # NaN fails every comparison; it must not pass as an exact request
         with pytest.raises(OracleError):
-            noisy_oracle(data, np.array([0.5, 0.5]), math.nan,
-                         np.random.default_rng(0), POWER_1)
+            noisy_one(data, np.array([0.5, 0.5]), math.nan, np.random.default_rng(0), POWER_1)
         with pytest.raises(OracleError, match=r"logarithmic cost.*delta = 1\.5"):
-            noisy_oracle(data, np.array([0.5, 0.5]), 1.5,
-                         np.random.default_rng(0), cost=LOG)
+            noisy_one(data, np.array([0.5, 0.5]), 1.5, np.random.default_rng(0), cost=LOG)
         with pytest.raises(OracleError):
             OracleReply(value=0.0, gradient=np.zeros(2), delta=-0.1,
                         inner_work=0.0)
+
+    @pytest.mark.parametrize("cost", [POWER_1, CostModel("power", 3.0), LOG])
+    def test_infinite_request_is_refused_before_any_draw(self, cost):
+        # the power cost's delta_max is inf, so only the finiteness check
+        # stops an infinite request; no row's stream is drawn from
+        data = generate_scenarios(2, 2, 1.0, seed=0)
+        rngs = [np.random.default_rng(0), np.random.default_rng(1)]
+        with pytest.raises(OracleError, match=r"finite delta >= 0, got delta = inf"):
+            noisy_oracle(data, np.full((2, 2), 0.5), [1e-3, math.inf], rngs, cost)
+        assert [rng.standard_normal() for rng in rngs] == \
+            [np.random.default_rng(i).standard_normal() for i in range(2)]
 
 
 def reference_softmax_value_grad(data, x):
@@ -232,7 +257,7 @@ class TestSoftmaxBitIdentity:
         _, grad = softmax_value_grad(data, x)
         rng, ref_rng = np.random.default_rng(d), np.random.default_rng(d)
         for _ in range(200):
-            reply = noisy_oracle(data, x, 1e-3, rng, POWER_1)
+            reply = noisy_one(data, x, 1e-3, rng, POWER_1)
             expected = grad + 100.0 * 1e-3 * reference_noise(ref_rng, d)
             assert reply.gradient.tobytes() == expected.tobytes()
 
@@ -275,14 +300,14 @@ class TestFistaInner:
         data = generate_scenarios(20, 40, 0.5, seed=2, sigma=1e-2)
         x = np.full(40, 1.0 / 40.0)
         for target in (1e-2, 1e-6, 1e-10):
-            result = fista_inner(data, x, target)
+            result = fista_inner(data, x, target, InnerState())
             assert result.converged and result.gap <= target
 
     def test_matches_two_scenario_closed_form(self):
         data = make_data([[1.0, 0.0, 2.0], [-1.0, 1.0, 0.0]], sigma=0.5)
         x = np.array([0.5, 0.25, 0.25])
         _, q_opt = analytic_two_scenario_opt(data, x)
-        result = fista_inner(data, x, 1e-10)
+        result = fista_inner(data, x, 1e-10, InnerState())
         q_res, _, _ = inner_q_value_grad(data, result.w, x)
         assert q_opt - q_res == pytest.approx(0.0, abs=1e-8)
         assert q_opt - q_res <= result.gap + 1e-15
@@ -290,7 +315,7 @@ class TestFistaInner:
     def test_warm_start_at_optimum_is_free(self):
         data = generate_scenarios(10, 20, 1.0, seed=3, sigma=1e-2)
         x = np.full(20, 0.05)
-        tight = fista_inner(data, x, 1e-12)
+        tight = fista_inner(data, x, 1e-12, InnerState())
         warm = fista_inner(data, x, 1e-6, warm_start=InnerState(w=tight.w))
         assert warm.work == 0 and warm.converged
 
@@ -299,12 +324,12 @@ class TestFistaInner:
         # distance of the returned value to the optimum
         data = generate_scenarios(8, 16, 1.0, seed=6, sigma=1e-2)
         x = np.full(16, 1.0 / 16.0)
-        q_star = fista_inner(data, x, 1e-12).value
-        steps = fista_inner(data, x, 1e-10).work
+        q_star = fista_inner(data, x, 1e-12, InnerState()).value
+        steps = fista_inner(data, x, 1e-10, InnerState()).work
         assert steps >= 10
         for max_inner in range(1, steps + 1):
             monkeypatch.setattr(problems, "_MAX_INNER", max_inner)
-            result = fista_inner(data, x, 1e-10)
+            result = fista_inner(data, x, 1e-10, InnerState())
             assert result.gap >= q_star - result.value - 1e-12
         assert result.converged and result.gap <= 1e-10
 
@@ -324,7 +349,7 @@ class TestFistaInner:
         for target, max_inner in ((1e-12, 3), (1e-2, 10**6), (1e-10, 10**6)):
             monkeypatch.setattr(problems, "_MAX_INNER", max_inner)
             calls.clear()
-            results[target] = fista_inner(data, x, target)
+            results[target] = fista_inner(data, x, target, InnerState())
             assert results[target].work >= 1
             assert len(calls) == 2 * results[target].work
         calls.clear()
@@ -351,7 +376,7 @@ class TestFistaInner:
         for target, max_inner in ((1e-12, 3), (1e-2, 10**6), (1e-10, 10**6)):
             monkeypatch.setattr(problems, "_MAX_INNER", max_inner)
             calls.clear()
-            result = fista_inner(data, x, target)
+            result = fista_inner(data, x, target, InnerState())
             assert result.work >= 1
             assert len(calls) == result.work
         calls.clear()
@@ -361,21 +386,21 @@ class TestFistaInner:
     def test_rejects_nonpositive_target(self, monkeypatch):
         data = generate_scenarios(2, 2, 1.0, seed=0)
         with pytest.raises(OracleError):
-            fista_inner(data, np.array([0.5, 0.5]), 0.0)
+            fista_inner(data, np.array([0.5, 0.5]), 0.0, InnerState())
         monkeypatch.setattr(problems, "_MAX_INNER", 50)
         with pytest.raises(OracleError):
-            fista_inner(data, np.array([0.5, 0.5]), math.nan)
+            fista_inner(data, np.array([0.5, 0.5]), math.nan, InnerState())
 
     def test_value_is_q_at_w_on_every_exit(self, monkeypatch):
         data = generate_scenarios(10, 20, 1.0, seed=3, sigma=1e-2)
         x = np.full(20, 0.05)
-        tight = fista_inner(data, x, 1e-12)
+        tight = fista_inner(data, x, 1e-12, InnerState())
         exits = {
             "start": fista_inner(data, x, 1e-6, warm_start=InnerState(w=tight.w)),
             "loop": tight,
         }
         monkeypatch.setattr(problems, "_MAX_INNER", 2)
-        exits["exhausted"] = fista_inner(data, x, 1e-12)
+        exits["exhausted"] = fista_inner(data, x, 1e-12, InnerState())
         assert exits["start"].work == 0 and exits["start"].converged
         assert exits["loop"].work > 0 and exits["loop"].converged
         assert not exits["exhausted"].converged
@@ -491,7 +516,7 @@ class TestFistaInnerBitIdentity:
         for target in (1e-2, 1e-5, 1e-9):
             # a warm start that carries O^T w (the reference's cold product)
             # gives the bits of the one that does not
-            for start in (None, InnerState(w=prev.w), InnerState(w=prev.w, Otw=prev.Otw)):
+            for start in (InnerState(), InnerState(w=prev.w), InnerState(w=prev.w, Otw=prev.Otw)):
                 result = fista_inner(data, x, target, warm_start=start)
                 self.assert_identical(
                     result,
@@ -520,7 +545,7 @@ class TestFistaInnerBitIdentity:
         data = generate_scenarios(30, 10, 0.2, seed=6, sigma=1.0)
         x = np.full(10, 0.1)
         monkeypatch.setattr(problems, "_MAX_INNER", 7)
-        self.assert_identical(fista_inner(data, x, 1e-12),
+        self.assert_identical(fista_inner(data, x, 1e-12, InnerState()),
                               reference_fista_inner(data, x, 1e-12, max_inner=7))
 
 
@@ -528,7 +553,7 @@ class TestHullOracle:
     def test_value_brackets_exact(self):
         data = generate_scenarios(12, 24, 0.5, seed=11, sigma=1e-2, mu=0.2)
         x = np.full(24, 1.0 / 24.0)
-        exact = hull_value(data, x, precision=1e-12)
+        exact = hull_value(data, x, precision=1e-12, state=InnerState())
         for delta in (1e-2, 1e-4, 1e-7):
             reply = hull_oracle(data, x, delta, InnerState())
             assert reply.value <= exact + 1e-12
@@ -585,7 +610,7 @@ class TestHullValue:
         x = np.full(24, 1.0 / 24.0)
         with pytest.raises(InnerSolverExhausted,
                            match=r"vs target 1\.000e-12 after 1 steps"):
-            hull_value(data, x, precision=1e-12)
+            hull_value(data, x, precision=1e-12, state=InnerState())
 
 
 def hull_fstar(data, x_hat):
@@ -601,14 +626,14 @@ class TestEstimateFstar:
         for _ in range(5):
             x_hat = rng.dirichlet(np.ones(20))
             fstar = hull_fstar(data, x_hat)
-            assert fstar <= hull_value(data, x_hat, precision=1e-12) + 1e-10
+            assert fstar <= hull_value(data, x_hat, precision=1e-12, state=InnerState()) + 1e-10
 
     def test_tight_on_small_problem(self):
         data = generate_scenarios(3, 2, 1.0, seed=14, sigma=0.5, mu=0.5)
         ts = np.linspace(0.0, 1.0, 2001)  # spacing 5e-4
 
         def value(j):
-            return hull_value(data, np.array([ts[j], 1.0 - ts[j]]), precision=1e-12)
+            return hull_value(data, np.array([ts[j], 1.0 - ts[j]]), 1e-12, InnerState())
         # The hull objective is convex along the segment, so the minimum over
         # the fine grid lies between the neighbours of the best point of its
         # every-20th subgrid.
