@@ -36,6 +36,7 @@ from .problems import (
     OracleReply,
     ScenarioData,
     fista_inner,
+    fista_rows,
     generate_scenarios,
     hull_oracle,
     inner_q_value_grad,

@@ -126,6 +126,17 @@ def _project_rows(v: np.ndarray) -> np.ndarray:
 _vector = project_simplex
 
 
+def _check_reply(reply: BlockReply, k: int):
+    """Refuse a NaN or negative certified delta or work of a block reply,
+    before it reaches the bound or the work sums."""
+    for name, values in (("delta", reply.delta), ("work", reply.inner_work)):
+        # a NaN entry makes the sum NaN; without one, the least entry decides
+        if not (min(values) >= 0.0 and sum(values) >= 0.0):
+            value = next(v for v in values if not v >= 0.0)
+            raise FgmError(f"the oracle certified {name} = {value!r} at "
+                           f"iteration {k}; need {name} >= 0")
+
+
 def line_search_validate(f_y: float, grad_y: np.ndarray, f_x_next: float,
                          x_next: np.ndarray, y: np.ndarray,
                          L_candidate: float, delta_k: float) -> bool:
@@ -169,7 +180,9 @@ def fgm_run(oracle: Callable,
 
     ``L`` must be finite and positive and ``mu`` finite and nonnegative. A
     request that is NaN or negative raises ``FgmError`` before it reaches
-    the oracle; any other request, +inf included, is passed on as it is.
+    the oracle; any other request, +inf included, is passed on as it is. A
+    reply's certified delta or work that is NaN or negative raises
+    ``FgmError`` too, before it reaches the bound.
     """
     if not 0.0 < L < math.inf:
         raise FgmError(f"need a finite L > 0, got L = {L!r}")
@@ -224,6 +237,7 @@ def fgm_run(oracle: Callable,
                     raise FgmError(f"the schedule requested delta = {delta_k!r} "
                                    f"at iteration {k}; need delta >= 0")
             reply_y = oracle(Y, deltas, rows)
+            _check_reply(reply_y, k)
             omega = [w + work for w, work in zip(omega, reply_y.inner_work)]
             coef = (A_next - A) / (1.0 + mu * A_next)
             grad = reply_y.gradient
@@ -234,6 +248,7 @@ def fgm_run(oracle: Callable,
             if not adaptive:
                 break
             reply_x = oracle(X_new, deltas, rows)
+            _check_reply(reply_x, k)
             omega = [w + work for w, work in zip(omega, reply_x.inner_work)]
             ok = line_search_validate(
                 reply_y.value[0], reply_y.gradient.reshape(-1), reply_x.value[0],

@@ -36,7 +36,7 @@ from .certificates import (
     next_certificate,
 )
 from .cost_models import LOGARITHMIC, POWER, CostModel
-from .fgm import BlockReply, FgmError, fgm_run, project_simplex
+from .fgm import FgmError, fgm_run, project_simplex
 from .problems import (
     InnerState,
     OracleError,
@@ -379,17 +379,12 @@ def _experiment(config: ExperimentConfig, data: ScenarioData) -> _Experiment:
 
     def start(rngs):  # a run's oracle calls and samples share its warm start
         states = [InnerState() for _ in rngs]
-
-        def oracle(X, deltas, rows):  # one inner solve per row
-            got = [hull_oracle(data, x, delta, states[i]) for x, delta, i in zip(X, deltas, rows)]
-            return BlockReply([r.value for r in got], np.array([r.gradient for r in got]),
-                              [r.delta for r in got], [r.inner_work for r in got])
-        return oracle, lambda X, rows: [hull_value(data, x, SAMPLE_PRECISION, state=states[i])
-                                        for x, i in zip(X, rows)]
+        return (lambda X, deltas, rows: hull_oracle(data, X, deltas, [states[i] for i in rows]),
+                lambda X, rows: hull_value(data, X, SAMPLE_PRECISION, [states[i] for i in rows]))
 
     def terminal(x):  # a cold solve, apart from the run's warm start
-        reply = hull_oracle(data, x, FSTAR_PRECISION, InnerState())
-        return reply.value, reply.gradient
+        reply = hull_oracle(data, x[None], [FSTAR_PRECISION], [InnerState()])
+        return reply.value[0], reply.gradient[0]
     return _Experiment(
         # the hull oracle charges its measured inner iterations, not the model
         cost=cost, L=L, lo=ORACLE_FLOOR, hi=math.inf,

@@ -316,7 +316,7 @@ class TestCriterion11OracleCostFit:
         data = generate_scenarios(50, 100, 0.2, seed=1234, sigma=1e-3, mu=0.1)
         x = np.full(100, 0.01)
         deltas = [10.0 ** -e for e in range(2, 9)]
-        works = [hull_oracle(data, x, d, InnerState()).inner_work
+        works = [hull_oracle(data, x[None], [d], [InnerState()]).inner_work[0]
                  for d in deltas]
         logs = np.log(1.0 / np.asarray(deltas))
         slope, intercept = np.polyfit(logs, works, 1)

@@ -2,7 +2,8 @@
 give, byte for byte, what its run gives alone (a batch of one): its records,
 terminal point, value, gradient and total work. The same holds one layer
 down for the block forms of ``fgm_run``, ``project_simplex``,
-``softmax_value_grad`` and ``noisy_oracle``."""
+``softmax_value_grad``, ``noisy_oracle`` and ``hull_oracle``, and for the
+block inner solver ``fista_rows``."""
 
 import math
 from dataclasses import replace
@@ -12,10 +13,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tunable_oracle import harness
+from tunable_oracle import harness, problems
 from tunable_oracle.cost_models import CostModel
 from tunable_oracle.fgm import BlockReply, FgmError, fgm_run, project_simplex
-from tunable_oracle.problems import generate_scenarios, noisy_oracle, softmax_value_grad
+from tunable_oracle.problems import (
+    InnerState,
+    fista_inner,
+    fista_rows,
+    generate_scenarios,
+    hull_oracle,
+    hull_value,
+    kappa_hat,
+    noisy_oracle,
+    softmax_value_grad,
+)
 
 from test_fgm import noisy_quadratic_oracle
 
@@ -88,6 +99,29 @@ def test_a_failing_row_fails_alone(label, monkeypatch):
     assert got[name, seed, 50] == ("the schedule requested delta = nan at "
                                    "iteration 30; need delta >= 0")
     assert not isinstance(got[name, seed, 20], str)
+    assert [key for key, o in got.items() if isinstance(o, str)] == [(name, seed, 50)]
+    want = _alone(config, exp, runs)
+    assert {key: _bytes(o) for key, o in got.items()} == \
+        {key: _bytes(o) for key, o in want.items()}
+
+
+@pytest.mark.parametrize("block_rows", [1, problems._BLOCK_ROWS])
+def test_an_exhausted_row_fails_its_run_alone(block_rows, monkeypatch):
+    # one run asks for a gap of 1e-300 at step 30, which takes 41 inner
+    # iterations; every other step takes at most 30, and the terminal solves,
+    # at a loose precision, fewer, so a cap of 35 stops that step alone. With
+    # one block row the block meets the cap, else the row's own loop once
+    # the block hands it off.
+    config, exp, runs = _blocks(CONFIGS["exp2"], monkeypatch)[0]
+    name, seed, served, cb = runs[-1]
+    runs = runs[:-1] + [(name, seed, served,
+                         lambda k, A, cb=cb: 1e-300 if k == 30 else cb(k, A))]
+    monkeypatch.setattr(harness, "FSTAR_PRECISION", 1e-4)
+    monkeypatch.setattr(problems, "_MAX_INNER", 35)
+    monkeypatch.setattr(problems, "_BLOCK_ROWS", block_rows)
+    got = harness._run_block(config, exp, runs)
+    assert got[name, seed, 50].startswith("inner solver exhausted: gap ")
+    assert got[name, seed, 50].endswith(" vs target 1.000e-300 after 35 steps")
     assert [key for key, o in got.items() if isinstance(o, str)] == [(name, seed, 50)]
     want = _alone(config, exp, runs)
     assert {key: _bytes(o) for key, o in got.items()} == \
@@ -238,3 +272,98 @@ class TestSoftmaxBlock:
             assert block.gradient[i].tobytes() == alone.gradient[0].tobytes()
             assert repr(block.delta[i]) == repr(alone.delta[0])
             assert repr(block.inner_work[i]) == repr(alone.inner_work[0])
+
+
+# (n, d, sigma, seed): n <= d gives kappa_hat > 0 and the constant momentum,
+# d < n a rank-deficient Gram matrix and the accelerating t sequence
+_HULL_CASES = [(50, 100, 3e-3, 1234), (40, 25, 1e-2, 6)]
+
+
+def _hull_block(n, d, sigma, seed, B=9):
+    """A block of B inner requests: row 0 warm-started at its own point's
+    tight solution (it stops at iteration 0), the others cold, warm without
+    and warm with a carried O^T w in turn, at loose to tight targets."""
+    data = generate_scenarios(n, d, 0.2, seed=seed, sigma=sigma, mu=0.1)
+    rng = np.random.default_rng(seed)
+    X = rng.dirichlet(np.ones(d), size=B)
+    tight = fista_inner(data, X[0], 1e-12, InnerState())
+    states, targets = [InnerState(tight.w, tight.Otw)], [1e-6]
+    for i, x_prev in enumerate(rng.dirichlet(np.ones(d), size=B - 1)):
+        prev = fista_inner(data, x_prev, 1e-4, InnerState())
+        states.append((InnerState(), InnerState(prev.w), InnerState(prev.w, prev.Otw))[i % 3])
+        targets.append((1e-3, 1e-6, 1e-9)[i // 3 % 3])
+    return data, X, targets, states
+
+
+def _inner_bytes(w, Otw, value, gap, work, converged):
+    return w.tobytes(), Otw.tobytes(), repr(value), repr(gap), work, converged
+
+
+class TestFistaRows:
+    """``fista_rows`` against ``fista_inner`` run on each row alone."""
+
+    # one block row: the block iterates to the end; 100: every row hands off
+    @pytest.mark.parametrize("block_rows", [1, problems._BLOCK_ROWS, 100])
+    @pytest.mark.parametrize("case", _HULL_CASES)
+    def test_each_row_has_the_bits_of_its_solve_alone(self, case, block_rows, monkeypatch):
+        data, X, targets, states = _hull_block(*case)
+        assert (kappa_hat(data) > 0.0) == (case[0] <= case[1])
+        inputs = X.tobytes(), [(s.w is None or s.w.tobytes(), repr(s.Otw)) for s in states]
+        monkeypatch.setattr(problems, "_BLOCK_ROWS", block_rows)
+        got = fista_rows(data, X, targets, states)
+        for i, (x, target, state) in enumerate(zip(X, targets, states)):
+            alone = fista_inner(data, x, target, state)
+            assert _inner_bytes(got.w[i], got.Otw[i], got.value[i], got.gap[i], got.work[i],
+                                got.converged[i]) == _inner_bytes(*alone.__dict__.values())
+        # a row stops at iteration 0 beside rows that iterate, most of them long
+        assert got.work[0] == 0 and sorted(got.work)[2] >= 5 and max(got.work) >= 30
+        assert all(got.converged)
+        assert (X.tobytes(), [(s.w is None or s.w.tobytes(), repr(s.Otw))
+                              for s in states]) == inputs
+
+    @pytest.mark.parametrize("case", _HULL_CASES)
+    def test_an_exhausted_row_keeps_its_bits(self, case, monkeypatch):
+        # every row but the first runs out of iterations inside the block
+        data, X, targets, states = _hull_block(*case)
+        targets = targets[:1] + [1e-300] * (len(targets) - 1)
+        monkeypatch.setattr(problems, "_MAX_INNER", 7)
+        monkeypatch.setattr(problems, "_BLOCK_ROWS", 1)
+        got = fista_rows(data, X, targets, states)
+        assert got.work == [0] + [7] * (len(X) - 1)
+        assert got.converged == [True] + [False] * (len(X) - 1)
+        for i, (x, target, state) in enumerate(zip(X, targets, states)):
+            alone = fista_inner(data, x, target, state)
+            assert _inner_bytes(got.w[i], got.Otw[i], got.value[i], got.gap[i], got.work[i],
+                                got.converged[i]) == _inner_bytes(*alone.__dict__.values())
+
+    def test_rejects_a_nonpositive_target(self):
+        data, X, targets, states = _hull_block(*_HULL_CASES[0], B=4)
+        for bad in (0.0, math.nan):
+            with pytest.raises(problems.OracleError, match="delta_target must be > 0"):
+                fista_rows(data, X, targets[:3] + [bad], states)
+
+
+class TestHullOracleBlock:
+    @pytest.mark.parametrize("case", _HULL_CASES)
+    def test_rows_have_the_bits_of_one_row_blocks(self, case):
+        data, X, targets, states = _hull_block(*case)
+        lone = [InnerState(s.w, s.Otw) for s in states]
+        block = hull_oracle(data, X, targets, states)
+        for i, (x, target, state) in enumerate(zip(X, targets, lone)):
+            alone = hull_oracle(data, x[None, :], [target], [state])
+            assert repr(block.value[i]) == repr(alone.value[0])
+            assert block.gradient[i].tobytes() == alone.gradient[0].tobytes()
+            assert repr(block.delta[i]) == repr(alone.delta[0])
+            assert block.inner_work[i] == alone.inner_work[0]
+            # the warm start each leaves behind
+            assert states[i].w.tobytes() == state.w.tobytes()
+            assert states[i].Otw.tobytes() == state.Otw.tobytes()
+
+    @pytest.mark.parametrize("case", _HULL_CASES)
+    def test_sampled_values_have_the_bits_of_one_row_blocks(self, case):
+        data, X, _, states = _hull_block(*case)
+        before = [(s.w is None or s.w.tobytes(), repr(s.Otw)) for s in states]
+        values = hull_value(data, X, 1e-8, states)
+        assert [repr(v) for v in values] == [
+            repr(hull_value(data, x[None, :], 1e-8, [state])[0]) for x, state in zip(X, states)]
+        assert [(s.w is None or s.w.tobytes(), repr(s.Otw)) for s in states] == before

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from tunable_oracle.certificates import next_certificate
 from tunable_oracle.fgm import (
+    BlockReply,
     FgmError,
     IterationRecord,
     fgm_run,
@@ -384,6 +385,41 @@ class TestAdaptive:
             fgm_run(recording_oracle(seen), lambda k, A_next: bad if k == 2 else 1e-3,
                     3, np.array([1.0, 0.0]), 1.0, adaptive=adaptive)
         assert seen and all(delta == 1e-3 for delta in seen)
+
+    @pytest.mark.parametrize("adaptive", [False, True])
+    @pytest.mark.parametrize("field, name", [("delta", "delta"), ("inner_work", "work")])
+    @pytest.mark.parametrize("bad", [math.nan, -1.0])
+    def test_rejects_a_nan_or_negative_certificate(self, bad, field, name, adaptive):
+        # the reply is not checked on its way in: a NaN would reach the bound
+        # or omega, and every later record, as NaN
+        exact = quadratic_oracle([0.0, 0.0])
+
+        def oracle(x, delta):
+            reply = exact(x, delta)
+            if delta == 2e-3:
+                setattr(reply, field, bad)
+            return reply
+        with pytest.raises(FgmError, match=rf"certified {name} = {bad!r} at iteration 2; "
+                                           rf"need {name} >= 0"):
+            fgm_run(oracle, lambda k, A_next: 2e-3 if k == 2 else 1e-3, 3,
+                    np.array([1.0, 0.0]), 1.0, adaptive=adaptive)
+
+    def test_rejects_a_nan_certificate_in_a_block_reply(self):
+        # the second row's reply at the second step certifies NaN
+        exact = quadratic_oracle([0.0, 0.0])
+        steps = []
+
+        def oracle(Y, deltas, rows):
+            replies = [exact(y, delta) for y, delta in zip(Y, deltas)]
+            certified = [r.delta for r in replies]
+            if len(steps) == 1:
+                certified[1] = math.nan
+            steps.append(rows)
+            return BlockReply([r.value for r in replies], np.array([r.gradient for r in replies]),
+                              certified, [r.inner_work for r in replies])
+        with pytest.raises(FgmError, match="certified delta = nan at iteration 1"):
+            fgm_run(oracle, [constant_schedule(1e-3)] * 2, [3, 3],
+                    np.array([[1.0, 0.0], [0.5, 0.5]]), 1.0)
 
     def test_passes_an_infinite_request_on(self):
         seen = []

@@ -396,8 +396,8 @@ class TestLowerModel:
         rng = np.random.default_rng(3)
         for _ in range(20):
             x_hat = rng.dirichlet(np.ones(2))
-            reply = hull_oracle(data, x_hat, FSTAR_PRECISION, InnerState())
-            f, g = reply.value, reply.gradient
+            reply = hull_oracle(data, x_hat[None], [FSTAR_PRECISION], [InnerState()])
+            f, g = reply.value[0], reply.gradient[0]
             lin = f + float(np.min(g)) - float(g @ x_hat)
             tol = 1e-12 * (abs(f) + float(np.abs(g).max()))
             assert lin - tol <= estimate_fstar(f, g, x_hat, mu) <= lin + mu + tol
@@ -616,10 +616,10 @@ class TestRunExperiment:
     def test_terminal_value_exhaustion_is_recorded(self, monkeypatch):
         step_oracle = harness.hull_oracle
 
-        def terminal_exhausts(data, x, delta, state):
-            if delta == FSTAR_PRECISION:
-                raise InnerSolverExhausted(1.0, delta, 1)
-            return step_oracle(data, x, delta, state)
+        def terminal_exhausts(data, X, deltas, states):
+            if deltas == [FSTAR_PRECISION]:
+                raise InnerSolverExhausted(1.0, FSTAR_PRECISION, 1)
+            return step_oracle(data, X, deltas, states)
         monkeypatch.setattr(harness, "hull_oracle", terminal_exhausts)
         result = run_experiment(TINY_EXP2)
         assert [f[0] for f in result.failures] == ["tunable", "constant"]
@@ -843,12 +843,13 @@ class TestHorizonSharing:
         calls = {}
         sample = harness.hull_value
 
-        def breaks(data, x, precision, state):
-            count = calls.setdefault(id(state), [state, 0])
-            count[1] += 1
-            if count[1] == 3:
-                raise InnerSolverExhausted(1.0, precision, 7)
-            return sample(data, x, precision, state=state)
+        def breaks(data, X, precision, states):
+            for state in states:
+                count = calls.setdefault(id(state), [state, 0])
+                count[1] += 1
+                if count[1] == 3:
+                    raise InnerSolverExhausted(1.0, precision, 7)
+            return sample(data, X, precision, states)
         monkeypatch.setattr(harness, "hull_value", breaks)
         got = run_experiment(cfg)
         assert sorted(f[:3] for f in got.failures) == sorted(
@@ -865,18 +866,18 @@ class TestHorizonSharing:
         oracle = harness.hull_oracle
         ends = []
 
-        def record(data, x, delta, state):
-            if delta == FSTAR_PRECISION:
-                ends.append(x.tobytes())
-            return oracle(data, x, delta, state)
+        def record(data, X, deltas, states):
+            if deltas == [FSTAR_PRECISION]:
+                ends.append(X.tobytes())
+            return oracle(data, X, deltas, states)
         monkeypatch.setattr(harness, "hull_oracle", record)
         run_experiment(replace(cfg, N=(25,), seeds=(0,), schedules=("constant",)))
         (end,) = ends
 
-        def breaks(data, x, delta, state):
-            if delta == FSTAR_PRECISION and x.tobytes() == end:
-                raise InnerSolverExhausted(1.0, delta, 3)
-            return oracle(data, x, delta, state)
+        def breaks(data, X, deltas, states):
+            if deltas == [FSTAR_PRECISION] and X.tobytes() == end:
+                raise InnerSolverExhausted(1.0, FSTAR_PRECISION, 3)
+            return oracle(data, X, deltas, states)
         monkeypatch.setattr(harness, "hull_oracle", breaks)
         got = run_experiment(cfg)
         assert [f[:3] for f in got.failures] == [("constant", 0, 25)]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from test_fgm import reference_project_simplex
 from tunable_oracle import problems
 from tunable_oracle.cost_models import CostModel
+from tunable_oracle.fgm import fgm_run
 from tunable_oracle.harness import FSTAR_PRECISION, estimate_fstar
 from tunable_oracle.problems import (
     InnerResult,
@@ -203,6 +205,12 @@ class TestNoisyOracle:
         with pytest.raises(OracleError):
             OracleReply(value=0.0, gradient=np.zeros(2), delta=-0.1,
                         inner_work=0.0)
+
+    @pytest.mark.parametrize("delta, work", [(math.nan, 0.0), (0.0, math.nan),
+                                             (math.nan, math.nan)])
+    def test_reply_refuses_a_nan_certificate(self, delta, work):
+        with pytest.raises(OracleError, match="delta and inner_work must be >= 0"):
+            OracleReply(value=0.0, gradient=np.zeros(2), delta=delta, inner_work=work)
 
     @pytest.mark.parametrize("cost", [POWER_1, CostModel("power", 3.0), LOG])
     def test_infinite_request_is_refused_before_any_draw(self, cost):
@@ -468,6 +476,18 @@ def reference_fista_inner(data, x, delta_target, warm_start=None,
                        converged=False)
 
 
+def hull_one(data, x, delta, state):
+    """``hull_oracle`` at the point x as a block of one, read as one reply."""
+    reply = hull_oracle(data, x[None, :], [delta], [state])
+    return OracleReply(reply.value[0], reply.gradient[0], reply.delta[0], reply.inner_work[0])
+
+
+def hull_value_one(data, x, precision, state):
+    """``hull_value`` at the point x as a block of one."""
+    (value,) = hull_value(data, x[None, :], precision, [state])
+    return value
+
+
 # (n, d): n <= d gives kappa_hat > 0 and the constant momentum, n > d a
 # rank-deficient Gram matrix and the accelerating sequence; every case takes
 # from a few to a few hundred iterations over the three targets
@@ -534,7 +554,7 @@ class TestFistaInnerBitIdentity:
         rng = np.random.default_rng(seed)
         state, ref_w = InnerState(), None
         for x in rng.dirichlet(np.ones(d), size=6):
-            reply = hull_oracle(data, x, 1e-6, state)
+            reply = hull_one(data, x, 1e-6, state)
             ref = reference_fista_inner(data, x, 1e-6, warm_start=InnerState(w=ref_w))
             ref_w = ref.w
             assert reply.inner_work == ref.work
@@ -553,16 +573,16 @@ class TestHullOracle:
     def test_value_brackets_exact(self):
         data = generate_scenarios(12, 24, 0.5, seed=11, sigma=1e-2, mu=0.2)
         x = np.full(24, 1.0 / 24.0)
-        exact = hull_value(data, x, precision=1e-12, state=InnerState())
+        exact = hull_value_one(data, x, 1e-12, InnerState())
         for delta in (1e-2, 1e-4, 1e-7):
-            reply = hull_oracle(data, x, delta, InnerState())
+            reply = hull_one(data, x, delta, InnerState())
             assert reply.value <= exact + 1e-12
             assert exact - reply.value <= delta
 
     def test_work_grows_as_delta_shrinks(self):
         data = generate_scenarios(12, 24, 0.5, seed=11, sigma=1e-2)
         x = np.full(24, 1.0 / 24.0)
-        works = [hull_oracle(data, x, d, InnerState()).inner_work
+        works = [hull_one(data, x, d, InnerState()).inner_work
                  for d in (1e-2, 1e-4, 1e-6, 1e-8)]
         assert all(w2 >= w1 for w1, w2 in zip(works, works[1:]))
         # linear convergence: cost per decade of accuracy stays bounded
@@ -574,8 +594,8 @@ class TestHullOracle:
         xs = [rng.dirichlet(np.ones(30)) for _ in range(6)]
         xs = [xs[0] + 0.01 * (x - xs[0]) for x in xs]  # slowly moving queries
         state = InnerState()
-        warm = sum(hull_oracle(data, x, 1e-8, state).inner_work for x in xs)
-        cold = sum(hull_oracle(data, x, 1e-8, InnerState()).inner_work
+        warm = sum(hull_one(data, x, 1e-8, state).inner_work for x in xs)
+        cold = sum(hull_one(data, x, 1e-8, InnerState()).inner_work
                    for x in xs)
         assert warm < cold
 
@@ -584,14 +604,63 @@ class TestHullOracle:
         data = generate_scenarios(12, 24, 0.5, seed=11, sigma=1e-2)
         x = np.full(24, 1.0 / 24.0)
         with pytest.raises(InnerSolverExhausted):
-            hull_oracle(data, x, 1e-10, InnerState())
+            hull_one(data, x, 1e-10, InnerState())
 
     def test_rejects_nonpositive_delta(self):
         data = generate_scenarios(2, 2, 1.0, seed=0)
         with pytest.raises(OracleError):
-            hull_oracle(data, np.array([0.5, 0.5]), 0.0, InnerState())
+            hull_one(data, np.array([0.5, 0.5]), 0.0, InnerState())
         with pytest.raises(OracleError):
-            hull_oracle(data, np.array([0.5, 0.5]), math.nan, InnerState())
+            hull_one(data, np.array([0.5, 0.5]), math.nan, InnerState())
+
+
+class TestCertifiedGap:
+    """The hull oracle certifies the inner gap each row achieved."""
+
+    def test_certifies_the_achieved_gap(self):
+        data = generate_scenarios(12, 24, 0.5, seed=11, sigma=1e-2, mu=0.2)
+        X = np.random.default_rng(4).dirichlet(np.ones(24), size=6)
+        deltas = [1e-2, 1e-3, 1e-4, 1e-6, 1e-8, 1e-10]
+        reply = hull_oracle(data, X, deltas, [InnerState() for _ in X])
+        gaps = [fista_inner(data, x, delta, InnerState()).gap for x, delta in zip(X, deltas)]
+        assert reply.delta == [max(gap, 0.0) for gap in gaps]
+        assert all(0.0 <= got <= want for got, want in zip(reply.delta, deltas))
+        assert all(got < want for got, want in zip(reply.delta, deltas))
+
+    def test_a_gap_below_zero_certifies_zero(self, monkeypatch):
+        solve = problems.fista_inner
+        monkeypatch.setattr(problems, "fista_inner",
+                            lambda *args: dataclasses.replace(solve(*args), gap=-1e-17))
+        data = generate_scenarios(12, 24, 0.5, seed=11, sigma=1e-2)
+        reply = hull_oracle(data, np.full((1, 24), 1.0 / 24.0), [1e-3], [InnerState()])
+        assert repr(reply.delta[0]) == "0.0"
+
+    def test_run_bound_reads_the_achieved_gaps(self):
+        # a block of five fixed-step hull runs: each final bound is the one
+        # recomputed from the certified gaps, below the one of the requests
+        data = generate_scenarios(12, 24, 0.5, seed=11, sigma=1e-2, mu=0.2)
+        states = [InnerState() for _ in range(5)]
+        replies = []
+
+        def oracle(X, deltas, rows):
+            reply = hull_oracle(data, X, deltas, [states[i] for i in rows])
+            replies.append((rows, deltas, reply.delta))
+            return reply
+        requests = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+        x0 = np.random.default_rng(5).dirichlet(np.ones(24), size=5)
+        _, records = fgm_run(oracle, [lambda k, A, d=d: d for d in requests], [20] * 5, x0,
+                             2.0 / data.sigma + data.mu, data.mu, r2_estimate=1.0)
+        achieved, asked = [0.0] * 5, [0.0] * 5
+        for k, (rows, deltas, certified) in enumerate(replies):
+            A = records[5 * k].A
+            for row, delta, gap in zip(rows, deltas, certified):
+                assert 0.0 <= gap <= delta
+                achieved[row] += A * gap
+                asked[row] += A * delta
+        A = records[-1].A
+        bounds = [rec.bound for rec in records[-5:]]
+        assert bounds == [(1.0 + 2.0 * total) / A for total in achieved]
+        assert all(b < (1.0 + 2.0 * total) / A for b, total in zip(bounds, asked))
 
 
 class TestHullValue:
@@ -599,9 +668,9 @@ class TestHullValue:
         data = generate_scenarios(12, 24, 0.5, seed=11, sigma=1e-2)
         x = np.full(24, 1.0 / 24.0)
         state = InnerState()
-        hull_oracle(data, x, 1e-2, state)
+        hull_one(data, x, 1e-2, state)
         w_before = state.w.copy()
-        hull_value(data, x, precision=1e-12, state=state)
+        hull_value_one(data, x, 1e-12, state)
         np.testing.assert_array_equal(state.w, w_before)
 
     def test_exhaustion_raises(self, monkeypatch):
@@ -610,12 +679,12 @@ class TestHullValue:
         x = np.full(24, 1.0 / 24.0)
         with pytest.raises(InnerSolverExhausted,
                            match=r"vs target 1\.000e-12 after 1 steps"):
-            hull_value(data, x, precision=1e-12, state=InnerState())
+            hull_value_one(data, x, 1e-12, InnerState())
 
 
 def hull_fstar(data, x_hat):
     """The lower model of the hull objective at x_hat, from a cold solve."""
-    reply = hull_oracle(data, x_hat, FSTAR_PRECISION, InnerState())
+    reply = hull_one(data, x_hat, FSTAR_PRECISION, InnerState())
     return estimate_fstar(reply.value, reply.gradient, x_hat, data.mu)
 
 
@@ -626,14 +695,14 @@ class TestEstimateFstar:
         for _ in range(5):
             x_hat = rng.dirichlet(np.ones(20))
             fstar = hull_fstar(data, x_hat)
-            assert fstar <= hull_value(data, x_hat, precision=1e-12, state=InnerState()) + 1e-10
+            assert fstar <= hull_value_one(data, x_hat, 1e-12, InnerState()) + 1e-10
 
     def test_tight_on_small_problem(self):
         data = generate_scenarios(3, 2, 1.0, seed=14, sigma=0.5, mu=0.5)
         ts = np.linspace(0.0, 1.0, 2001)  # spacing 5e-4
 
         def value(j):
-            return hull_value(data, np.array([ts[j], 1.0 - ts[j]]), 1e-12, InnerState())
+            return hull_value_one(data, np.array([ts[j], 1.0 - ts[j]]), 1e-12, InnerState())
         # The hull objective is convex along the segment, so the minimum over
         # the fine grid lies between the neighbours of the best point of its
         # every-20th subgrid.
